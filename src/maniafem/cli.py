@@ -27,15 +27,16 @@ EXIT_STUDY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
+_LIBRARY = ex.ExperimentConfig()
 _DEFAULTS = {
-    "s": 0.2,
-    "p": 1.1,
-    "alpha": 0.035,
-    "mesh_sizes": list(ex.DEFAULT_MESH_SIZES),
-    "grad_tol": 1e-9,
-    "max_iters": 100_000,
-    "seed": 0,
-    "output_dir": "reports",
+    "s": _LIBRARY.params.s,
+    "p": _LIBRARY.params.p,
+    "alpha": _LIBRARY.params.alpha,
+    "mesh_sizes": list(_LIBRARY.mesh_sizes),
+    "grad_tol": _LIBRARY.solver.grad_tol,
+    "max_iters": _LIBRARY.solver.max_iters,
+    "seed": _LIBRARY.seed,
+    "output_dir": _LIBRARY.output_dir,
 }
 
 def _parse_sizes(text: str) -> list[int]:
@@ -152,7 +153,7 @@ def _cmd_solve(args, settings) -> int:
     print(f"N = {mesh.n_elements}  h = {mesh.h:.6e}")
     print(f"energy    = {result.energy:.17g}")
     print(f"grad_norm = {result.grad_norm:.3e}")
-    print(f"iters     = {result.iters}  converged = {result.converged}")
+    print(f"iters     = {result.iters}  stopped on {result.reason}")
     out = Path(settings["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     rows = list(zip(mesh.nodes, result.minimizer.nodal_values))
@@ -191,12 +192,11 @@ def _cmd_study(args, settings) -> int:
 
     if command == "gap":
         report = ex.run_gap_demo(config)
-        rows = list(zip((1.0 / n for n in report.mesh_sizes),
-                        report.raw_min_energies, report.clamped_min_energies))
-        _print_rows(("h", "raw", "clamped"), rows)
+        rows = report.rows()
+        _print_rows(("h", "raw", "clamped", "raw_min_pivot"), rows)
         print(f"raw_floor = {report.raw_floor:.6e}  "
               f"clamped trend order = {report.clamped_trend_order:.3f}")
-        _emit(settings, "gap_demo", ("h", "value", "clamped_value"), rows)
+        _emit(settings, "gap_demo", ex.GAP_COLUMNS, rows)
         return EXIT_OK if ex.gap_passes(report) else EXIT_STUDY_FAIL
 
     if command == "converge":

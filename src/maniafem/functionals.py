@@ -34,6 +34,7 @@ __all__ = [
     "cutoff",
     "cutoff_derivative",
     "fe_objective",
+    "fe_hessian",
     "energy_mania",
     "energy_clamped",
     "gradient_clamped",
@@ -142,6 +143,25 @@ def _check_energy(value: float) -> float:
     return max(value, 0.0)
 
 
+def _element_grid(mesh: Mesh1D, rule: QuadRule | None):
+    """Quadrature points per element and the interior-to-full assembler."""
+    rule = rule or gauss_rule(DENSITY_RULE_SIZE)
+    n = mesh.n_elements
+    t = 0.5 * (rule.points + 1.0)
+    omt = 1.0 - t
+    w = 0.5 * rule.weights
+    h_vec = np.diff(mesh.nodes)
+    x = mesh.nodes[:-1, None] + np.outer(h_vec, t)
+
+    def assemble(interior):
+        full = np.empty(n + 1)
+        full[0], full[-1] = 0.0, 1.0
+        full[1:-1] = interior
+        return full
+
+    return n, t, omt, w, h_vec, x, assemble
+
+
 def fe_objective(mesh: Mesh1D, clamp: float | None = None,
                  rule: QuadRule | None = None):
     """Energy and gradient over interior nodal values, as fused closures.
@@ -156,20 +176,8 @@ def fe_objective(mesh: Mesh1D, clamp: float | None = None,
     6 c(d)^5 c'(d) (+-1/h) S to its endpoint values plus
     c(d)^6 int 6 v^2 (v^3 - x) phi dx, all of degree <= 6 and hence exact.
     """
-    rule = rule or gauss_rule(DENSITY_RULE_SIZE)
-    n = mesh.n_elements
-    t = 0.5 * (rule.points + 1.0)
-    omt = 1.0 - t
-    w = 0.5 * rule.weights
-    h_vec = np.diff(mesh.nodes)
-    x = mesh.nodes[:-1, None] + np.outer(h_vec, t)
+    n, t, omt, w, h_vec, x, assemble = _element_grid(mesh, rule)
     inv_h = 1.0 / mesh.h
-
-    def assemble(interior):
-        full = np.empty(n + 1)
-        full[0], full[-1] = 0.0, 1.0
-        full[1:-1] = interior
-        return full
 
     def energy(interior) -> float:
         # overflow to inf is fine: the line search rejects non-finite trials
@@ -213,6 +221,58 @@ def fe_objective(mesh: Mesh1D, clamp: float | None = None,
         return grad[1:-1]
 
     return energy, gradient
+
+
+def fe_hessian(mesh: Mesh1D, clamp: float | None = None,
+               rule: QuadRule | None = None):
+    """Tridiagonal Hessian over interior nodal values, as a closure.
+
+    The closure maps the interior values to ``(diag, off)``: the main
+    diagonal (length N - 1) and the sub/super-diagonal (length N - 2).  Each
+    element's energy P(d) S(a, b) depends only on its endpoint values a, b
+    through the slope d = (b - a)/h and S = int (v^3 - x)^2 dx, so with
+    q = 18 v^4 + 12 v (v^3 - x) its second derivatives are
+
+        E_aa = P''/h^2 S - 2 P'/h S_a + P S_aa,   S_aa = int q (1 - t)^2 dx,
+        E_ab = -P''/h^2 S + P'/h (S_a - S_b) + P S_ab,   S_ab = int q t (1 - t) dx,
+        E_bb = P''/h^2 S + 2 P'/h S_b + P S_bb,   S_bb = int q t^2 dx,
+
+    with P = c(d)^6.  Every integrand has degree <= 6, so the default rule is
+    exact.  On a clamped element (|d| >= clamp) P is the constant clamp^6 and
+    only the P S_.. terms remain, matching the flat branch of the gradient.
+    """
+    n, t, omt, w, h_vec, x, assemble = _element_grid(mesh, rule)
+    inv_h = 1.0 / mesh.h
+    w_pairs = np.column_stack([w * omt * omt, w * omt * t, w * t * t])
+
+    def hessian(interior) -> tuple[np.ndarray, np.ndarray]:
+        full = assemble(interior)
+        v = full[:-1, None] * omt + full[1:, None] * t
+        diff = v * v * v - x
+        s_k = ((diff * diff) @ w) * h_vec
+        dd = (6.0 * v * v) * diff
+        s_a = ((dd * omt) @ w) * h_vec
+        s_b = ((dd * t) @ w) * h_vec
+        q = (6.0 * v) * (3.0 * v * v * v + 2.0 * diff)
+        s_pairs = (q @ w_pairs) * h_vec[:, None]
+        d = np.diff(full) * inv_h
+        c = d if clamp is None else np.clip(d, -clamp, clamp)
+        c2 = c * c
+        c4 = c2 * c2
+        p1 = (6.0 * inv_h) * c4 * c
+        p2 = (30.0 * inv_h * inv_h) * c4
+        if clamp is not None:
+            active = np.abs(d) < clamp
+            p1 = np.where(active, p1, 0.0)
+            p2 = np.where(active, p2, 0.0)
+        p0 = c4 * c2
+        curv = p2 * s_k
+        e_aa = curv - 2.0 * p1 * s_a + p0 * s_pairs[:, 0]
+        e_ab = -curv + p1 * (s_a - s_b) + p0 * s_pairs[:, 1]
+        e_bb = curv + 2.0 * p1 * s_b + p0 * s_pairs[:, 2]
+        return e_bb[:-1] + e_aa[1:], e_ab[1:-1]
+
+    return hessian
 
 
 def _require_bc(f: FeFunction):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from maniafem.cli import main
+from maniafem.experiments import ExperimentConfig
 
 FAST = ["--set", "mesh_sizes=8,16,32", "--set", "max_iters=5000"]
 
@@ -131,3 +132,15 @@ def test_overrides_last_wins(tmp_path, capsys):
     ])
     assert code == 0
     capsys.readouterr()
+
+
+def test_all_uses_the_library_solver_budget(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mesh_sizes = 8,16,32\n")
+    code = main(["all", "--config", str(cfg), "--out", str(tmp_path / "reports")])
+    assert code == 0
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "reports" / "summary.json").read_text())
+    library = ExperimentConfig().solver
+    assert summary["config"]["max_iters"] == library.max_iters
+    assert summary["config"]["grad_tol"] == library.grad_tol

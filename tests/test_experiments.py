@@ -44,6 +44,32 @@ class TestGapDemo:
         assert ex.gap_passes(report)
 
 
+class TestLadderSolves:
+    def test_clamped_ladder_reaches_the_reference_basin(self):
+        # from the prolongated N = 8 minimizer, a step past the first kink
+        # is what keeps Newton out of a worse basin (2.926e-5) at N = 16
+        config = ex.ExperimentConfig(mesh_sizes=(8, 16))
+        results = ex._ladder_clamped(config)
+        assert results[-1].energy <= 2.62278544796067e-05 * (1 + 1e-8)
+        assert all(r.reason == "grad_tol" for r in results)
+
+    def test_every_raw_solve_is_a_certified_minimum(self, monkeypatch):
+        solves = []
+        solve = ex.minimize_from
+
+        def recording(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            solves.append((args[0].n_elements, result))
+            return result
+
+        monkeypatch.setattr(ex, "minimize_from", recording)
+        ex._ladder_raw(ex.ExperimentConfig(mesh_sizes=(8, 16, 32, 64, 128, 256)))
+        assert len(solves) == 3 * 6 - 1
+        for n, result in solves:
+            assert result.reason == "grad_tol", (n, result.reason)
+            assert result.min_pivot > 0.0, (n, result.min_pivot)
+
+
 class TestMinConvergence:
     def test_small_ladder_study(self, tmp_path):
         config = small_config(tmp_path)
@@ -91,6 +117,19 @@ class TestRunAll:
                 assert a == b
             else:
                 assert a == b
+
+    def test_gap_demo_records_raw_solves(self, tmp_path):
+        config = small_config(tmp_path, sizes=(8, 16, 32))
+        summary = ex.run_all(config)
+        gap = summary["studies"]["gap_demo"]
+        assert gap["columns"] == ["h", "value", "clamped_value", "raw_min_pivot"]
+        assert [s["n"] for s in gap["raw_solves"]] == [8, 16, 32]
+        for row, solve in zip(gap["rows"], gap["raw_solves"]):
+            assert solve["reason"] == "grad_tol"
+            assert solve["iters"] > 0
+            assert solve["min_pivot"] == row[3] > 0.0
+        header = (tmp_path / "reports" / "gap_demo.csv").read_text().splitlines()[0]
+        assert header == "h,value,clamped_value,raw_min_pivot"
 
     def test_csv_round_trip(self, tmp_path):
         config = small_config(tmp_path, sizes=(8, 16, 32))

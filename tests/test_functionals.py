@@ -14,6 +14,7 @@ from maniafem.functionals import (
     energy_clamped_general,
     energy_mania,
     energy_mania_general,
+    fe_hessian,
     fe_objective,
     gradient_clamped,
     gradient_mania,
@@ -266,6 +267,61 @@ class TestGradients:
             interior = f.nodal_values[1:-1]
             assert energy(interior) == pytest.approx(energy_clamped(f, params), rel=1e-14)
             assert np.allclose(grad(interior), gradient_clamped(f, params), rtol=1e-13, atol=0)
+
+
+def tridiagonal(diag, off):
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+class TestHessian:
+    @pytest.mark.parametrize("clamped", [False, True])
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_matches_gradient_differences(self, n, clamped):
+        rng = np.random.default_rng(100 + n)
+        mesh = Mesh1D(n)
+        clamp = CutoffParams.for_mesh(0.035, mesh).clamp if clamped else None
+        _, grad = fe_objective(mesh, clamp)
+        hessian = fe_hessian(mesh, clamp)
+        eps = 1e-7
+        checked = 0
+        while checked < 5:
+            f = random_bc_function(rng, n)
+            if clamped and not kink_free(f.nodal_values, mesh.h, clamp):
+                continue
+            checked += 1
+            interior = f.nodal_values[1:-1].copy()
+            diag, off = hessian(interior)
+            assert diag.shape == (n - 1,) and off.shape == (n - 2,)
+            exact = tridiagonal(diag, off)
+            approx = np.column_stack([
+                (grad(interior + eps * e) - grad(interior - eps * e)) / (2 * eps)
+                for e in np.eye(n - 1)
+            ])
+            tol = 1e-6 * (1.0 + float(np.max(np.abs(exact))))
+            assert np.max(np.abs(exact - approx)) <= tol
+
+    def test_clamped_elements_keep_only_the_density_curvature(self):
+        # both slopes at or above the clamp 10: the energy is 10^6 times
+        # int (v^3 - x)^2, whose second derivative is checked with an
+        # independent 8-point rule
+        mesh = Mesh1D(2)
+        hessian = fe_hessian(mesh, clamp10().clamp)
+        rule = gauss_rule(8)
+        t = 0.5 * (rule.points + 1.0)
+        w = 0.5 * rule.weights
+
+        def density_curvature(v1):
+            total = 0.0
+            for lo, hi, x0, phi in ((0.0, v1, 0.0, t), (v1, 1.0, 0.5, 1.0 - t)):
+                v = lo + (hi - lo) * t
+                x = x0 + 0.5 * t
+                total += 0.5 * float(w @ ((18 * v**4 + 12 * v * (v**3 - x)) * phi**2))
+            return total
+
+        for v1 in (6.0, 7.0):  # slopes (12, -10) and (14, -12)
+            diag, off = hessian(np.array([v1]))
+            assert off.size == 0
+            assert diag[0] == pytest.approx(1e6 * density_curvature(v1), rel=1e-12)
 
 
 class TestGeneralPath:

@@ -4,10 +4,13 @@ contracts, continuation, and prolongation."""
 import numpy as np
 import pytest
 
-from maniafem.functionals import CutoffParams, energy_clamped
+from maniafem.functionals import CutoffParams, energy_clamped, fe_hessian
 from maniafem.mesh import FeFunction, Mesh1D, interpolate
 from maniafem.optimize import (
+    STOP_REASONS,
     SolveConfig,
+    _descend,
+    _newton_direction,
     initial_values,
     minimize_clamped,
     minimize_from,
@@ -100,6 +103,38 @@ class TestDescentContracts:
         assert res.iters == 5
         assert np.isfinite(res.energy)
 
+    def test_converged_solve_names_grad_tol(self):
+        mesh = Mesh1D(16)
+        res = minimize_mania(mesh, SolveConfig(continuation=False))
+        assert res.reason == "grad_tol" and res.converged
+        assert res.grad_norm <= 1e-9
+
+    def test_budget_exhaustion_names_max_iters(self):
+        res = minimize_mania(Mesh1D(64), SolveConfig(continuation=False, max_iters=5))
+        assert res.reason == "max_iters"
+        assert res.reason in STOP_REASONS
+
+    def test_failed_line_search_names_line_search(self):
+        # an energy that rises on every call: no trial step passes Armijo
+        calls = []
+
+        def energy(v):
+            calls.append(None)
+            return float(len(calls))
+
+        def grad(v):
+            return np.ones_like(v)
+
+        def hess(v):
+            return np.full(v.size, 2.0), np.zeros(v.size - 1)
+
+        v, e, gnorm, iters, reason, min_pivot, history = _descend(
+            energy, grad, hess, np.zeros(3), SolveConfig(max_iters=50))
+        assert reason == "line_search"
+        assert iters == 0 and e == 1.0 and gnorm == 1.0
+        assert min_pivot == 2.0
+        assert np.array_equal(v, np.zeros(3))
+
     def test_linear_ramp_initial_energy(self):
         mesh = Mesh1D(32)
         cfg = SolveConfig(continuation=False, initializer="linear_ramp")
@@ -130,6 +165,58 @@ class TestDescentContracts:
             for kind in ("linear_ramp", "interp_root")
         )
         assert clamped.energy < raw
+
+
+class TestNewtonSteps:
+    def test_converges_in_few_iterations(self):
+        # the converged coarse solution prolongated is close enough for
+        # Newton's local quadratic convergence
+        mesh = Mesh1D(64)
+        res = minimize_mania(mesh, SolveConfig())
+        assert res.reason == "grad_tol"
+        assert res.iters <= 20
+
+    def test_raw_minimum_is_certified(self):
+        res = minimize_from(Mesh1D(32), initial_values(Mesh1D(32), "linear_ramp"),
+                            SolveConfig(continuation=False))
+        assert res.reason == "grad_tol"
+        assert res.min_pivot > 0.0
+
+    def test_min_pivot_matches_dense_eigenvalues(self):
+        # the smallest eigenvalue of an SPD matrix bounds its pivots
+        mesh = Mesh1D(16)
+        res = minimize_mania(mesh, SolveConfig())
+        diag, off = fe_hessian(mesh)(res.minimizer.nodal_values[1:-1])
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        lam = np.linalg.eigvalsh(dense)
+        assert lam[0] > 0.0
+        assert lam[0] <= res.min_pivot * (1 + 1e-12)
+
+    def test_root_start_descends_to_a_certified_minimum(self):
+        mesh = Mesh1D(64)
+        res = minimize_from(mesh, initial_values(mesh, "interp_root"),
+                            SolveConfig(continuation=False))
+        energies = [e for _, e in res.history]
+        assert all(b <= a for a, b in zip(energies, energies[1:]))
+        assert res.reason == "grad_tol" and res.min_pivot > 0.0
+
+    def test_indefinite_hessian_gets_a_levenberg_shift(self):
+        diag, off = np.array([-1.0, 2.0, 2.0]), np.array([0.5, 0.5])
+        g = np.array([1.0, -1.0, 1.0])
+        p, shift = _newton_direction(lambda v: (diag, off), np.zeros(3), g, 0.0)
+        assert shift > 1.0  # the shifted matrix needs diag[0] + shift > 0
+        dense = np.diag(diag + shift) + np.diag(off, 1) + np.diag(off, -1)
+        assert np.allclose(dense @ p, -g, rtol=0, atol=1e-12)
+        assert float(g @ p) < 0.0
+        # warm start: a shift too small to help is grown from, not restarted
+        p2, shift2 = _newton_direction(lambda v: (diag, off), np.zeros(3), g, shift / 4.0)
+        assert shift2 == shift and np.array_equal(p2, p)
+
+    def test_positive_definite_hessian_drops_a_small_shift(self):
+        diag, off = np.array([2.0, 2.0]), np.array([0.5])
+        _, shift = _newton_direction(lambda v: (diag, off), np.zeros(2),
+                                     np.ones(2), 1e-15)
+        assert shift == 0.0
 
 
 class TestSolveConfig:
