@@ -9,7 +9,7 @@ machinery and the convergence studies that quantify why it works.
 """
 
 from .errors import ConsistencyError, EvaluationError, RegimeError, StudyError
-from .mesh import ElementRef, FeFunction, Mesh1D, interpolate
+from .mesh import FeFunction, Mesh1D, interpolate
 from .quadrature import (
     QuadRule,
     gauss_rule,

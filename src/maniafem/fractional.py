@@ -19,7 +19,12 @@ only on the index gap, which keeps the O(N^2) pair sum cheap.
 The closed form is cross-checked by two independent oracles: tensor Gauss
 quadrature of the kernel on separated pairs, and a Monte-Carlo estimate of
 the double integral that samples one coordinate and integrates the other
-exactly per element (with the once-integrated kernel, not the closed form).
+exactly (with the once-integrated kernel phi(t) = t^{-sp}/sp, not the closed
+form).  For x in element k that inner integral is, element by element,
+|c_k - c_j|^p (phi(d_near) - phi(d_far)) with d_i = |x - x_i|; adjacent
+elements share a node, so the sum telescopes to sum_i W[k, i] d_i^{-sp} and
+a sample costs n+1 powers.  A sample that lands exactly on node k takes
+d_k := h, so the element ending there contributes nothing.
 """
 
 from __future__ import annotations
@@ -174,35 +179,82 @@ def norm_w1sp_full(f: FeFunction, s: float, p: float) -> float:
     return (norm_wkp(f, 1, p) ** p + seminorm_w1sp(f, s, p).value ** p) ** (1.0 / p)
 
 
-def _mc_accumulate(rng, n_samples: int, sampler) -> tuple[float, float]:
+# Samples per chunk.  The piecewise-constant path keeps its (n+1) x chunk
+# temporaries near cache size, and its draws do not depend on the chunk; the
+# callable path draws x and y chunk by chunk, so its chunk is part of its
+# random stream.
+_PC_CHUNK = 65_536
+_CALLABLE_CHUNK = 500_000
+
+
+def _mc_accumulate(rng, n_samples: int, sampler, chunk: int) -> tuple[float, float]:
     """Chunked mean and standard error of ``sampler(x)`` over uniform x."""
     total = 0.0
     total_sq = 0.0
     remaining = int(n_samples)
     while remaining > 0:
-        chunk = min(remaining, 500_000)
-        f = sampler(rng.random(chunk))
+        size = min(remaining, chunk)
+        f = sampler(rng.random(size))
         total += float(np.sum(f))
         total_sq += float(np.sum(f * f))
-        remaining -= chunk
+        remaining -= size
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0) * n_samples / (n_samples - 1)
     return mean, float(np.sqrt(var / n_samples))
+
+
+def _pc_inner_integral(g: PiecewiseConstant, sp: float, p: float):
+    """x -> int_0^1 |g(x) - g(y)|^p |x - y|^(-(1+sp)) dy, exact, for x in [0, 1).
+
+    For x in element k and d_i = |x - x_i|, element j > k contributes
+    |c_k - c_j|^p (phi_j - phi_{j+1}) and element j < k contributes
+    |c_k - c_j|^p (phi_{j+1} - phi_j), with phi_i = d_i^(-sp)/sp.  Collecting
+    the terms of each node gives sum_i W[k, i] d_i^(-sp) with W[k, i] =
+    +-(|c_k - c_i|^p - |c_k - c_{i-1}|^p)/sp (+ for i > k, - for i <= k;
+    out-of-range and same-element numerators are 0): n+1 powers per sample.
+
+    On a node hit (x == x_k bitwise) d_k := h makes phi_k = phi_{k-1}, so
+    element k-1 contributes 0 instead of its divergent integral; at x = 0,
+    W[0, 0] = 0 keeps the sum finite.
+    """
+    n, h, nodes = g.mesh.n_elements, g.mesh.h, g.mesh.nodes
+    numer = np.abs(g.values[:, None] - g.values[None, :]) ** p
+    jumps = np.diff(numer, axis=1, prepend=0.0, append=0.0)
+    # stored as W^T, (n+1) x n, so each node's row runs contiguously over samples
+    sign = np.where(np.arange(n + 1)[:, None] > np.arange(n), 1.0, -1.0)
+    weights = sign * jumps.T / sp
+    column = nodes[:, None]
+
+    def inner(x):
+        # floor(x n) is off by at most one from the stored nodes; correct it
+        k = np.minimum((x * n).astype(np.intp), n - 1)
+        k -= nodes[k] > x
+        k += nodes[k + 1] <= x
+        d = column - x
+        np.abs(d, out=d)
+        hit = np.flatnonzero(nodes[k] == x)
+        d[k[hit], hit] = h
+        np.power(d, -sp, out=d)
+        return np.einsum("ij,ij->j", weights[:, k], d)
+
+    return inner
 
 
 def gagliardo_oracle_mc(g, s: float, p: float, n_samples: int,
                         seed: int = 0) -> SeminormResult:
     """Monte-Carlo estimate of the Gagliardo double integral.
 
-    For piecewise-constant data the inner y-integral is carried out exactly
-    per element with the once-integrated kernel antiderivative t^(-sp)/sp
-    while x is sampled uniformly.  Same-element pairs drop out analytically
-    (their numerator is zero), and the exact inner integral is what keeps
-    the estimator's variance finite (for 2sp < 1) despite the integrable
-    kernel singularity at shared element boundaries -- naive sampling of
-    both coordinates is heavy-tailed there and its standard error estimate
-    is unreliable.  This path shares no algebra with the twice-integrated
-    closed form it is used to check.
+    For piecewise-constant data x is sampled uniformly and the inner
+    y-integral is carried out exactly with the once-integrated kernel
+    antiderivative t^(-sp)/sp, telescoped over the nodes so a sample costs
+    n+1 powers (see ``_pc_inner_integral``).  Same-element pairs drop out
+    analytically (their numerator is zero), and a sample exactly on a node
+    takes the element ending there as contributing nothing.  The exact inner
+    integral is what keeps the estimator's variance finite (for 2sp < 1)
+    despite the integrable kernel singularity at shared element boundaries --
+    naive sampling of both coordinates is heavy-tailed there and its standard
+    error estimate is unreliable.  This path shares no algebra with the
+    twice-integrated closed form it is used to check.
 
     Arbitrary callables fall back to plain uniform sampling of both
     coordinates (no element structure to integrate over); expect noisy error
@@ -218,27 +270,7 @@ def gagliardo_oracle_mc(g, s: float, p: float, n_samples: int,
     sp = s * p
 
     if isinstance(g, PiecewiseConstant):
-        lower = g.mesh.nodes[:-1][None, :]
-        upper = g.mesh.nodes[1:][None, :]
-        # |c_i - c_j|^p takes only n^2 values; precompute and look rows up
-        numer_table = np.abs(g.values[:, None] - g.values[None, :]) ** p
-
-        width = float(g.mesh.h)
-
-        def sampler(x):
-            idx = g.mesh.element_indices(x)
-            numer = numer_table[idx]
-            xc = x[:, None]
-            # distance from x to the element; the far edge sits ``width`` beyond
-            near = np.maximum(lower - xc, xc - upper)
-            # int_{I_j} |x-y|^(-(1+sp)) dy = (near^-sp - far^-sp)/sp off-element;
-            # inside (near <= 0) is masked -- its numerator is 0 anyway
-            with np.errstate(divide="ignore", invalid="ignore"):
-                kappa = np.where(
-                    near > 0.0, (near**-sp - (near + width) ** -sp) / sp, 0.0
-                )
-            return np.einsum("ij,ij->i", numer, kappa)
-
+        sampler, chunk = _pc_inner_integral(g, sp, p), _PC_CHUNK
     else:
         exponent = 1.0 + sp
 
@@ -250,7 +282,9 @@ def gagliardo_oracle_mc(g, s: float, p: float, n_samples: int,
             with np.errstate(divide="ignore", invalid="ignore"):
                 return np.where(num == 0.0, 0.0, num / dist**exponent)
 
-    mean, se_mean = _mc_accumulate(rng, n_samples, sampler)
+        chunk = _CALLABLE_CHUNK
+
+    mean, se_mean = _mc_accumulate(rng, n_samples, sampler, chunk)
     if mean <= 0.0:
         return SeminormResult(0.0, s, p, "monte_carlo", 0.0)
     value = mean ** (1.0 / p)

@@ -18,16 +18,7 @@ import numpy as np
 
 from .errors import EvaluationError
 
-__all__ = ["Mesh1D", "ElementRef", "FeFunction", "interpolate"]
-
-
-@dataclass(frozen=True)
-class ElementRef:
-    """One mesh interval: index k and its bounds [x_k, x_{k+1}]."""
-
-    index: int
-    lower: float
-    upper: float
+__all__ = ["Mesh1D", "FeFunction", "interpolate"]
 
 
 @dataclass(frozen=True)
@@ -64,11 +55,6 @@ class Mesh1D:
         j = np.clip(np.rint(t).astype(np.int64), 0, n)
         exact = self.nodes[j] == arr
         return np.where(exact, np.minimum(j, n - 1), k)
-
-    def locate(self, y: float) -> ElementRef:
-        """Element containing y, with ties resolved right-continuously."""
-        k = int(self.element_indices(float(y)))
-        return ElementRef(k, float(self.nodes[k]), float(self.nodes[k + 1]))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ singular but integrable.
 import numpy as np
 import pytest
 
+from maniafem import fractional
 from maniafem.errors import RegimeError
 from maniafem.fractional import (
     PiecewiseConstant,
@@ -56,6 +57,30 @@ def graded_tensor_kernel_quad(a, b, c, d, sp, m=8):
         for ra, rb in zip(right[:-1], right[1:]):
             total += tensor_kernel_quad(la, lb, ra, rb, sp, m)
     return total
+
+
+def per_element_inner_integral(g, sp, p):
+    """Reference inner integral: two powers per element, one element at a time.
+
+    The element containing x (right-continuous at nodes) has a zero
+    numerator; an element whose near edge sits exactly at x is masked to 0.
+    x is located by bisection over the stored nodes, so a point one ulp
+    below a node stays in the element its distances put it in.
+    """
+    lower = g.mesh.nodes[:-1][None, :]
+    upper = g.mesh.nodes[1:][None, :]
+    numer_table = np.abs(g.values[:, None] - g.values[None, :]) ** p
+    width = float(g.mesh.h)
+
+    def inner(x):
+        numer = numer_table[np.searchsorted(g.mesh.nodes, x, "right") - 1]
+        xc = x[:, None]
+        near = np.maximum(lower - xc, xc - upper)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kappa = np.where(near > 0.0, (near**-sp - (near + width) ** -sp) / sp, 0.0)
+        return np.einsum("ij,ij->i", numer, kappa)
+
+    return inner
 
 
 class TestIntervalKernel:
@@ -272,6 +297,8 @@ class TestMonteCarloOracle:
         mc = gagliardo_oracle_mc(g.evaluate, 0.2, 1.1, 4 * 10**6, seed=21)
         # plain two-coordinate sampling: heavy tailed, allow a wide band
         assert abs(mc.value - closed) <= 6.0 * mc.est_error
+        # its x and y draws interleave per chunk; pin them bitwise
+        assert (mc.value, mc.est_error) == (3.630461406681625, 0.03690854825107343)
 
     def test_agreement_on_random_data(self):
         rng = np.random.default_rng(14)
@@ -281,6 +308,32 @@ class TestMonteCarloOracle:
             closed = gagliardo_pc(g, 0.2, 1.1)
             mc = gagliardo_oracle_mc(g, 0.2, 1.1, 10**6, seed=100 + trial)
             assert abs(closed.value - mc.value) <= 3.0 * mc.est_error
+
+
+class TestTelescopedInnerIntegral:
+    # n = 5 and n = 7 each need one of the two index corrections at a node
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 8, 16])
+    def test_matches_per_element_form(self, n):
+        rng = np.random.default_rng(40 + n)
+        g = PiecewiseConstant(Mesh1D(n), rng.uniform(-1, 1, n))
+        s, p = 0.2, 1.1
+        nodes = g.mesh.nodes
+        # random points, x = 0, every interior node bitwise, and their neighbours
+        x = np.concatenate([rng.random(20_000), [0.0], nodes[1:-1],
+                            np.nextafter(nodes[1:-1], 0.0), np.nextafter(nodes[1:-1], 1.0)])
+        got = fractional._pc_inner_integral(g, s * p, p)(x)
+        want = per_element_inner_integral(g, s * p, p)(x)
+        assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_chunking_keeps_the_draws(self):
+        g = PiecewiseConstant(Mesh1D(5), [0.3, -1.0, 0.8, 0.1, -0.4])
+        s, p = 0.2, 1.1
+        n_samples = 3 * fractional._PC_CHUNK + 7
+        mc = gagliardo_oracle_mc(g, s, p, n_samples, seed=8)
+        x = np.random.default_rng(8).random(n_samples)
+        mean = float(np.mean(per_element_inner_integral(g, s * p, p)(x)))
+        assert mc.value == pytest.approx(mean ** (1 / p), rel=1e-12)
 
 
 def test_piecewise_constant_validation():

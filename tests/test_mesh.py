@@ -42,21 +42,6 @@ def test_mesh_rejects_bad_sizes(bad):
         Mesh1D(bad)
 
 
-def test_locate_examples():
-    mesh = Mesh1D(4)
-    el = mesh.locate(0.3)
-    assert (el.index, el.lower, el.upper) == (1, 0.25, 0.5)
-    assert mesh.locate(0.25).index == 1  # right-continuous tie rule
-    assert mesh.locate(1.0).index == 3
-    assert mesh.locate(0.0).index == 0
-
-
-@pytest.mark.parametrize("y", [-0.1, 1.1, 2.0])
-def test_locate_rejects_outside_domain(y):
-    with pytest.raises(ValueError):
-        Mesh1D(4).locate(y)
-
-
 def test_evaluate_linear_interpolation():
     f = FeFunction(Mesh1D(2), [0.0, 0.5, 1.0], bc_flag=True)
     assert f.evaluate(0.25) == pytest.approx(0.25, abs=1e-16)
