@@ -16,7 +16,6 @@ from .quadrature import (
     graded_grid,
     integrate_cells,
     integrate_composite,
-    integrate_element,
 )
 from .functionals import (
     AdmissibleParams,
@@ -24,9 +23,7 @@ from .functionals import (
     cutoff,
     cutoff_derivative,
     energy_clamped,
-    energy_clamped_general,
     energy_mania,
-    energy_mania_general,
     gradient_clamped,
     gradient_mania,
 )
@@ -36,7 +33,6 @@ from .fractional import (
     gagliardo_oracle_mc,
     gagliardo_pc,
     interval_kernel,
-    norm_w1sp_full,
     norm_wkp,
     seminorm_w1sp,
 )
@@ -47,7 +43,6 @@ from .optimize import (
     minimize_clamped,
     minimize_from,
     minimize_mania,
-    minimize_multistart,
     prolongate,
 )
 from .studies import (
@@ -56,7 +51,6 @@ from .studies import (
     interp_error,
     power_fn,
     recovery_gap,
-    reference_energy,
     slope_mismatch_term,
     value_mismatch_term,
 )

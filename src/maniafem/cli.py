@@ -1,7 +1,7 @@
 """Command-line front end for solves and convergence studies.
 
 Configuration is a flat ``key = value`` file with ``#`` comments; recognized
-keys are s, p, alpha, mesh_sizes, grad_tol, max_iters, seed, output_dir.
+keys are s, p, alpha, mesh_sizes, grad_tol, max_iters, output_dir.
 Overrides apply after file parsing, last one wins.
 
 Exit status: 0 pass, 1 study fail, 2 usage or parameter validation error,
@@ -35,9 +35,10 @@ _DEFAULTS = {
     "mesh_sizes": list(_LIBRARY.mesh_sizes),
     "grad_tol": _LIBRARY.solver.grad_tol,
     "max_iters": _LIBRARY.solver.max_iters,
-    "seed": _LIBRARY.seed,
     "output_dir": _LIBRARY.output_dir,
 }
+_STUDIES = {spec.command: spec for spec in ex.STUDIES}
+
 
 def _parse_sizes(text: str) -> list[int]:
     try:
@@ -53,7 +54,6 @@ _CONVERTERS = {
     "mesh_sizes": _parse_sizes,
     "grad_tol": float,
     "max_iters": int,
-    "seed": int,
     "output_dir": str,
 }
 
@@ -83,7 +83,7 @@ def _apply_overrides(settings: dict, args) -> dict:
         if key not in _CONVERTERS:
             raise ValueError(f"unknown config key {key!r}")
         settings[key] = _CONVERTERS[key](value)
-    for key in ("s", "p", "alpha", "seed"):
+    for key in ("s", "p", "alpha"):
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
@@ -92,16 +92,14 @@ def _apply_overrides(settings: dict, args) -> dict:
     return settings
 
 
-def _experiment_config(settings: dict, repro: bool) -> ex.ExperimentConfig:
+def _experiment_config(settings: dict) -> ex.ExperimentConfig:
     params = AdmissibleParams(settings["s"], settings["p"], settings["alpha"])
     solver = SolveConfig(grad_tol=settings["grad_tol"], max_iters=settings["max_iters"])
     return ex.ExperimentConfig(
         params=params,
         mesh_sizes=tuple(settings["mesh_sizes"]),
         solver=solver,
-        seed=settings["seed"],
         output_dir=settings["output_dir"],
-        repro=repro,
     )
 
 
@@ -113,12 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     descriptions = {
         "solve": "minimize the clamped energy on one mesh",
-        "gap": "Lavrentiev gap demonstration (raw vs clamped minima)",
-        "converge": "convergence of the clamped minimum values",
-        "interp": "nodal interpolation error rates",
-        "inverse": "fractional inverse-inequality ratio study",
-        "lemmas": "decay rates of the recovery-split terms",
-        "recovery": "recovery-sequence energy gap",
+        **{command: spec.description for command, spec in _STUDIES.items()},
         "seminorm": "print the fractional seminorm of the interpolated minimizer",
         "all": "run every study and write the summary report",
     }
@@ -128,9 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="output directory for reports")
         cmd.add_argument("--set", action="append", metavar="KEY=VALUE",
                          help="override a config key (repeatable, last wins)")
-        cmd.add_argument("--seed", type=int)
-        cmd.add_argument("--repro", action="store_true",
-                         help="fix accumulation order for byte-identical reports")
         cmd.add_argument("--alpha", type=float)
         cmd.add_argument("--s", type=float)
         cmd.add_argument("--p", type=float)
@@ -171,62 +161,26 @@ def _cmd_seminorm(args, settings) -> int:
     return EXIT_OK
 
 
-def _emit(settings, name, columns, rows):
-    out = Path(settings["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    ex.write_csv(out / f"{name}.csv", columns, rows)
+def _cmd_all(config) -> int:
+    summary = ex.run_all(config)
+    for name, entry in sorted(summary["studies"].items()):
+        status = "pass" if entry.get("pass") else "FAIL"
+        order = entry.get("fitted_order", entry.get("clamped_trend_order"))
+        extra = f"  order = {order:.3f}" if isinstance(order, float) else ""
+        print(f"{name:>18}: {status}{extra}")
+    print(f"summary written to {Path(config.output_dir) / 'summary.json'}")
+    return EXIT_OK if summary["all_pass"] else EXIT_STUDY_FAIL
 
 
-def _cmd_study(args, settings) -> int:
-    config = _experiment_config(settings, args.repro)
-    command = args.command
-    if command == "all":
-        summary = ex.run_all(config)
-        for name, entry in sorted(summary["studies"].items()):
-            status = "pass" if entry.get("pass") else "FAIL"
-            order = entry.get("fitted_order", entry.get("clamped_trend_order"))
-            extra = f"  order = {order:.3f}" if isinstance(order, float) else ""
-            print(f"{name:>18}: {status}{extra}")
-        print(f"summary written to {Path(config.output_dir) / 'summary.json'}")
-        return EXIT_OK if summary["all_pass"] else EXIT_STUDY_FAIL
-
-    if command == "gap":
-        report = ex.run_gap_demo(config)
-        rows = report.rows()
-        _print_rows(("h", "raw", "clamped", "raw_min_pivot"), rows)
-        print(f"raw_floor = {report.raw_floor:.6e}  "
-              f"clamped trend order = {report.clamped_trend_order:.3f}")
-        _emit(settings, "gap_demo", ex.GAP_COLUMNS, rows)
-        return EXIT_OK if ex.gap_passes(report) else EXIT_STUDY_FAIL
-
-    if command == "converge":
-        study = ex.run_min_convergence(config)
-        passed = ex.min_convergence_passes(study)
-    elif command == "interp":
-        studies = ex.run_interp_rates(config)
-        passed = ex.interp_passes(studies)
-    elif command == "inverse":
-        studies = ex.run_inverse_study(config)
-        passed = ex.inverse_passes(studies)
-    elif command == "lemmas":
-        studies = ex.run_split_rates(config)
-        passed = ex.split_rates_passes(studies, config.params)
-    elif command == "recovery":
-        study = ex.run_recovery(config)
-        passed = ex.recovery_passes(study)
-    else:  # pragma: no cover - the parser restricts commands
-        raise ValueError(f"unknown command {command!r}")
-
-    if command in ("converge", "recovery"):
-        _print_rows(study.columns, study.rows)
-        print(f"fitted order = {study.fitted_order:.3f}  r2 = {study.fit_r2:.4f}")
-        _emit(settings, study.target, study.columns, study.rows)
-    else:
-        for study in studies.values():
-            print(f"-- {study.target}")
-            _print_rows(study.columns, study.rows)
-            print(f"fitted order = {study.fitted_order:.3f}  r2 = {study.fit_r2:.4f}")
-            _emit(settings, study.target, study.columns, study.rows)
+def _cmd_study(spec: ex.StudySpec, config) -> int:
+    """Each table's rows and scalar fields, then the study's verdict."""
+    entries = ex.run_study(spec, config)
+    for name, entry in entries.items():
+        print(f"-- {name}")
+        _print_rows(entry["columns"], entry["rows"])
+        print("  ".join(f"{key} = {value:.6g}"
+                        for key, value in entry.items() if isinstance(value, float)))
+    passed = all(entry["pass"] for entry in entries.values())
     print("pass" if passed else "FAIL")
     return EXIT_OK if passed else EXIT_STUDY_FAIL
 
@@ -247,7 +201,10 @@ def main(argv=None) -> int:
             return _cmd_solve(args, settings)
         if args.command == "seminorm":
             return _cmd_seminorm(args, settings)
-        return _cmd_study(args, settings)
+        config = _experiment_config(settings)
+        if args.command == "all":
+            return _cmd_all(config)
+        return _cmd_study(_STUDIES[args.command], config)
     except RegimeError as exc:
         print(f"parameter validation error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,7 +2,8 @@
 
 Every experiment is deterministic for a fixed configuration, reports are
 written without timestamps, and floating-point accumulation order is fixed,
-so repeated runs produce byte-identical files.
+so repeated runs produce byte-identical files.  The studies are listed
+once, in ``STUDIES``, which drives both ``run_all`` and the CLI.
 
 Default parameter point: (s, p, alpha) = (0.2, 1.1, 0.035).  This sits
 comfortably inside every required regime -- (2/3+s)p = 0.9533 < 1,
@@ -13,8 +14,9 @@ ceiling so the clamp is as active as the theory allows.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -44,6 +46,8 @@ from .studies import (
 __all__ = [
     "ExperimentConfig",
     "GapReport",
+    "StudySpec",
+    "STUDIES",
     "default_params",
     "run_gap_demo",
     "run_min_convergence",
@@ -51,6 +55,7 @@ __all__ = [
     "run_inverse_study",
     "run_split_rates",
     "run_recovery",
+    "run_study",
     "run_all",
     "write_csv",
 ]
@@ -86,9 +91,7 @@ class ExperimentConfig:
     params: AdmissibleParams = field(default_factory=default_params)
     mesh_sizes: tuple[int, ...] = DEFAULT_MESH_SIZES
     solver: SolveConfig = field(default_factory=lambda: SolveConfig(max_iters=LADDER_MAX_ITERS))
-    seed: int = 0
     output_dir: str = "reports"
-    repro: bool = False
 
     def __post_init__(self):
         sizes = tuple(int(n) for n in self.mesh_sizes)
@@ -114,19 +117,10 @@ class GapReport:
     raw_iters: tuple[int, ...]
     raw_min_pivots: tuple[float, ...]
 
-    def rows(self) -> list[tuple[float, float, float, float]]:
-        """CSV rows ``GAP_COLUMNS``, one per mesh."""
-        return list(zip([1.0 / n for n in self.mesh_sizes], self.raw_min_energies,
-                        self.clamped_min_energies, self.raw_min_pivots))
-
-
-GAP_COLUMNS = ("h", "value", "clamped_value", "raw_min_pivot")
-
 
 def _ladder_clamped(config: ExperimentConfig) -> list[SolveResult]:
     """Clamped solves over the ladder: continuation seed plus the interpolant
     of x^(1/3) as a second seed per mesh, keeping the better result."""
-    no_cont = replace(config.solver, continuation=False)
     results: list[SolveResult] = []
     prev: SolveResult | None = None
     for n in config.mesh_sizes:
@@ -136,9 +130,9 @@ def _ladder_clamped(config: ExperimentConfig) -> list[SolveResult]:
             candidates = [minimize_clamped(mesh, params_h, config.solver)]
         else:
             start = prolongate(prev.minimizer, mesh).nodal_values
-            candidates = [minimize_from(mesh, start, no_cont, params_h)]
+            candidates = [minimize_from(mesh, start, config.solver, params_h)]
         candidates.append(
-            minimize_from(mesh, initial_values(mesh, "interp_root"), no_cont, params_h)
+            minimize_from(mesh, initial_values(mesh, "interp_root"), config.solver, params_h)
         )
         best = min(candidates, key=lambda r: r.energy)
         results.append(best)
@@ -149,18 +143,18 @@ def _ladder_clamped(config: ExperimentConfig) -> list[SolveResult]:
 def _ladder_raw(config: ExperimentConfig) -> list[SolveResult]:
     """Raw solves from both plain initializers, plus the prolongated previous
     best so the reported minima are non-increasing over nested meshes."""
-    no_cont = replace(config.solver, continuation=False)
     results: list[SolveResult] = []
     prev: SolveResult | None = None
     for n in config.mesh_sizes:
         mesh = Mesh1D(n)
         candidates = [
-            minimize_from(mesh, initial_values(mesh, kind), no_cont)
+            minimize_from(mesh, initial_values(mesh, kind), config.solver)
             for kind in ("linear_ramp", "interp_root")
         ]
         if prev is not None:
             candidates.append(
-                minimize_from(mesh, prolongate(prev.minimizer, mesh).nodal_values, no_cont)
+                minimize_from(mesh, prolongate(prev.minimizer, mesh).nodal_values,
+                              config.solver)
             )
         best = min(candidates, key=lambda r: r.energy)
         results.append(best)
@@ -357,14 +351,73 @@ def recovery_passes(study: RateStudy) -> bool:
     return all(b < a for a, b in zip(values, values[1:])) and values[-1] <= RECOVERY_TOL
 
 
-def _study_payload(study: RateStudy, passed: bool) -> dict:
-    return {
-        "fitted_order": study.fitted_order,
-        "r2": study.fit_r2,
-        "pass": passed,
-        "columns": list(study.columns),
-        "rows": [list(row) for row in study.rows],
-    }
+def _gap_entries(report: GapReport, config: ExperimentConfig) -> dict[str, dict]:
+    rows = zip([1.0 / n for n in report.mesh_sizes], report.raw_min_energies,
+               report.clamped_min_energies, report.raw_min_pivots)
+    return {"gap_demo": {
+        "raw_floor": report.raw_floor,
+        "clamped_trend_order": report.clamped_trend_order,
+        "pass": gap_passes(report),
+        "columns": ["h", "value", "clamped_value", "raw_min_pivot"],
+        "rows": [list(row) for row in rows],
+        "raw_solves": [
+            {"n": n, "reason": reason, "iters": iters, "min_pivot": pivot}
+            for n, reason, iters, pivot in zip(
+                report.mesh_sizes, report.raw_reasons, report.raw_iters, report.raw_min_pivots)
+        ],
+    }}
+
+
+def _rate_entries(passes: Callable) -> Callable:
+    """``entries`` for a runner returning one RateStudy or a dict of them by
+    target; every table shares the verdict ``passes(result, config)``."""
+
+    def entries(result, config: ExperimentConfig) -> dict[str, dict]:
+        studies = result if isinstance(result, dict) else {result.target: result}
+        passed = passes(result, config)
+        return {name: {
+            "fitted_order": study.fitted_order,
+            "r2": study.fit_r2,
+            "pass": passed,
+            "columns": list(study.columns),
+            "rows": [list(row) for row in study.rows],
+        } for name, study in studies.items()}
+
+    return entries
+
+
+@dataclass(frozen=True)
+class StudySpec:
+    """One study: its key in the summary, its CLI subcommand and help text,
+    ``run(config)`` and ``entries(result, config)``.  The entries map each
+    table the study writes (one CSV each) to its summary entry: ``columns``,
+    ``rows``, ``pass`` and the study's scalar fields."""
+
+    name: str
+    command: str
+    description: str
+    run: Callable
+    entries: Callable
+
+
+# The runners are looked up when a study runs, not when this table is built,
+# so wrapping a module attribute such as ``run_gap_demo`` reaches every study.
+STUDIES = (
+    StudySpec("gap_demo", "gap", "Lavrentiev gap demonstration (raw vs clamped minima)",
+              lambda c: run_gap_demo(c), _gap_entries),
+    StudySpec("min_convergence", "converge", "convergence of the clamped minimum values",
+              lambda c: run_min_convergence(c),
+              _rate_entries(lambda r, c: min_convergence_passes(r))),
+    StudySpec("interp_rates", "interp", "nodal interpolation error rates",
+              lambda c: run_interp_rates(c), _rate_entries(lambda r, c: interp_passes(r))),
+    StudySpec("inverse_study", "inverse", "fractional inverse-inequality ratio study",
+              lambda c: run_inverse_study(c), _rate_entries(lambda r, c: inverse_passes(r))),
+    StudySpec("split_rates", "lemmas", "decay rates of the recovery-split terms",
+              lambda c: run_split_rates(c),
+              _rate_entries(lambda r, c: split_rates_passes(r, c.params))),
+    StudySpec("recovery_gap", "recovery", "recovery-sequence energy gap",
+              lambda c: run_recovery(c), _rate_entries(lambda r, c: recovery_passes(r))),
+)
 
 
 def write_csv(path: Path, columns, rows):
@@ -374,88 +427,41 @@ def write_csv(path: Path, columns, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def run_all(config: ExperimentConfig) -> dict:
-    """Run every study, write one CSV per study plus a JSON summary, and
-    return the bundle.  Individual study failures are recorded and mark the
-    bundle partial instead of aborting the rest."""
+def run_study(spec: StudySpec, config: ExperimentConfig) -> dict[str, dict]:
+    """Run one study, write one CSV per entry into the output directory and
+    return the entries by name."""
+    entries = spec.entries(spec.run(config), config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary: dict = {"partial": False, "studies": {}}
-    csv_jobs: list[tuple[str, tuple, tuple]] = []
+    for name, entry in entries.items():
+        write_csv(out / f"{name}.csv", entry["columns"], entry["rows"])
+    return entries
 
-    def attempt(name, runner):
+
+def run_all(config: ExperimentConfig) -> dict:
+    """Run every study, write one CSV per table plus a JSON summary, and
+    return the bundle.  A study that raises is recorded under its name and
+    marks the bundle partial instead of aborting the rest."""
+    summary: dict = {"partial": False, "studies": {}}
+    for spec in STUDIES:
         try:
-            return runner()
+            summary["studies"].update(run_study(spec, config))
         except Exception as exc:  # noqa: BLE001 - studies are independent
             summary["partial"] = True
-            summary["studies"][name] = {"error": f"{type(exc).__name__}: {exc}", "pass": False}
-            return None
-
-    gap = attempt("gap_demo", lambda: run_gap_demo(config))
-    if gap is not None:
-        rows = gap.rows()
-        summary["studies"]["gap_demo"] = {
-            "raw_floor": gap.raw_floor,
-            "clamped_trend_order": gap.clamped_trend_order,
-            "pass": gap_passes(gap),
-            "columns": list(GAP_COLUMNS),
-            "rows": [list(r) for r in rows],
-            "raw_solves": [
-                {"n": n, "reason": reason, "iters": iters, "min_pivot": pivot}
-                for n, reason, iters, pivot in zip(
-                    gap.mesh_sizes, gap.raw_reasons, gap.raw_iters, gap.raw_min_pivots)
-            ],
-        }
-        csv_jobs.append(("gap_demo", GAP_COLUMNS, rows))
-
-    minconv = attempt("min_convergence", lambda: run_min_convergence(config))
-    if minconv is not None:
-        summary["studies"]["min_convergence"] = _study_payload(
-            minconv, min_convergence_passes(minconv))
-        csv_jobs.append(("min_convergence", minconv.columns, minconv.rows))
-
-    interp = attempt("interp_rates", lambda: run_interp_rates(config))
-    if interp is not None:
-        ok = interp_passes(interp)
-        for name, study in interp.items():
-            summary["studies"][name] = _study_payload(study, ok)
-            csv_jobs.append((name, study.columns, study.rows))
-
-    inverse = attempt("inverse_study", lambda: run_inverse_study(config))
-    if inverse is not None:
-        ok = inverse_passes(inverse)
-        for name, study in inverse.items():
-            summary["studies"][name] = _study_payload(study, ok)
-            csv_jobs.append((name, study.columns, study.rows))
-
-    split = attempt("split_rates", lambda: run_split_rates(config))
-    if split is not None:
-        ok = split_rates_passes(split, config.params)
-        for name, study in split.items():
-            summary["studies"][name] = _study_payload(study, ok)
-            csv_jobs.append((name, study.columns, study.rows))
-
-    recovery = attempt("recovery_gap", lambda: run_recovery(config))
-    if recovery is not None:
-        summary["studies"]["recovery_gap"] = _study_payload(
-            recovery, recovery_passes(recovery))
-        csv_jobs.append(("recovery_gap", recovery.columns, recovery.rows))
-
-    for name, columns, rows in csv_jobs:
-        write_csv(out / f"{name}.csv", columns, rows)
-
+            summary["studies"][spec.name] = {"error": f"{type(exc).__name__}: {exc}",
+                                             "pass": False}
     summary["config"] = {
         "s": config.params.s,
         "p": config.params.p,
         "alpha": config.params.alpha,
         "mesh_sizes": list(config.mesh_sizes),
-        "seed": config.seed,
-        "repro": config.repro,
         "grad_tol": config.solver.grad_tol,
         "max_iters": config.solver.max_iters,
     }
     summary["all_pass"] = all(
         entry.get("pass", False) for entry in summary["studies"].values()
     ) and not summary["partial"]
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, RegimeError
-from .mesh import FeFunction, Mesh1D
+from .mesh import FeFunction, Mesh1D, _element_index
 from .quadrature import gauss_rule, integrate_cells
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "gagliardo_pc",
     "seminorm_w1sp",
     "norm_wkp",
-    "norm_w1sp_full",
     "gagliardo_oracle_mc",
 ]
 
@@ -174,11 +173,6 @@ def norm_wkp(f, k: int, p: float, *, grid=None, derivative=None) -> float:
     return total ** (1.0 / p)
 
 
-def norm_w1sp_full(f: FeFunction, s: float, p: float) -> float:
-    """Full W^{1+s,p} norm: (||f||_{W^{1,p}}^p + [f]_{W^{1+s,p}}^p)^(1/p)."""
-    return (norm_wkp(f, 1, p) ** p + seminorm_w1sp(f, s, p).value ** p) ** (1.0 / p)
-
-
 # Samples per chunk.  The piecewise-constant path keeps its (n+1) x chunk
 # temporaries near cache size, and its draws do not depend on the chunk; the
 # callable path draws x and y chunk by chunk, so its chunk is part of its
@@ -226,10 +220,7 @@ def _pc_inner_integral(g: PiecewiseConstant, sp: float, p: float):
     column = nodes[:, None]
 
     def inner(x):
-        # floor(x n) is off by at most one from the stored nodes; correct it
-        k = np.minimum((x * n).astype(np.intp), n - 1)
-        k -= nodes[k] > x
-        k += nodes[k + 1] <= x
+        k = _element_index(nodes, x)
         d = column - x
         np.abs(d, out=d)
         hit = np.flatnonzero(nodes[k] == x)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConsistencyError, RegimeError
 from .mesh import FeFunction, Mesh1D
-from .quadrature import QuadRule, gauss_rule, integrate_cells
+from .quadrature import QuadRule, gauss_rule
 
 __all__ = [
     "CutoffParams",
@@ -39,13 +39,10 @@ __all__ = [
     "energy_clamped",
     "gradient_clamped",
     "gradient_mania",
-    "energy_clamped_general",
-    "energy_mania_general",
 ]
 
 # (v^3 - x)^2 with v linear has degree 6; four points are exact to degree 7
 DENSITY_RULE_SIZE = 4
-GENERAL_RULE_SIZE = 8
 NEG_ENERGY_TOL = -1e-14
 
 
@@ -54,7 +51,8 @@ class CutoffParams:
     """Clamp level h^(-alpha) for the derivative cutoff.
 
     ``tied`` marks that h is meant to equal the mesh size of the functions
-    the cutoff is applied to; the energy evaluators enforce that pairing.
+    the cutoff is applied to; the energy evaluators and solvers enforce that
+    pairing through :meth:`check_mesh`.
     ``decoupled`` builds parameters free of it, for studies that evaluate
     the clamped density of non-mesh functions.
     """
@@ -71,6 +69,13 @@ class CutoffParams:
             raise ValueError(f"h must lie in (0, 1), got {self.h}")
         object.__setattr__(self, "clamp", self.h ** -self.alpha)
 
+    def check_mesh(self, mesh: Mesh1D):
+        """Raise ValueError if this level is tied to a different mesh size."""
+        if self.tied and self.h != mesh.h:
+            raise ValueError(
+                f"cutoff level is tied to the mesh: params.h = {self.h} but mesh.h = {mesh.h}"
+            )
+
     @classmethod
     def for_mesh(cls, alpha: float, mesh: Mesh1D) -> "CutoffParams":
         return cls(alpha, mesh.h)
@@ -85,8 +90,7 @@ class AdmissibleParams:
     """Validated (s, p, alpha) triple inside every regime the theory needs.
 
     Violations are collected and reported together, each naming the failed
-    inequality.  ``unchecked`` deliberately skips validation so experiments
-    can probe out-of-regime behavior.
+    inequality.
     """
 
     s: float
@@ -111,14 +115,6 @@ class AdmissibleParams:
             )
         if fails:
             raise RegimeError("; ".join(fails))
-
-    @classmethod
-    def unchecked(cls, s: float, p: float, alpha: float) -> "AdmissibleParams":
-        self = object.__new__(cls)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "alpha", alpha)
-        return self
 
 
 def cutoff(params: CutoffParams, t):
@@ -280,14 +276,6 @@ def _require_bc(f: FeFunction):
         raise ValueError("energy is defined on the boundary-pinned space: bc_flag required")
 
 
-def _require_pairing(f: FeFunction, params: CutoffParams):
-    if params.tied and params.h != f.mesh.h:
-        raise ValueError(
-            f"cutoff level is tied to the mesh: params.h = {params.h} "
-            f"but mesh.h = {f.mesh.h}"
-        )
-
-
 def energy_mania(f: FeFunction, rule: QuadRule | None = None) -> float:
     """J(f) assembled element-wise; exact with the default rule."""
     _require_bc(f)
@@ -301,7 +289,7 @@ def energy_clamped(f: FeFunction, params: CutoffParams, rule: QuadRule | None = 
     Always in [0, energy_mania(f)]; equals it when no slope exceeds the clamp.
     """
     _require_bc(f)
-    _require_pairing(f, params)
+    params.check_mesh(f.mesh)
     energy, _ = fe_objective(f.mesh, params.clamp, rule)
     return _check_energy(energy(f.nodal_values[1:-1]))
 
@@ -310,7 +298,7 @@ def gradient_clamped(f: FeFunction, params: CutoffParams,
                      rule: QuadRule | None = None) -> np.ndarray:
     """Gradient of the clamped energy with respect to the interior nodal values."""
     _require_bc(f)
-    _require_pairing(f, params)
+    params.check_mesh(f.mesh)
     _, grad = fe_objective(f.mesh, params.clamp, rule)
     return grad(f.nodal_values[1:-1])
 
@@ -320,29 +308,3 @@ def gradient_mania(f: FeFunction, rule: QuadRule | None = None) -> np.ndarray:
     _require_bc(f)
     _, grad = fe_objective(f.mesh, None, rule)
     return grad(f.nodal_values[1:-1])
-
-
-def energy_clamped_general(fn, dfn, params: CutoffParams, grid,
-                           rule: QuadRule | None = None) -> float:
-    """Clamped energy of an arbitrary profile by composite quadrature.
-
-    ``grid`` should come from :func:`maniafem.quadrature.graded_grid` so that
-    derivative singularities at 0 are resolved; ``dfn`` is only ever sampled
-    at interior quadrature points.
-    """
-    rule = rule or gauss_rule(GENERAL_RULE_SIZE)
-
-    def density(x):
-        return cutoff(params, dfn(x)) ** 6 * (fn(x) ** 3 - x) ** 2
-
-    return _check_energy(integrate_cells(rule, density, grid))
-
-
-def energy_mania_general(fn, dfn, grid, rule: QuadRule | None = None) -> float:
-    """Raw energy of an arbitrary profile by composite quadrature."""
-    rule = rule or gauss_rule(GENERAL_RULE_SIZE)
-
-    def density(x):
-        return dfn(x) ** 6 * (fn(x) ** 3 - x) ** 2
-
-    return _check_energy(integrate_cells(rule, density, grid))

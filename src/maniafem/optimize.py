@@ -35,12 +35,11 @@ __all__ = [
     "minimize_clamped",
     "minimize_mania",
     "minimize_from",
-    "minimize_multistart",
     "prolongate",
     "initial_values",
 ]
 
-INITIALIZERS = ("linear_ramp", "interp_root", "coarse_continuation")
+INITIALIZERS = ("linear_ramp", "interp_root")
 STOP_REASONS = ("grad_tol", "max_iters", "line_search")
 # Armijo backtracking gives up below this trial step; a Newton step is 1.
 _MIN_STEP = 1e-20
@@ -106,7 +105,7 @@ def initial_values(mesh: Mesh1D, kind: str) -> np.ndarray:
     linear_ramp is the identity (the pseudo-minimizer basin of the raw
     energy); interp_root interpolates x^(1/3) (the favorable basin).
     """
-    if kind in ("interp_root", "coarse_continuation"):
+    if kind == "interp_root":
         return mesh.nodes ** (1.0 / 3.0)
     if kind == "linear_ramp":
         return mesh.nodes.copy()
@@ -261,11 +260,7 @@ def minimize_from(mesh: Mesh1D, start_values, config: SolveConfig | None = None,
     config = config or SolveConfig()
     clamp = None
     if params is not None:
-        if params.tied and params.h != mesh.h:
-            raise ValueError(
-                f"cutoff level is tied to the mesh: params.h = {params.h} "
-                f"but mesh.h = {mesh.h}"
-            )
+        params.check_mesh(mesh)
         clamp = params.clamp
     energy, gradient = fe_objective(mesh, clamp)
     max_step = None if clamp is None else _kink_step(mesh, clamp)
@@ -284,8 +279,7 @@ def minimize_from(mesh: Mesh1D, start_values, config: SolveConfig | None = None,
 
 
 def _minimize(mesh: Mesh1D, config: SolveConfig, params: CutoffParams | None) -> SolveResult:
-    continuation = config.continuation or config.initializer == "coarse_continuation"
-    if continuation and mesh.n_elements > 2 and mesh.n_elements % 2 == 0:
+    if config.continuation and mesh.n_elements > 2 and mesh.n_elements % 2 == 0:
         coarse = Mesh1D(mesh.n_elements // 2)
         coarse_params = None
         if params is not None:
@@ -306,10 +300,7 @@ def minimize_clamped(mesh: Mesh1D, params: CutoffParams,
     initializer), with the cutoff level re-tied to each mesh.
     """
     config = config or SolveConfig()
-    if params.tied and params.h != mesh.h:
-        raise ValueError(
-            f"cutoff level is tied to the mesh: params.h = {params.h} but mesh.h = {mesh.h}"
-        )
+    params.check_mesh(mesh)
     return _minimize(mesh, config, params)
 
 
@@ -317,22 +308,3 @@ def minimize_mania(mesh: Mesh1D, config: SolveConfig | None = None) -> SolveResu
     """Minimize the raw energy; identical contract with no clamp anywhere."""
     config = config or SolveConfig()
     return _minimize(mesh, config, None)
-
-
-def minimize_multistart(mesh: Mesh1D, params: CutoffParams | None = None,
-                        config: SolveConfig | None = None, n_starts: int = 16,
-                        amplitude: float = 0.2, seed: int = 0) -> SolveResult:
-    """Seeded multi-start around the linear ramp; lowest energy wins, ties by
-    start index.  Start 0 is the unperturbed ramp."""
-    config = config or SolveConfig()
-    rng = np.random.default_rng(seed)
-    base = initial_values(mesh, "linear_ramp")
-    best: SolveResult | None = None
-    for i in range(n_starts):
-        start = base.copy()
-        if i > 0:
-            start[1:-1] += rng.uniform(-amplitude, amplitude, mesh.n_elements - 1)
-        result = minimize_from(mesh, start, config, params)
-        if best is None or result.energy < best.energy:
-            best = result
-    return best

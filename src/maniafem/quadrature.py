@@ -25,7 +25,6 @@ from .mesh import Mesh1D
 __all__ = [
     "QuadRule",
     "gauss_rule",
-    "integrate_element",
     "integrate_cells",
     "integrate_composite",
     "graded_grid",
@@ -101,24 +100,19 @@ def _sample(g, x: np.ndarray) -> np.ndarray:
     return vals.reshape(x.shape)
 
 
-def integrate_element(rule: QuadRule, g, a: float, b: float) -> float:
-    """Affine-mapped quadrature of g over [a, b]."""
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a}, b={b}")
-    half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * rule.points
-    return half * float(_sample(g, x) @ rule.weights)
-
-
 def integrate_cells(rule: QuadRule, g, breakpoints) -> float:
-    """Composite quadrature over consecutive cells of a sorted breakpoint array.
+    """Composite quadrature over the cells between consecutive breakpoints.
 
-    Summation order is fixed (left to right), so results are reproducible.
+    The breakpoints must be strictly increasing.  Summation order is fixed
+    (left to right), so results are reproducible.
     """
     b = np.asarray(breakpoints, dtype=float)
     if b.ndim != 1 or b.size < 2:
         raise ValueError("breakpoints must be a 1-D array with at least two entries")
-    half = 0.5 * np.diff(b)
+    half = np.diff(b)
+    if not np.all(half > 0.0):
+        raise ValueError("breakpoints must be strictly increasing")
+    half *= 0.5
     mid = 0.5 * (b[1:] + b[:-1])
     x = mid[:, None] + half[:, None] * rule.points[None, :]
     vals = _sample(g, x)

@@ -24,7 +24,6 @@ from .functionals import (
     CutoffParams,
     cutoff,
     energy_clamped,
-    energy_mania_general,
 )
 from .mesh import Mesh1D, interpolate
 from .quadrature import gauss_rule, graded_grid, integrate_cells
@@ -39,7 +38,6 @@ __all__ = [
     "value_mismatch_term",
     "slope_mismatch_term",
     "recovery_gap",
-    "reference_energy",
 ]
 
 CONVERGED_FLOOR = 1e-14
@@ -188,15 +186,3 @@ def slope_mismatch_term(fn, dfn, mesh: Mesh1D, params: CutoffParams, grid=None) 
 def recovery_gap(fn, mesh: Mesh1D, params: CutoffParams, reference: float) -> float:
     """Clamped energy of the interpolant minus the limit value J(v)."""
     return energy_clamped(interpolate(mesh, fn), params) - reference
-
-
-def reference_energy(fn, dfn, n_finest: int) -> float:
-    """J(v) on a study grid 8x finer than the finest mesh, with a two-grid
-    agreement check (1% relative, with an absolute floor near zero)."""
-    fine = energy_mania_general(fn, dfn, graded_grid(Mesh1D(n_finest), refine=8))
-    coarse = energy_mania_general(fn, dfn, graded_grid(Mesh1D(n_finest), refine=4))
-    if abs(fine - coarse) > max(0.01 * abs(fine), 1e-12):
-        raise StudyError(
-            f"reference energy failed the two-grid check: {fine} vs {coarse}"
-        )
-    return fine

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from maniafem.cli import main
+from maniafem import experiments as ex
+from maniafem.cli import build_parser, main
 from maniafem.experiments import ExperimentConfig
 
 FAST = ["--set", "mesh_sizes=8,16,32", "--set", "max_iters=5000"]
@@ -104,6 +105,9 @@ def test_all_writes_summary_and_passes(tmp_path, capsys):
     ("interp", "interp_lp.csv"),
     ("inverse", "inverse_ratio.csv"),
     ("lemmas", "slope_term.csv"),
+    ("gap", "gap_demo.csv"),
+    ("converge", "min_convergence.csv"),
+    ("recovery", "recovery_gap.csv"),
 ])
 def test_remaining_studies_run_and_emit(tmp_path, capsys, command, csv_name):
     out = tmp_path / command
@@ -113,11 +117,16 @@ def test_remaining_studies_run_and_emit(tmp_path, capsys, command, csv_name):
     assert "pass" in capsys.readouterr().out
 
 
+def test_subcommands_come_from_the_study_table():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert set(sub.choices) == {"solve", "seminorm", "all"} | {s.command for s in ex.STUDIES}
+
+
 def test_repro_runs_are_byte_identical(tmp_path, capsys):
     fast = ["--set", "mesh_sizes=8,16", "--set", "max_iters=2000"]
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["recovery", "--repro", *fast, "--out", str(a)]) == 0
-    assert main(["recovery", "--repro", *fast, "--out", str(b)]) == 0
+    assert main(["recovery", *fast, "--out", str(a)]) == 0
+    assert main(["recovery", *fast, "--out", str(b)]) == 0
     capsys.readouterr()
     assert (a / "recovery_gap.csv").read_bytes() == (b / "recovery_gap.csv").read_bytes()
 

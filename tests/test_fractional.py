@@ -16,7 +16,6 @@ from maniafem.fractional import (
     gagliardo_oracle_mc,
     gagliardo_pc,
     interval_kernel,
-    norm_w1sp_full,
     norm_wkp,
     seminorm_w1sp,
 )
@@ -266,12 +265,6 @@ class TestNormWkp:
             norm_wkp(lambda x: x, 0, 1.1)  # callable without a grid
         with pytest.raises(ValueError):
             norm_wkp(lambda x: x, 1, 1.1, grid=graded_grid(Mesh1D(2)))  # no derivative
-
-    def test_full_fractional_norm_combines_parts(self):
-        f = interpolate(Mesh1D(8), lambda x: x ** (1 / 3))
-        s, p = 0.2, 1.1
-        expected = (norm_wkp(f, 1, p) ** p + seminorm_w1sp(f, s, p).value ** p) ** (1 / p)
-        assert norm_w1sp_full(f, s, p) == pytest.approx(expected, rel=1e-15)
 
 
 class TestMonteCarloOracle:

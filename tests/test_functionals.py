@@ -11,16 +11,14 @@ from maniafem.functionals import (
     cutoff,
     cutoff_derivative,
     energy_clamped,
-    energy_clamped_general,
     energy_mania,
-    energy_mania_general,
     fe_hessian,
     fe_objective,
     gradient_clamped,
     gradient_mania,
 )
 from maniafem.mesh import FeFunction, Mesh1D, interpolate
-from maniafem.quadrature import gauss_rule, graded_grid
+from maniafem.quadrature import gauss_rule
 
 EIGHT_105 = 8.0 / 105.0
 
@@ -115,10 +113,6 @@ class TestAdmissibleParams:
         with pytest.raises(RegimeError):
             AdmissibleParams(0.2, 1.1, 0.2 / 5.0)
 
-    def test_unchecked_bypasses_validation(self):
-        params = AdmissibleParams.unchecked(0.9, 2.0, 1.0)
-        assert params.s == 0.9
-
 
 class TestEnergyMania:
     def test_identity_on_single_element(self):
@@ -174,9 +168,15 @@ class TestEnergyClamped:
                 assert 0.0 <= e <= energy_mania(f) + 1e-18
 
     def test_pairing_enforced_unless_decoupled(self):
+        from maniafem.optimize import minimize_clamped, minimize_from
+
         f = interpolate(Mesh1D(4), lambda x: x)
-        with pytest.raises(ValueError):
-            energy_clamped(f, CutoffParams(0.035, 0.5))
+        tied = CutoffParams(0.035, 0.5)
+        for call in (lambda: energy_clamped(f, tied), lambda: gradient_clamped(f, tied),
+                     lambda: minimize_from(f.mesh, f.nodal_values, None, tied),
+                     lambda: minimize_clamped(f.mesh, tied)):
+            with pytest.raises(ValueError, match="tied to the mesh"):
+                call()
         energy_clamped(f, CutoffParams.decoupled(0.035, 0.5))  # allowed
 
     def test_monotone_in_cutoff_h(self):
@@ -322,37 +322,3 @@ class TestHessian:
             diag, off = hessian(np.array([v1]))
             assert off.size == 0
             assert diag[0] == pytest.approx(1e6 * density_curvature(v1), rel=1e-12)
-
-
-class TestGeneralPath:
-    def test_minimizer_profile_has_zero_energy(self):
-        grid = graded_grid(Mesh1D(32))
-        params = CutoffParams.decoupled(0.035, 1 / 32)
-        value = energy_clamped_general(
-            lambda x: x ** (1 / 3), lambda x: x ** (-2 / 3) / 3.0, params, grid)
-        assert value <= 1e-20
-
-    def test_identity_profile(self):
-        grid = graded_grid(Mesh1D(16))
-        params = CutoffParams.decoupled(0.035, 1 / 16)
-        value = energy_clamped_general(lambda x: x, lambda x: np.ones_like(x), params, grid)
-        assert value == pytest.approx(EIGHT_105, rel=1e-12)
-
-    def test_clamped_below_raw(self):
-        grid = graded_grid(Mesh1D(16))
-        params = CutoffParams.decoupled(0.2, 0.25)  # clamp ~ 1.32 < max slope 2
-        fn = lambda x: x**2
-        dfn = lambda x: 2 * x
-        clamped = energy_clamped_general(fn, dfn, params, grid)
-        raw = energy_mania_general(fn, dfn, grid)
-        assert clamped <= raw + 1e-18
-        assert clamped < raw  # slopes above the clamp exist on (clamp/2, 1)
-
-    def test_non_finite_profile_raises(self):
-        from maniafem.errors import EvaluationError
-
-        grid = graded_grid(Mesh1D(4))
-        params = CutoffParams.decoupled(0.2, 0.25)
-        bad = lambda x: np.where(np.asarray(x) > 0.5, np.nan, 0.1)
-        with pytest.raises(EvaluationError):
-            energy_clamped_general(bad, lambda x: np.ones_like(x), params, grid)

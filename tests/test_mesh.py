@@ -156,3 +156,19 @@ def test_slope_at_matches_elementwise_slopes():
     expected = f.slopes()[mesh.element_indices(ys)]
     assert np.array_equal(f.slope_at(ys), expected)
     assert f.slope_at(0.3) == f.slope(2)
+
+
+def test_element_indices_follow_the_stored_nodes():
+    # nodes[3] of Mesh1D(5) is 0.6000000000000001, so x = 0.6 lies in element 2
+    mesh = Mesh1D(5)
+    assert mesh.nodes[3] > 0.6
+    assert mesh.element_indices(0.6) == 2
+    f = FeFunction(mesh, [0.0, 1.0, 2.0, 4.0, 8.0, 16.0])
+    assert f.slope_at(0.6) == f.slope(2)
+    rng = np.random.default_rng(17)
+    for n in (3, 5, 10, 100):
+        nodes = Mesh1D(n).nodes
+        xs = np.concatenate([rng.random(10_000), nodes,
+                             np.nextafter(nodes, -1.0)[1:], np.nextafter(nodes, 2.0)[:-1]])
+        expected = np.minimum(np.searchsorted(nodes, xs, "right") - 1, n - 1)
+        assert np.array_equal(Mesh1D(n).element_indices(xs), expected), n

@@ -15,7 +15,6 @@ from maniafem.optimize import (
     minimize_clamped,
     minimize_from,
     minimize_mania,
-    minimize_multistart,
     prolongate,
 )
 from helpers import batch_energies
@@ -241,7 +240,8 @@ class TestSolveConfig:
         assert np.array_equal(ramp, mesh.nodes)
         root = initial_values(mesh, "interp_root")
         assert root[0] == 0.0 and root[-1] == 1.0
-        assert np.array_equal(initial_values(mesh, "coarse_continuation"), root)
+        with pytest.raises(ValueError):
+            initial_values(mesh, "coarse_continuation")
 
 
 class TestProlongate:
@@ -265,24 +265,3 @@ class TestProlongate:
             prolongate(coarse, Mesh1D(6))
         with pytest.raises(ValueError):
             prolongate(coarse, Mesh1D(2))
-
-
-class TestMultistart:
-    def test_deterministic_and_no_worse_than_plain_ramp(self):
-        mesh = Mesh1D(8)
-        cfg = SolveConfig(continuation=False, max_iters=3000)
-        a = minimize_multistart(mesh, None, cfg, n_starts=6, seed=5)
-        b = minimize_multistart(mesh, None, cfg, n_starts=6, seed=5)
-        assert a.energy == b.energy
-        plain = minimize_from(mesh, initial_values(mesh, "linear_ramp"), cfg)
-        assert a.energy <= plain.energy + 1e-15
-
-    def test_clamped_multistart(self):
-        mesh = Mesh1D(8)
-        params = CutoffParams.for_mesh(0.035, mesh)
-        cfg = SolveConfig(continuation=False, max_iters=3000)
-        result = minimize_multistart(mesh, params, cfg, n_starts=4, seed=9)
-        direct = minimize_clamped(mesh, params, SolveConfig(initializer="interp_root"))
-        assert result.energy <= energy_clamped(result.minimizer, params) + 1e-18
-        # the perturbed ramp basin cannot beat the continuation solution by much
-        assert result.energy >= direct.energy - 1e-12

@@ -11,7 +11,6 @@ from maniafem.quadrature import (
     graded_grid,
     integrate_cells,
     integrate_composite,
-    integrate_element,
 )
 
 
@@ -72,18 +71,22 @@ def test_rule_rejects_bad_point_counts(m):
 
 
 def test_integrate_element_examples():
+    # one element is the breakpoint pair [a, b]
     rule = gauss_rule(4)
-    assert integrate_element(rule, lambda x: x**6, 0.0, 1.0) == pytest.approx(1 / 7, rel=1e-14)
-    assert integrate_element(rule, lambda x: np.zeros_like(x), 0.0, 1.0) == 0.0
-    assert integrate_element(gauss_rule(1), lambda x: x, 0.0, 1.0) == pytest.approx(0.5, abs=1e-16)
+    assert integrate_cells(rule, lambda x: x**6, [0.0, 1.0]) == pytest.approx(1 / 7, rel=1e-14)
+    assert integrate_cells(rule, lambda x: np.zeros_like(x), [0.0, 1.0]) == 0.0
+    assert integrate_cells(gauss_rule(1), lambda x: x, [0.0, 1.0]) == pytest.approx(
+        0.5, abs=1e-16)
 
 
 def test_integrate_element_errors():
     rule = gauss_rule(2)
-    with pytest.raises(ValueError):
-        integrate_element(rule, lambda x: x, 1.0, 0.0)
+    for breaks in ([1.0, 0.0], [0.0, 0.0], [0.0, 0.5, 0.5, 1.0], [0.0, 0.6, 0.4, 1.0],
+                   [0.0, np.nan]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            integrate_cells(rule, lambda x: x, breaks)
     with pytest.raises(EvaluationError):
-        integrate_element(rule, lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+        integrate_cells(rule, lambda x: np.full_like(x, np.nan), [0.0, 1.0])
 
 
 def test_composite_examples():
@@ -121,7 +124,7 @@ def test_integrate_cells_matches_element_sum():
     breaks = np.array([0.0, 0.1, 0.35, 0.7, 1.0])
     total = integrate_cells(rule, np.sin, breaks)
     by_parts = sum(
-        integrate_element(rule, np.sin, a, b) for a, b in zip(breaks[:-1], breaks[1:])
+        integrate_cells(rule, np.sin, [a, b]) for a, b in zip(breaks[:-1], breaks[1:])
     )
     assert total == pytest.approx(by_parts, rel=1e-15)
     with pytest.raises(ValueError):

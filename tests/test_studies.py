@@ -11,7 +11,6 @@ from maniafem.studies import (
     interp_error,
     power_fn,
     recovery_gap,
-    reference_energy,
     slope_mismatch_term,
     value_mismatch_term,
 )
@@ -143,14 +142,3 @@ class TestRateStudyInvariants:
         with pytest.raises(ValueError):
             make_rate_study("x", None, (16, 8, 4), ("h", "value"),
                             [(1 / 16, 1.0), (1 / 8, 0.5), (1 / 4, 0.25)])
-
-
-class TestReferenceEnergy:
-    def test_identity_energy(self):
-        fn = lambda x: np.asarray(x, dtype=float)
-        dfn = lambda x: np.ones_like(np.asarray(x, dtype=float))
-        assert reference_energy(fn, dfn, 64) == pytest.approx(EIGHT_105, rel=1e-12)
-
-    def test_minimizer_energy_is_zero(self):
-        fn, dfn = power_fn(1.0 / 3.0)
-        assert reference_energy(fn, dfn, 64) <= 1e-12
