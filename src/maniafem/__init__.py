@@ -21,11 +21,9 @@ from .functionals import (
     AdmissibleParams,
     CutoffParams,
     cutoff,
-    cutoff_derivative,
     energy_clamped,
     energy_mania,
     gradient_clamped,
-    gradient_mania,
 )
 from .fractional import (
     PiecewiseConstant,
@@ -40,9 +38,7 @@ from .optimize import (
     SolveConfig,
     SolveResult,
     initial_values,
-    minimize_clamped,
     minimize_from,
-    minimize_mania,
     prolongate,
 )
 from .studies import (

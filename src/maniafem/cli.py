@@ -16,9 +16,9 @@ from pathlib import Path
 
 from .errors import RegimeError, StudyError, ConsistencyError
 from .fractional import seminorm_w1sp
-from .functionals import AdmissibleParams, CutoffParams
+from .functionals import AdmissibleParams
 from .mesh import Mesh1D, interpolate
-from .optimize import SolveConfig, minimize_clamped
+from .optimize import SolveConfig
 from .studies import power_fn
 from . import experiments as ex
 
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     descriptions = {
-        "solve": "minimize the clamped energy on one mesh",
+        "solve": "clamped minimizer on one mesh, by the studies' continuation ladder",
         **{command: spec.description for command, spec in _STUDIES.items()},
         "seminorm": "print the fractional seminorm of the interpolated minimizer",
         "all": "run every study and write the summary report",
@@ -139,7 +139,7 @@ def _cmd_solve(args, settings) -> int:
     params = AdmissibleParams(settings["s"], settings["p"], settings["alpha"])
     mesh = Mesh1D(args.mesh)
     config = SolveConfig(grad_tol=settings["grad_tol"], max_iters=settings["max_iters"])
-    result = minimize_clamped(mesh, CutoffParams(params.alpha, mesh.h), config)
+    [result] = ex.solve_ladder((mesh.n_elements,), config, params.alpha)
     print(f"N = {mesh.n_elements}  h = {mesh.h:.6e}")
     print(f"energy    = {result.energy:.17g}")
     print(f"grad_norm = {result.grad_norm:.3e}")

@@ -32,13 +32,11 @@ __all__ = [
     "CutoffParams",
     "AdmissibleParams",
     "cutoff",
-    "cutoff_derivative",
     "fe_objective",
     "fe_hessian",
     "energy_mania",
     "energy_clamped",
     "gradient_clamped",
-    "gradient_mania",
 ]
 
 # (v^3 - x)^2 with v linear has degree 6; four points are exact to degree 7
@@ -75,10 +73,6 @@ class CutoffParams:
             raise ValueError(
                 f"cutoff level is tied to the mesh: params.h = {self.h} but mesh.h = {mesh.h}"
             )
-
-    @classmethod
-    def for_mesh(cls, alpha: float, mesh: Mesh1D) -> "CutoffParams":
-        return cls(alpha, mesh.h)
 
     @classmethod
     def decoupled(cls, alpha: float, h: float) -> "CutoffParams":
@@ -121,13 +115,6 @@ def cutoff(params: CutoffParams, t):
     """sgn(t) * min(|t|, clamp); odd, 1-Lipschitz, identity below the clamp."""
     t_arr = np.asarray(t, dtype=float)
     out = np.sign(t_arr) * np.minimum(np.abs(t_arr), params.clamp)
-    return float(out) if out.ndim == 0 else out
-
-
-def cutoff_derivative(params: CutoffParams, t):
-    """1 on |t| < clamp, else 0 (flat branch chosen at the kink |t| = clamp)."""
-    t_arr = np.asarray(t, dtype=float)
-    out = (np.abs(t_arr) < params.clamp).astype(float)
     return float(out) if out.ndim == 0 else out
 
 
@@ -302,9 +289,3 @@ def gradient_clamped(f: FeFunction, params: CutoffParams,
     _, grad = fe_objective(f.mesh, params.clamp, rule)
     return grad(f.nodal_values[1:-1])
 
-
-def gradient_mania(f: FeFunction, rule: QuadRule | None = None) -> np.ndarray:
-    """Gradient of the raw energy (no clamp) over interior nodal values."""
-    _require_bc(f)
-    _, grad = fe_objective(f.mesh, None, rule)
-    return grad(f.nodal_values[1:-1])

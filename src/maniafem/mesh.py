@@ -108,12 +108,11 @@ class FeFunction:
         """Value at y (scalar or array), exact at mesh nodes."""
         arr = np.asarray(y, dtype=float)
         k = self.mesh.element_indices(arr)
-        vals = self.nodal_values
-        t = (arr - self.mesh.nodes[k]) / self.mesh.h
+        vals, nodes = self.nodal_values, self.mesh.nodes
+        # dividing by the stored element length, not h, gives t = 0 at every
+        # node and t = 1 at x = 1, so nodes reproduce their values bitwise
+        t = (arr - nodes[k]) / (nodes[k + 1] - nodes[k])
         out = vals[k] * (1.0 - t) + vals[k + 1] * t
-        # exact node hits bypass the interpolation formula entirely
-        j = np.clip(np.rint(arr * self.mesh.n_elements).astype(np.int64), 0, self.mesh.n_elements)
-        out = np.where(self.mesh.nodes[j] == arr, vals[j], out)
         return float(out) if np.isscalar(y) or getattr(y, "ndim", 1) == 0 else out
 
     def slopes(self) -> np.ndarray:

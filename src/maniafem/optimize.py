@@ -8,10 +8,10 @@ Levenberg shift tau*I is added and grown until the factorization succeeds,
 and the shift is warm-started from the previous iteration's tau/4.  Armijo
 backtracking on the same energy globalizes the step.  The clamped energy
 has kinks where an element slope reaches the clamp, so there the first
-trial step is capped at the first kink along the Newton direction.  Mesh
-continuation (prolongating the converged coarse solution) seeds finer
-meshes.  Boundary values are pinned structurally: the iterate is the
-interior vector.
+trial step is capped at the first kink along the Newton direction.
+Boundary values are pinned structurally: the iterate is the interior
+vector.  Mesh continuation, which seeds finer meshes with prolongated
+coarse minimizers, lives in ``experiments``.
 
 Every solve names why it stopped (``grad_tol``, ``max_iters`` or
 ``line_search``) and reports the smallest LDL^T pivot of the unshifted
@@ -22,7 +22,7 @@ needs the reached energy either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,16 +32,17 @@ from .mesh import FeFunction, Mesh1D
 __all__ = [
     "SolveConfig",
     "SolveResult",
-    "minimize_clamped",
-    "minimize_mania",
     "minimize_from",
     "prolongate",
     "initial_values",
 ]
 
-INITIALIZERS = ("linear_ramp", "interp_root")
 STOP_REASONS = ("grad_tol", "max_iters", "line_search")
-# Armijo backtracking gives up below this trial step; a Newton step is 1.
+# Armijo backtracking: sufficient-decrease constant, the factor each
+# rejected trial step is shrunk by, and the trial step below which it gives
+# up (a Newton step is 1).
+_ARMIJO_C = 1e-4
+_STEP_SHRINK = 0.5
 _MIN_STEP = 1e-20
 # A warm-started Levenberg shift below this fraction of the Hessian's
 # largest diagonal entry is dropped, so pure Newton steps resume.
@@ -57,24 +58,19 @@ _KINK_OVERSHOOT = 1e-9
 
 @dataclass(frozen=True)
 class SolveConfig:
+    """Stopping rule of one solve: the max-norm gradient tolerance and the
+    iteration budget.  The budget is a safety cap only: every default-ladder
+    solve meets the tolerance within about 1.5k iterations, and a solve
+    that hits the cap says so in its stop reason."""
+
     grad_tol: float = 1e-9
-    max_iters: int = 100_000
-    step_shrink: float = 0.5
-    armijo_c: float = 1e-4
-    continuation: bool = True
-    initializer: str = "interp_root"
+    max_iters: int = 20_000
 
     def __post_init__(self):
         if not self.grad_tol > 0:
             raise ValueError("grad_tol must be positive")
         if not self.max_iters > 0:
             raise ValueError("max_iters must be positive")
-        if not 0.0 < self.step_shrink < 1.0:
-            raise ValueError("step_shrink must lie in (0, 1)")
-        if not 0.0 < self.armijo_c <= 0.5:
-            raise ValueError("armijo_c must lie in (0, 1/2]")
-        if self.initializer not in INITIALIZERS:
-            raise ValueError(f"initializer must be one of {INITIALIZERS}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +88,6 @@ class SolveResult:
     iters: int
     reason: str
     min_pivot: float
-    history: list[tuple[int, float]] = field(repr=False, default_factory=list)
 
     @property
     def converged(self) -> bool:
@@ -191,7 +186,7 @@ def _descend(energy, grad, hess, v0: np.ndarray, config: SolveConfig, max_step=N
 
     ``max_step(v, p)``, when given, caps the first trial step along ``p``.
     Returns the final point, its energy and gradient norm, the iteration
-    count, the stop reason, the smallest unshifted pivot and the history.
+    count, the stop reason and the smallest unshifted pivot.
     """
     v = np.array(v0, dtype=float)
     e = energy(v)
@@ -199,7 +194,6 @@ def _descend(energy, grad, hess, v0: np.ndarray, config: SolveConfig, max_step=N
         raise FloatingPointError(f"starting energy is not finite: {e}")
     g = grad(v)
     gnorm = float(np.max(np.abs(g))) if g.size else 0.0
-    history = [(0, e)]
     iters = 0
     shift = 0.0
     stalled = False
@@ -214,10 +208,10 @@ def _descend(energy, grad, hess, v0: np.ndarray, config: SolveConfig, max_step=N
         while trial > _MIN_STEP:
             cand = v + trial * p
             e_cand = energy(cand)
-            if np.isfinite(e_cand) and e_cand <= e + config.armijo_c * trial * slope:
+            if np.isfinite(e_cand) and e_cand <= e + _ARMIJO_C * trial * slope:
                 v_new = cand
                 break
-            trial *= config.step_shrink
+            trial *= _STEP_SHRINK
         if v_new is None:
             stalled = True
             break
@@ -225,12 +219,11 @@ def _descend(energy, grad, hess, v0: np.ndarray, config: SolveConfig, max_step=N
         g = grad(v)
         gnorm = float(np.max(np.abs(g)))
         iters += 1
-        history.append((iters, e))
     if gnorm <= config.grad_tol:
         reason = "grad_tol"
     else:
         reason = "line_search" if stalled else "max_iters"
-    return v, e, gnorm, iters, reason, _min_pivot(hess, v), history
+    return v, e, gnorm, iters, reason, _min_pivot(hess, v)
 
 
 def _kink_step(mesh: Mesh1D, clamp: float):
@@ -265,7 +258,7 @@ def minimize_from(mesh: Mesh1D, start_values, config: SolveConfig | None = None,
     energy, gradient = fe_objective(mesh, clamp)
     max_step = None if clamp is None else _kink_step(mesh, clamp)
     start = np.asarray(start_values, dtype=float)[1:-1]
-    v, e, gnorm, iters, reason, min_pivot, history = _descend(
+    v, e, gnorm, iters, reason, min_pivot = _descend(
         energy, gradient, fe_hessian(mesh, clamp), start, config, max_step)
     return SolveResult(
         minimizer=FeFunction.from_interior(mesh, v),
@@ -274,37 +267,4 @@ def minimize_from(mesh: Mesh1D, start_values, config: SolveConfig | None = None,
         iters=iters,
         reason=reason,
         min_pivot=min_pivot,
-        history=history,
     )
-
-
-def _minimize(mesh: Mesh1D, config: SolveConfig, params: CutoffParams | None) -> SolveResult:
-    if config.continuation and mesh.n_elements > 2 and mesh.n_elements % 2 == 0:
-        coarse = Mesh1D(mesh.n_elements // 2)
-        coarse_params = None
-        if params is not None:
-            coarse_params = CutoffParams(params.alpha, coarse.h)
-        coarse_result = _minimize(coarse, config, coarse_params)
-        start = prolongate(coarse_result.minimizer, mesh).nodal_values
-    else:
-        start = initial_values(mesh, config.initializer)
-    return minimize_from(mesh, start, config, params)
-
-
-def minimize_clamped(mesh: Mesh1D, params: CutoffParams,
-                     config: SolveConfig | None = None) -> SolveResult:
-    """Minimize the clamped energy over the interior nodal values.
-
-    With continuation enabled the starting iterate on mesh N is the
-    prolongated solution from mesh N/2 (base case N = 2 uses the configured
-    initializer), with the cutoff level re-tied to each mesh.
-    """
-    config = config or SolveConfig()
-    params.check_mesh(mesh)
-    return _minimize(mesh, config, params)
-
-
-def minimize_mania(mesh: Mesh1D, config: SolveConfig | None = None) -> SolveResult:
-    """Minimize the raw energy; identical contract with no clamp anywhere."""
-    config = config or SolveConfig()
-    return _minimize(mesh, config, None)

@@ -84,8 +84,7 @@ def test_criterion_2_lavrentiev_gap(gap_report):
             grid = np.column_stack([v1.ravel(), v2.ravel()])
         scan_min = float(batch_energies(mesh, grid).min())
         solver_min = min(
-            minimize_from(mesh, initial_values(mesh, kind),
-                          SolveConfig(continuation=False)).energy
+            minimize_from(mesh, initial_values(mesh, kind)).energy
             for kind in ("linear_ramp", "interp_root")
         )
         scans_ok &= abs(solver_min - scan_min) <= 1e-3
@@ -154,7 +153,7 @@ def test_criterion_6_recovery_limsup(config):
     zero_ok = True
     for n in config.mesh_sizes:
         mesh = Mesh1D(n)
-        params = CutoffParams.for_mesh(config.params.alpha, mesh)
+        params = CutoffParams(config.params.alpha, mesh.h)
         assert params.clamp >= 1.0
         # two exact quadratures of the same degree-6 density differ only in
         # float summation order, so "exactly zero" means machine zero here
@@ -212,7 +211,7 @@ def test_criterion_8_gradient_correctness():
     eps = 1e-6
     for n in (4, 16, 64):
         mesh = Mesh1D(n)
-        params = CutoffParams.for_mesh(0.035, mesh)
+        params = CutoffParams(0.035, mesh.h)
         energy, _ = fe_objective(mesh, params.clamp)
         checked = 0
         while checked < 100:

@@ -53,6 +53,18 @@ def test_solve_writes_solution(tmp_path, capsys):
     assert (out / "solution_N16.csv").exists()
 
 
+def test_solve_prints_the_converge_study_value(tmp_path, capsys):
+    # solve and the study share one continuation ladder, so the clamped
+    # minimum at N = 64 is the same number to the last digit
+    assert main(["converge", "--set", "mesh_sizes=8,16,32,64", "--out", str(tmp_path)]) == 0
+    last_row = (tmp_path / "min_convergence.csv").read_text().splitlines()[-1]
+    capsys.readouterr()
+    assert main(["solve", "--mesh", "64", "--out", str(tmp_path)]) == 0
+    energy_line = next(line for line in capsys.readouterr().out.splitlines()
+                       if line.startswith("energy"))
+    assert energy_line.split("=")[1].strip() == last_row.split(",")[1]
+
+
 def test_seminorm_prints_value(capsys):
     code = main(["seminorm", "--mesh", "16"])
     assert code == 0

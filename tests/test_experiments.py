@@ -45,30 +45,58 @@ class TestGapDemo:
         assert ex.gap_passes(report)
 
 
+def recorded_solves(monkeypatch):
+    """Route the ladder's solves through a recorder of (N, result) pairs."""
+    solves = []
+    solve = ex.minimize_from
+
+    def recording(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        solves.append((args[0].n_elements, result))
+        return result
+
+    monkeypatch.setattr(ex, "minimize_from", recording)
+    return solves
+
+
 class TestLadderSolves:
     def test_clamped_ladder_reaches_the_reference_basin(self):
         # from the prolongated N = 8 minimizer, a step past the first kink
         # is what keeps Newton out of a worse basin (2.926e-5) at N = 16
-        config = ex.ExperimentConfig(mesh_sizes=(8, 16))
-        results = ex._ladder_clamped(config)
+        results = ex.solve_ladder((8, 16), SolveConfig(), alpha=0.035)
         assert results[-1].energy <= 2.62278544796067e-05 * (1 + 1e-8)
         assert all(r.reason == "grad_tol" for r in results)
 
     def test_every_raw_solve_is_a_certified_minimum(self, monkeypatch):
-        solves = []
-        solve = ex.minimize_from
-
-        def recording(*args, **kwargs):
-            result = solve(*args, **kwargs)
-            solves.append((args[0].n_elements, result))
-            return result
-
-        monkeypatch.setattr(ex, "minimize_from", recording)
-        ex._ladder_raw(ex.ExperimentConfig(mesh_sizes=(8, 16, 32, 64, 128, 256)))
-        assert len(solves) == 3 * 6 - 1
+        solves = recorded_solves(monkeypatch)
+        ex.solve_ladder((8, 16, 32, 64, 128, 256), SolveConfig())
+        # the halving chain is N = 2 ... 256: two fixed seeds on each of its
+        # 8 meshes plus the prolongated previous best above N = 2
+        assert [n for n, _ in solves] == [2, 2] + [n for n in (4, 8, 16, 32, 64, 128, 256)
+                                                   for _ in range(3)]
         for n, result in solves:
             assert result.reason == "grad_tol", (n, result.reason)
             assert result.min_pivot > 0.0, (n, result.min_pivot)
+
+    @pytest.mark.parametrize("alpha", [None, 0.035])
+    def test_sparse_ladder_matches_the_consecutive_one(self, alpha):
+        # both walk the halving chain of N = 128, so the minima agree bitwise
+        sparse = ex.solve_ladder((8, 32, 128), SolveConfig(), alpha)
+        full = dict(zip((2, 4, 8, 16, 32, 64, 128),
+                        ex.solve_ladder((2, 4, 8, 16, 32, 64, 128), SolveConfig(), alpha)))
+        for n, result in zip((8, 32, 128), sparse):
+            assert result.energy == full[n].energy
+            assert np.array_equal(result.minimizer.nodal_values, full[n].minimizer.nodal_values)
+
+    def test_keeps_the_lowest_candidate_per_mesh(self, monkeypatch):
+        solves = recorded_solves(monkeypatch)
+        results = ex.solve_ladder((4, 8), SolveConfig())
+        for n, result in zip((4, 8), results):
+            assert result.energy == min(r.energy for m, r in solves if m == n)
+
+    def test_rejects_sizes_off_the_halving_chain(self):
+        with pytest.raises(ValueError, match="halving chain"):
+            ex.solve_ladder((6, 8), SolveConfig())
 
 
 class TestMinConvergence:

@@ -9,13 +9,11 @@ from maniafem.functionals import (
     AdmissibleParams,
     CutoffParams,
     cutoff,
-    cutoff_derivative,
     energy_clamped,
     energy_mania,
     fe_hessian,
     fe_objective,
     gradient_clamped,
-    gradient_mania,
 )
 from maniafem.mesh import FeFunction, Mesh1D, interpolate
 from maniafem.quadrature import gauss_rule
@@ -57,13 +55,6 @@ class TestCutoff:
         assert np.all(np.abs(cutoff(params, a) - cutoff(params, b))
                       <= np.abs(a - b) + 1e-12)
 
-    def test_derivative_examples(self):
-        params = clamp10()
-        assert cutoff_derivative(params, 3.0) == 1.0
-        assert cutoff_derivative(params, -15.0) == 0.0
-        assert cutoff_derivative(params, params.clamp) == 0.0
-        assert cutoff_derivative(params, -params.clamp) == 0.0
-
 
 class TestCutoffParams:
     def test_clamp_matches_exp_form(self):
@@ -81,11 +72,16 @@ class TestCutoffParams:
         with pytest.raises(ValueError):
             CutoffParams(0.1, 0.0)
 
-    def test_for_mesh_ties_h(self):
+    def test_level_ties_to_its_mesh(self):
         mesh = Mesh1D(64)
-        params = CutoffParams.for_mesh(0.035, mesh)
-        assert params.h == mesh.h and params.tied
-        assert not CutoffParams.decoupled(0.035, 0.5).tied
+        params = CutoffParams(0.035, mesh.h)
+        assert params.tied
+        params.check_mesh(mesh)
+        with pytest.raises(ValueError, match="tied to the mesh"):
+            params.check_mesh(Mesh1D(32))
+        decoupled = CutoffParams.decoupled(0.035, mesh.h)
+        assert not decoupled.tied
+        decoupled.check_mesh(Mesh1D(32))
 
 
 class TestAdmissibleParams:
@@ -147,13 +143,13 @@ class TestEnergyMania:
 class TestEnergyClamped:
     def test_reduces_to_raw_when_unclamped(self):
         f = interpolate(Mesh1D(4), lambda x: x)
-        params = CutoffParams.for_mesh(0.035, f.mesh)
+        params = CutoffParams(0.035, f.mesh.h)
         assert params.clamp >= 1.0
         assert energy_clamped(f, params) == pytest.approx(EIGHT_105, rel=1e-14)
 
     def test_clamping_strictly_reduces_energy(self):
         f = interpolate(Mesh1D(2), lambda x: x ** (1 / 3))
-        params = CutoffParams.for_mesh(0.035, f.mesh)
+        params = CutoffParams(0.035, f.mesh.h)
         assert params.clamp < f.slope(0)
         assert energy_clamped(f, params) < energy_mania(f)
 
@@ -161,20 +157,19 @@ class TestEnergyClamped:
         rng = np.random.default_rng(3)
         for n in (4, 16):
             mesh = Mesh1D(n)
-            params = CutoffParams.for_mesh(0.035, mesh)
+            params = CutoffParams(0.035, mesh.h)
             for _ in range(20):
                 f = random_bc_function(rng, n, scale=2.0)
                 e = energy_clamped(f, params)
                 assert 0.0 <= e <= energy_mania(f) + 1e-18
 
     def test_pairing_enforced_unless_decoupled(self):
-        from maniafem.optimize import minimize_clamped, minimize_from
+        from maniafem.optimize import minimize_from
 
         f = interpolate(Mesh1D(4), lambda x: x)
         tied = CutoffParams(0.035, 0.5)
         for call in (lambda: energy_clamped(f, tied), lambda: gradient_clamped(f, tied),
-                     lambda: minimize_from(f.mesh, f.nodal_values, None, tied),
-                     lambda: minimize_clamped(f.mesh, tied)):
+                     lambda: minimize_from(f.mesh, f.nodal_values, None, tied)):
             with pytest.raises(ValueError, match="tied to the mesh"):
                 call()
         energy_clamped(f, CutoffParams.decoupled(0.035, 0.5))  # allowed
@@ -192,7 +187,7 @@ class TestEnergyClamped:
     def test_discrete_minimum_is_positive(self):
         # no finite element function annihilates the density: scan N=2
         mesh = Mesh1D(2)
-        params = CutoffParams.for_mesh(0.035, mesh)
+        params = CutoffParams(0.035, mesh.h)
         vs = np.arange(0.0, 1.2, 1e-3)
         energies = [
             energy_clamped(FeFunction.from_interior(mesh, [v]), params) for v in vs
@@ -220,7 +215,7 @@ class TestGradients:
     def test_clamped_gradient_matches_finite_differences(self, n):
         rng = np.random.default_rng(4)
         mesh = Mesh1D(n)
-        params = CutoffParams.for_mesh(0.035, mesh)
+        params = CutoffParams(0.035, mesh.h)
         energy, _ = fe_objective(mesh, params.clamp)
         checked = 0
         while checked < 25:
@@ -236,17 +231,17 @@ class TestGradients:
     def test_raw_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         mesh = Mesh1D(8)
-        energy, _ = fe_objective(mesh, None)
+        energy, gradient = fe_objective(mesh, None)
         for _ in range(25):
             f = random_bc_function(rng, 8)
-            grad = gradient_mania(f)
+            grad = gradient(f.nodal_values[1:-1])
             approx = fd_gradient(energy, f.nodal_values[1:-1].copy())
             tol = 1e-6 * (1.0 + float(np.max(np.abs(grad))))
             assert np.max(np.abs(grad - approx)) <= tol
 
     def test_gradient_sign_matches_energy_scan(self):
         mesh = Mesh1D(2)
-        params = CutoffParams.for_mesh(0.035, mesh)
+        params = CutoffParams(0.035, mesh.h)
         for v1 in (0.3, 0.7, 0.95):
             f = FeFunction.from_interior(mesh, [v1])
             grad = gradient_clamped(f, params)[0]
@@ -260,7 +255,7 @@ class TestGradients:
     def test_objective_closures_match_public_api(self):
         rng = np.random.default_rng(6)
         mesh = Mesh1D(16)
-        params = CutoffParams.for_mesh(0.035, mesh)
+        params = CutoffParams(0.035, mesh.h)
         energy, grad = fe_objective(mesh, params.clamp)
         for _ in range(10):
             f = random_bc_function(rng, 16)
@@ -279,7 +274,7 @@ class TestHessian:
     def test_matches_gradient_differences(self, n, clamped):
         rng = np.random.default_rng(100 + n)
         mesh = Mesh1D(n)
-        clamp = CutoffParams.for_mesh(0.035, mesh).clamp if clamped else None
+        clamp = CutoffParams(0.035, mesh.h).clamp if clamped else None
         _, grad = fe_objective(mesh, clamp)
         hessian = fe_hessian(mesh, clamp)
         eps = 1e-7

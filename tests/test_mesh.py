@@ -50,12 +50,15 @@ def test_evaluate_linear_interpolation():
 
 
 def test_evaluate_exact_at_nodes():
+    # non-power-of-two meshes have nodes that are not k * h in floating
+    # point; x = 1 on Mesh1D(5) is where interpolating with h is one ulp off
     rng = np.random.default_rng(3)
-    for n in (2, 7, 49, 128):
+    for n in (2, 3, 5, 7, 10, 49, 100, 128):
         mesh = Mesh1D(n)
         f = FeFunction(mesh, rng.uniform(-1, 1, n + 1))
         out = f.evaluate(mesh.nodes)
         assert np.array_equal(out, f.nodal_values)
+        assert [f.evaluate(x) for x in mesh.nodes] == list(f.nodal_values)
 
 
 def test_evaluate_midpoint_of_root_interpolant():

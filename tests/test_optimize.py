@@ -1,10 +1,11 @@
 """Solver tests: brute-force grid-scan oracles at N = 2 and N = 3, descent
-contracts, continuation, and prolongation."""
+contracts, Newton steps, and prolongation."""
 
 import numpy as np
 import pytest
 
-from maniafem.functionals import CutoffParams, energy_clamped, fe_hessian
+from maniafem.experiments import solve_ladder
+from maniafem.functionals import CutoffParams, energy_clamped, fe_hessian, fe_objective
 from maniafem.mesh import FeFunction, Mesh1D, interpolate
 from maniafem.optimize import (
     STOP_REASONS,
@@ -12,14 +13,29 @@ from maniafem.optimize import (
     _descend,
     _newton_direction,
     initial_values,
-    minimize_clamped,
     minimize_from,
-    minimize_mania,
     prolongate,
 )
 from helpers import batch_energies
 
 EIGHT_105 = 8.0 / 105.0
+
+
+def solve_from(mesh, kind, params=None, **config):
+    return minimize_from(mesh, initial_values(mesh, kind), SolveConfig(**config), params)
+
+
+def cut_solves(mesh, kind, params=None):
+    """The solve from a named start cut after k = 1, 2, ... iterations, up
+    to the uncut solve, and the start energy.  Solves are deterministic, so
+    the k-th cut is the k-th iterate of the uncut solve."""
+    full = solve_from(mesh, kind, params)
+    cuts = [solve_from(mesh, kind, params, max_iters=k) for k in range(1, full.iters + 1)]
+    assert [c.iters for c in cuts] == list(range(1, full.iters + 1))
+    assert cuts[-1].energy == full.energy
+    assert np.array_equal(cuts[-1].minimizer.nodal_values, full.minimizer.nodal_values)
+    energy, _ = fe_objective(mesh, None if params is None else params.clamp)
+    return cuts, energy(initial_values(mesh, kind)[1:-1])
 
 
 def scan_axis():
@@ -35,18 +51,16 @@ class TestScanOraclesN2:
         energies = batch_energies(self.mesh, self.vs[:, None])
         best = int(np.argmin(energies))
         for kind in ("linear_ramp", "interp_root"):
-            cfg = SolveConfig(continuation=False, initializer=kind)
-            res = minimize_mania(self.mesh, cfg)
+            res = solve_from(self.mesh, kind)
             assert res.converged
             assert abs(res.minimizer.nodal_values[1] - self.vs[best]) <= 1e-3
             assert res.energy <= energies[best] + 1e-6
 
     def test_clamped_solver_matches_scan(self):
-        params = CutoffParams.for_mesh(0.035, self.mesh)
+        params = CutoffParams(0.035, self.mesh.h)
         energies = batch_energies(self.mesh, self.vs[:, None], clamp=params.clamp)
         best = int(np.argmin(energies))
-        cfg = SolveConfig(continuation=False, initializer="interp_root")
-        res = minimize_clamped(self.mesh, params, cfg)
+        res = solve_from(self.mesh, "interp_root", params)
         assert res.converged
         assert abs(res.minimizer.nodal_values[1] - self.vs[best]) <= 1e-3
         assert res.energy <= energies[best] + 1e-6
@@ -59,57 +73,50 @@ class TestScanOracleN3:
         v1, v2 = np.meshgrid(axis, axis, indexing="ij")
         grid = np.column_stack([v1.ravel(), v2.ravel()])
         raw_energies = batch_energies(mesh, grid)
-        cfg = SolveConfig(continuation=False)
-        best_raw = min(
-            minimize_mania(mesh, SolveConfig(continuation=False, initializer=k)).energy
-            for k in ("linear_ramp", "interp_root")
-        )
+        best_raw = min(solve_from(mesh, k).energy for k in ("linear_ramp", "interp_root"))
         assert best_raw <= float(raw_energies.min()) + 1e-6
 
-        params = CutoffParams.for_mesh(0.035, mesh)
+        params = CutoffParams(0.035, mesh.h)
         clamped_energies = batch_energies(mesh, grid, clamp=params.clamp)
-        res = minimize_clamped(mesh, params, cfg)
+        res = solve_from(mesh, "interp_root", params)
         assert res.energy <= float(clamped_energies.min()) + 1e-6
 
 
 class TestDescentContracts:
     def test_history_is_nonincreasing(self):
         mesh = Mesh1D(16)
-        params = CutoffParams.for_mesh(0.035, mesh)
-        res = minimize_clamped(mesh, params, SolveConfig(continuation=False))
-        energies = [e for _, e in res.history]
+        cuts, start_energy = cut_solves(mesh, "interp_root", CutoffParams(0.035, mesh.h))
+        energies = [start_energy] + [c.energy for c in cuts]
         assert all(b <= a for a, b in zip(energies, energies[1:]))
 
     def test_boundary_values_pinned(self):
         mesh = Mesh1D(8)
-        res = minimize_mania(mesh, SolveConfig(continuation=False, max_iters=50))
+        res = solve_from(mesh, "interp_root", max_iters=50)
         assert res.minimizer.nodal_values[0] == 0.0
         assert res.minimizer.nodal_values[-1] == 1.0
         assert res.minimizer.bc_flag
 
     def test_converged_implies_grad_tolerance(self):
         mesh = Mesh1D(4)
-        params = CutoffParams.for_mesh(0.035, mesh)
-        cfg = SolveConfig(continuation=False, grad_tol=1e-10)
-        res = minimize_clamped(mesh, params, cfg)
+        res = solve_from(mesh, "interp_root", CutoffParams(0.035, mesh.h), grad_tol=1e-10)
         assert res.converged
-        assert res.grad_norm <= cfg.grad_tol
+        assert res.grad_norm <= 1e-10
 
     def test_budget_exhaustion_reports_not_raises(self):
         mesh = Mesh1D(64)
-        res = minimize_mania(mesh, SolveConfig(continuation=False, max_iters=5))
+        res = solve_from(mesh, "interp_root", max_iters=5)
         assert not res.converged
         assert res.iters == 5
         assert np.isfinite(res.energy)
 
     def test_converged_solve_names_grad_tol(self):
         mesh = Mesh1D(16)
-        res = minimize_mania(mesh, SolveConfig(continuation=False))
+        res = solve_from(mesh, "interp_root")
         assert res.reason == "grad_tol" and res.converged
         assert res.grad_norm <= 1e-9
 
     def test_budget_exhaustion_names_max_iters(self):
-        res = minimize_mania(Mesh1D(64), SolveConfig(continuation=False, max_iters=5))
+        res = solve_from(Mesh1D(64), "interp_root", max_iters=5)
         assert res.reason == "max_iters"
         assert res.reason in STOP_REASONS
 
@@ -127,7 +134,7 @@ class TestDescentContracts:
         def hess(v):
             return np.full(v.size, 2.0), np.zeros(v.size - 1)
 
-        v, e, gnorm, iters, reason, min_pivot, history = _descend(
+        v, e, gnorm, iters, reason, min_pivot = _descend(
             energy, grad, hess, np.zeros(3), SolveConfig(max_iters=50))
         assert reason == "line_search"
         assert iters == 0 and e == 1.0 and gnorm == 1.0
@@ -135,10 +142,9 @@ class TestDescentContracts:
         assert np.array_equal(v, np.zeros(3))
 
     def test_linear_ramp_initial_energy(self):
-        mesh = Mesh1D(32)
-        cfg = SolveConfig(continuation=False, initializer="linear_ramp")
-        res = minimize_mania(mesh, cfg)
-        assert res.history[0][1] == pytest.approx(EIGHT_105, rel=1e-14)
+        cuts, start_energy = cut_solves(Mesh1D(32), "linear_ramp")
+        assert start_energy == pytest.approx(EIGHT_105, rel=1e-14)
+        assert cuts[0].energy <= start_energy
 
     def test_non_finite_start_raises(self):
         mesh = Mesh1D(4)
@@ -146,23 +152,15 @@ class TestDescentContracts:
             minimize_from(mesh, np.full(5, 1e80))
 
     def test_continuation_beats_its_seed(self):
-        coarse_mesh, fine_mesh = Mesh1D(2), Mesh1D(4)
-        cfg = SolveConfig(continuation=True, initializer="interp_root")
-        coarse = minimize_clamped(coarse_mesh, CutoffParams.for_mesh(0.035, coarse_mesh), cfg)
+        coarse, fine = solve_ladder((2, 4), SolveConfig(), alpha=0.035)
+        fine_mesh = Mesh1D(4)
         seed = prolongate(coarse.minimizer, fine_mesh)
-        fine_params = CutoffParams.for_mesh(0.035, fine_mesh)
-        fine = minimize_clamped(fine_mesh, fine_params, cfg)
-        assert fine.energy <= energy_clamped(seed, fine_params) + 1e-15
+        assert fine.energy <= energy_clamped(seed, CutoffParams(0.035, fine_mesh.h)) + 1e-15
 
     def test_clamped_beats_raw_on_fine_mesh(self):
         mesh = Mesh1D(64)
-        params = CutoffParams.for_mesh(0.035, mesh)
-        cfg = SolveConfig(max_iters=20_000)
-        clamped = minimize_clamped(mesh, params, cfg)
-        raw = min(
-            minimize_from(mesh, initial_values(mesh, kind), cfg).energy
-            for kind in ("linear_ramp", "interp_root")
-        )
+        [clamped] = solve_ladder((64,), SolveConfig(), alpha=0.035)
+        raw = min(solve_from(mesh, kind).energy for kind in ("linear_ramp", "interp_root"))
         assert clamped.energy < raw
 
 
@@ -171,20 +169,20 @@ class TestNewtonSteps:
         # the converged coarse solution prolongated is close enough for
         # Newton's local quadratic convergence
         mesh = Mesh1D(64)
-        res = minimize_mania(mesh, SolveConfig())
+        [coarse] = solve_ladder((32,), SolveConfig())
+        res = minimize_from(mesh, prolongate(coarse.minimizer, mesh).nodal_values)
         assert res.reason == "grad_tol"
         assert res.iters <= 20
 
     def test_raw_minimum_is_certified(self):
-        res = minimize_from(Mesh1D(32), initial_values(Mesh1D(32), "linear_ramp"),
-                            SolveConfig(continuation=False))
+        res = solve_from(Mesh1D(32), "linear_ramp")
         assert res.reason == "grad_tol"
         assert res.min_pivot > 0.0
 
     def test_min_pivot_matches_dense_eigenvalues(self):
         # the smallest eigenvalue of an SPD matrix bounds its pivots
         mesh = Mesh1D(16)
-        res = minimize_mania(mesh, SolveConfig())
+        [res] = solve_ladder((16,), SolveConfig())
         diag, off = fe_hessian(mesh)(res.minimizer.nodal_values[1:-1])
         dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         lam = np.linalg.eigvalsh(dense)
@@ -192,12 +190,10 @@ class TestNewtonSteps:
         assert lam[0] <= res.min_pivot * (1 + 1e-12)
 
     def test_root_start_descends_to_a_certified_minimum(self):
-        mesh = Mesh1D(64)
-        res = minimize_from(mesh, initial_values(mesh, "interp_root"),
-                            SolveConfig(continuation=False))
-        energies = [e for _, e in res.history]
+        cuts, start_energy = cut_solves(Mesh1D(64), "interp_root")
+        energies = [start_energy] + [c.energy for c in cuts]
         assert all(b <= a for a, b in zip(energies, energies[1:]))
-        assert res.reason == "grad_tol" and res.min_pivot > 0.0
+        assert cuts[-1].reason == "grad_tol" and cuts[-1].min_pivot > 0.0
 
     def test_indefinite_hessian_gets_a_levenberg_shift(self):
         diag, off = np.array([-1.0, 2.0, 2.0]), np.array([0.5, 0.5])
@@ -224,10 +220,10 @@ class TestSolveConfig:
         [
             {"grad_tol": 0.0},
             {"max_iters": 0},
-            {"step_shrink": 1.0},
-            {"armijo_c": 0.6},
-            {"armijo_c": 0.0},
-            {"initializer": "random"},
+            {"grad_tol": -1e-9},
+            {"grad_tol": float("nan")},
+            {"max_iters": -1},
+            {"grad_tol": float("-inf")},
         ],
     )
     def test_rejects_bad_settings(self, kwargs):

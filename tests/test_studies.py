@@ -81,7 +81,7 @@ class TestInterpError:
 class TestRecoveryTerms:
     def test_value_term_vanishes_for_linear_profile(self):
         mesh = Mesh1D(8)
-        params = CutoffParams.for_mesh(0.035, mesh)
+        params = CutoffParams(0.035, mesh.h)
         assert abs(value_mismatch_term(lambda x: np.asarray(x, float), mesh, params)) <= 1e-16
 
     def test_value_term_for_root_equals_interpolant_energy(self):
@@ -90,7 +90,7 @@ class TestRecoveryTerms:
         fn, _ = power_fn(1.0 / 3.0)
         for n in (8, 32):
             mesh = Mesh1D(n)
-            params = CutoffParams.for_mesh(0.035, mesh)
+            params = CutoffParams(0.035, mesh.h)
             term = value_mismatch_term(fn, mesh, params)
             direct = energy_clamped(interpolate(mesh, fn), params)
             assert term == pytest.approx(direct, rel=1e-10)
@@ -98,7 +98,7 @@ class TestRecoveryTerms:
 
     def test_slope_term_zero_cases(self):
         mesh = Mesh1D(8)
-        params = CutoffParams.for_mesh(0.035, mesh)
+        params = CutoffParams(0.035, mesh.h)
         fn_root, dfn_root = power_fn(1.0 / 3.0)
         assert slope_mismatch_term(fn_root, dfn_root, mesh, params) <= 1e-25
         identity = lambda x: np.asarray(x, dtype=float)
@@ -110,14 +110,14 @@ class TestRecoveryTerms:
         values = []
         for n in (8, 16, 32, 64):
             mesh = Mesh1D(n)
-            values.append(slope_mismatch_term(fn, dfn, mesh, CutoffParams.for_mesh(0.035, mesh)))
+            values.append(slope_mismatch_term(fn, dfn, mesh, CutoffParams(0.035, mesh.h)))
         assert all(v > 0 for v in values)
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_recovery_gap_zero_for_identity(self):
         for n in (4, 16, 64):
             mesh = Mesh1D(n)
-            params = CutoffParams.for_mesh(0.035, mesh)
+            params = CutoffParams(0.035, mesh.h)
             assert params.clamp >= 1.0
             gap = recovery_gap(lambda x: np.asarray(x, float), mesh, params, EIGHT_105)
             assert abs(gap) <= 1e-15
@@ -127,7 +127,7 @@ class TestRecoveryTerms:
         gaps = []
         for n in (8, 16, 32, 64, 128):
             mesh = Mesh1D(n)
-            gaps.append(recovery_gap(fn, mesh, CutoffParams.for_mesh(0.035, mesh), 0.0))
+            gaps.append(recovery_gap(fn, mesh, CutoffParams(0.035, mesh.h), 0.0))
         assert all(g >= 0 for g in gaps)
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
