@@ -10,20 +10,12 @@ machinery and the convergence studies that quantify why it works.
 
 from .errors import ConsistencyError, EvaluationError, RegimeError, StudyError
 from .mesh import FeFunction, Mesh1D, interpolate
-from .quadrature import (
-    QuadRule,
-    gauss_rule,
-    graded_grid,
-    integrate_cells,
-    integrate_composite,
-)
+from .quadrature import QuadRule, gauss_rule, graded_grid, integrate_cells
 from .functionals import (
     AdmissibleParams,
     CutoffParams,
     cutoff,
     energy_clamped,
-    energy_mania,
-    gradient_clamped,
 )
 from .fractional import (
     PiecewiseConstant,
@@ -43,7 +35,6 @@ from .optimize import (
 )
 from .studies import (
     RateStudy,
-    fit_order,
     interp_error,
     power_fn,
     recovery_gap,
@@ -52,7 +43,6 @@ from .studies import (
 )
 from .experiments import (
     ExperimentConfig,
-    GapReport,
     default_params,
     run_all,
     run_gap_demo,

@@ -118,7 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in descriptions.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="flat key=value configuration file")
-        cmd.add_argument("--out", help="output directory for reports")
+        if name != "seminorm":  # it only prints
+            cmd.add_argument("--out", help="output directory for reports")
         cmd.add_argument("--set", action="append", metavar="KEY=VALUE",
                          help="override a config key (repeatable, last wins)")
         cmd.add_argument("--alpha", type=float)

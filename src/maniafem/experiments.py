@@ -38,7 +38,6 @@ from .studies import (
 
 __all__ = [
     "ExperimentConfig",
-    "GapReport",
     "StudySpec",
     "STUDIES",
     "default_params",
@@ -99,20 +98,6 @@ class ExperimentConfig:
         object.__setattr__(self, "mesh_sizes", sizes)
 
 
-@dataclass(frozen=True)
-class GapReport:
-    mesh_sizes: tuple[int, ...]
-    raw_min_energies: tuple[float, ...]
-    clamped_min_energies: tuple[float, ...]
-    raw_floor: float
-    clamped_trend_order: float
-    # per mesh, the chosen raw solve's stop reason, iterations and smallest
-    # Hessian pivot (> 0 certifies a strict local minimizer)
-    raw_reasons: tuple[str, ...]
-    raw_iters: tuple[int, ...]
-    raw_min_pivots: tuple[float, ...]
-
-
 def solve_ladder(mesh_sizes, solver: SolveConfig, alpha: float | None = None) -> list[SolveResult]:
     """Minimizers at ``mesh_sizes`` by nested-mesh continuation; clamped at
     level h^(-alpha) on each mesh when ``alpha`` is given, raw otherwise.
@@ -143,8 +128,14 @@ def solve_ladder(mesh_sizes, solver: SolveConfig, alpha: float | None = None) ->
     return [best[n] for n in mesh_sizes]
 
 
-def run_gap_demo(config: ExperimentConfig) -> GapReport:
-    """Raw minima stay bounded away from zero while clamped minima decay."""
+def run_gap_demo(config: ExperimentConfig) -> dict:
+    """Raw minima stay bounded away from zero while clamped minima decay.
+
+    Returns the study's summary entry: rows (h, raw minimum, clamped
+    minimum, raw min_pivot), the raw floor, the clamped trend order, the
+    verdict, and per mesh the chosen raw solve's stop reason, iterations
+    and smallest Hessian pivot (> 0 certifies a strict local minimizer).
+    """
     raw = solve_ladder(config.mesh_sizes, config.solver)
     clamped = solve_ladder(config.mesh_sizes, config.solver, config.params.alpha)
     raw_e = [r.energy for r in raw]
@@ -162,23 +153,17 @@ def run_gap_demo(config: ExperimentConfig) -> GapReport:
         "gap_clamped_trend", config.params, config.mesh_sizes,
         ("h", "value"), [(1.0 / n, e) for n, e in zip(config.mesh_sizes, clamped_e)],
     )
-    return GapReport(
-        mesh_sizes=config.mesh_sizes,
-        raw_min_energies=tuple(raw_e),
-        clamped_min_energies=tuple(clamped_e),
-        raw_floor=min(raw_e),
-        clamped_trend_order=trend.fitted_order,
-        raw_reasons=tuple(r.reason for r in raw),
-        raw_iters=tuple(r.iters for r in raw),
-        raw_min_pivots=tuple(r.min_pivot for r in raw),
-    )
-
-
-def gap_passes(report: GapReport) -> bool:
-    return (
-        report.raw_floor >= RAW_FLOOR_MIN
-        and report.clamped_min_energies[-1] < report.raw_floor
-    )
+    raw_floor = min(raw_e)
+    return {
+        "raw_floor": raw_floor,
+        "clamped_trend_order": trend.fitted_order,
+        "pass": raw_floor >= RAW_FLOOR_MIN and clamped_e[-1] < raw_floor,
+        "columns": ["h", "value", "clamped_value", "raw_min_pivot"],
+        "rows": [[1.0 / n, r.energy, c.energy, r.min_pivot]
+                 for n, r, c in zip(config.mesh_sizes, raw, clamped)],
+        "raw_solves": [{"n": n, "reason": r.reason, "iters": r.iters, "min_pivot": r.min_pivot}
+                       for n, r in zip(config.mesh_sizes, raw)],
+    }
 
 
 def run_min_convergence(config: ExperimentConfig) -> RateStudy:
@@ -332,23 +317,6 @@ def recovery_passes(study: RateStudy) -> bool:
     return all(b < a for a, b in zip(values, values[1:])) and values[-1] <= RECOVERY_TOL
 
 
-def _gap_entries(report: GapReport, config: ExperimentConfig) -> dict[str, dict]:
-    rows = zip([1.0 / n for n in report.mesh_sizes], report.raw_min_energies,
-               report.clamped_min_energies, report.raw_min_pivots)
-    return {"gap_demo": {
-        "raw_floor": report.raw_floor,
-        "clamped_trend_order": report.clamped_trend_order,
-        "pass": gap_passes(report),
-        "columns": ["h", "value", "clamped_value", "raw_min_pivot"],
-        "rows": [list(row) for row in rows],
-        "raw_solves": [
-            {"n": n, "reason": reason, "iters": iters, "min_pivot": pivot}
-            for n, reason, iters, pivot in zip(
-                report.mesh_sizes, report.raw_reasons, report.raw_iters, report.raw_min_pivots)
-        ],
-    }}
-
-
 def _rate_entries(passes: Callable) -> Callable:
     """``entries`` for a runner returning one RateStudy or a dict of them by
     target; every table shares the verdict ``passes(result, config)``."""
@@ -385,7 +353,7 @@ class StudySpec:
 # so wrapping a module attribute such as ``run_gap_demo`` reaches every study.
 STUDIES = (
     StudySpec("gap_demo", "gap", "Lavrentiev gap demonstration (raw vs clamped minima)",
-              lambda c: run_gap_demo(c), _gap_entries),
+              lambda c: run_gap_demo(c), lambda entry, c: {"gap_demo": entry}),
     StudySpec("min_convergence", "converge", "convergence of the clamped minimum values",
               lambda c: run_min_convergence(c),
               _rate_entries(lambda r, c: min_convergence_passes(r))),

@@ -1,4 +1,4 @@
-"""The Mania energy, its derivative-clamped variant, and nodal gradients.
+"""The Mania energy, its derivative-clamped variant, and their nodal derivatives.
 
 The base functional is
 
@@ -13,9 +13,13 @@ variant replaces v' inside the first factor by
 which caps how fast the derivative factor can blow up on a mesh of size h
 while leaving moderate slopes untouched.
 
-Both energies and their nodal-value gradients are assembled element-wise by
-Gauss quadrature that is exact for the degree-6 densities piecewise-linear
-functions produce, so no quadrature error enters any convergence study.
+Both energies are assembled element-wise by Gauss quadrature that is exact
+for the degree-6 densities piecewise-linear functions produce, so no
+quadrature error enters any convergence study.  One element kernel,
+``fe_objective``, serves the solver: an energy closure, and a derivatives
+closure that computes the per-element terms once and assembles from them
+both the gradient and the tridiagonal Hessian over the interior nodal
+values.
 """
 
 from __future__ import annotations
@@ -26,17 +30,14 @@ import numpy as np
 
 from .errors import ConsistencyError, RegimeError
 from .mesh import FeFunction, Mesh1D
-from .quadrature import QuadRule, gauss_rule
+from .quadrature import gauss_rule
 
 __all__ = [
     "CutoffParams",
     "AdmissibleParams",
     "cutoff",
     "fe_objective",
-    "fe_hessian",
-    "energy_mania",
     "energy_clamped",
-    "gradient_clamped",
 ]
 
 # (v^3 - x)^2 with v linear has degree 6; four points are exact to degree 7
@@ -126,41 +127,46 @@ def _check_energy(value: float) -> float:
     return max(value, 0.0)
 
 
-def _element_grid(mesh: Mesh1D, rule: QuadRule | None):
-    """Quadrature points per element and the interior-to-full assembler."""
-    rule = rule or gauss_rule(DENSITY_RULE_SIZE)
+def fe_objective(mesh: Mesh1D, clamp: float | None = None):
+    """Energy and derivatives over interior nodal values, as closures.
+
+    ``energy(v)`` is the energy; ``derivatives(v)`` is ``(g, diag, off)``:
+    the gradient, and the main diagonal (length N - 1) and sub/super-diagonal
+    (length N - 2) of the tridiagonal Hessian.  Boundary values are fixed at
+    0 and 1.  The quadrature grid and basis samples are precomputed once per
+    mesh, which matters inside descent loops.  ``clamp = None`` gives the raw
+    energy; note ``clip`` equals the sign-preserving cutoff here because the
+    density uses even powers only.
+
+    Each element's energy P(d) S depends only on its endpoint values a, b
+    through the slope d = (b - a)/h and S = int (v^3 - x)^2 dx, with
+    P = c(d)^6.  With S_a = int 6 v^2 (v^3 - x) (1 - t) dx, S_b the same
+    with t, and q = 18 v^4 + 12 v (v^3 - x), its derivatives are
+
+        E_a = -P'/h S + P S_a,   E_b = P'/h S + P S_b,
+        E_aa = P''/h^2 S - 2 P'/h S_a + P S_aa,   S_aa = int q (1 - t)^2 dx,
+        E_ab = -P''/h^2 S + P'/h (S_a - S_b) + P S_ab,   S_ab = int q t (1 - t) dx,
+        E_bb = P''/h^2 S + 2 P'/h S_b + P S_bb,   S_bb = int q t^2 dx.
+
+    Every integrand has degree <= 6, so the 4-point rule is exact.  On a
+    clamped element (|d| >= clamp) P is the constant clamp^6 and only the
+    P S_. terms remain.
+    """
+    rule = gauss_rule(DENSITY_RULE_SIZE)
     n = mesh.n_elements
     t = 0.5 * (rule.points + 1.0)
     omt = 1.0 - t
     w = 0.5 * rule.weights
+    w_pairs = np.column_stack([w * omt * omt, w * omt * t, w * t * t])
     h_vec = np.diff(mesh.nodes)
     x = mesh.nodes[:-1, None] + np.outer(h_vec, t)
+    inv_h = 1.0 / mesh.h
 
     def assemble(interior):
         full = np.empty(n + 1)
         full[0], full[-1] = 0.0, 1.0
         full[1:-1] = interior
         return full
-
-    return n, t, omt, w, h_vec, x, assemble
-
-
-def fe_objective(mesh: Mesh1D, clamp: float | None = None,
-                 rule: QuadRule | None = None):
-    """Energy and gradient over interior nodal values, as fused closures.
-
-    Boundary values are fixed at 0 and 1.  The quadrature grid and basis
-    samples are precomputed once per mesh, which matters inside descent
-    loops.  ``clamp = None`` gives the raw energy; note ``clip`` equals the
-    sign-preserving cutoff here because the density uses even powers only.
-
-    Gradient assembly applies the chain rule per element: with d the element
-    slope and S = int (v^3 - x)^2 dx, each element contributes
-    6 c(d)^5 c'(d) (+-1/h) S to its endpoint values plus
-    c(d)^6 int 6 v^2 (v^3 - x) phi dx, all of degree <= 6 and hence exact.
-    """
-    n, t, omt, w, h_vec, x, assemble = _element_grid(mesh, rule)
-    inv_h = 1.0 / mesh.h
 
     def energy(interior) -> float:
         # overflow to inf is fine: the line search rejects non-finite trials
@@ -176,59 +182,7 @@ def fe_objective(mesh: Mesh1D, clamp: float | None = None,
             d2 = d * d
             return float((d2 * d2 * d2) @ s_k)
 
-    def gradient(interior) -> np.ndarray:
-        full = assemble(interior)
-        v = full[:-1, None] * omt + full[1:, None] * t
-        v3 = v * v * v
-        diff = v3 - x
-        s_k = ((diff * diff) @ w) * h_vec
-        dd = (6.0 * v * v) * diff
-        ds_left = ((dd * omt) @ w) * h_vec
-        ds_right = ((dd * t) @ w) * h_vec
-        d = np.diff(full) * inv_h
-        if clamp is None:
-            c = d
-            c2 = c * c
-            c5 = c2 * c2 * c
-            slope_term = (6.0 * inv_h) * c5 * s_k
-        else:
-            c = np.clip(d, -clamp, clamp)
-            c2 = c * c
-            c5 = c2 * c2 * c
-            slope_term = np.where(np.abs(d) < clamp, (6.0 * inv_h) * c5 * s_k, 0.0)
-        c6 = c5 * c
-        grad = np.empty(n + 1)
-        grad[:-1] = -slope_term + c6 * ds_left
-        grad[-1] = 0.0
-        grad[1:] += slope_term + c6 * ds_right
-        return grad[1:-1]
-
-    return energy, gradient
-
-
-def fe_hessian(mesh: Mesh1D, clamp: float | None = None,
-               rule: QuadRule | None = None):
-    """Tridiagonal Hessian over interior nodal values, as a closure.
-
-    The closure maps the interior values to ``(diag, off)``: the main
-    diagonal (length N - 1) and the sub/super-diagonal (length N - 2).  Each
-    element's energy P(d) S(a, b) depends only on its endpoint values a, b
-    through the slope d = (b - a)/h and S = int (v^3 - x)^2 dx, so with
-    q = 18 v^4 + 12 v (v^3 - x) its second derivatives are
-
-        E_aa = P''/h^2 S - 2 P'/h S_a + P S_aa,   S_aa = int q (1 - t)^2 dx,
-        E_ab = -P''/h^2 S + P'/h (S_a - S_b) + P S_ab,   S_ab = int q t (1 - t) dx,
-        E_bb = P''/h^2 S + 2 P'/h S_b + P S_bb,   S_bb = int q t^2 dx,
-
-    with P = c(d)^6.  Every integrand has degree <= 6, so the default rule is
-    exact.  On a clamped element (|d| >= clamp) P is the constant clamp^6 and
-    only the P S_.. terms remain, matching the flat branch of the gradient.
-    """
-    n, t, omt, w, h_vec, x, assemble = _element_grid(mesh, rule)
-    inv_h = 1.0 / mesh.h
-    w_pairs = np.column_stack([w * omt * omt, w * omt * t, w * t * t])
-
-    def hessian(interior) -> tuple[np.ndarray, np.ndarray]:
+    def derivatives(interior) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         full = assemble(interior)
         v = full[:-1, None] * omt + full[1:, None] * t
         diff = v * v * v - x
@@ -242,20 +196,32 @@ def fe_hessian(mesh: Mesh1D, clamp: float | None = None,
         c = d if clamp is None else np.clip(d, -clamp, clamp)
         c2 = c * c
         c4 = c2 * c2
+        c5 = c4 * c
+        c6 = c5 * c
+        # slope_term = P'/h S (gradient); p1 = P'/h, p2 = P''/h^2, p0 = P
+        # (Hessian).  c6 and p0 both equal P, and slope_term and p1 * s_k
+        # both equal P'/h S, but each rounds differently; the reported minima
+        # depend on those last bits, so both forms are kept.
+        slope_term = (6.0 * inv_h) * c5 * s_k
         p1 = (6.0 * inv_h) * c4 * c
         p2 = (30.0 * inv_h * inv_h) * c4
+        p0 = c4 * c2
         if clamp is not None:
             active = np.abs(d) < clamp
+            slope_term = np.where(active, slope_term, 0.0)
             p1 = np.where(active, p1, 0.0)
             p2 = np.where(active, p2, 0.0)
-        p0 = c4 * c2
+        grad = np.empty(n + 1)
+        grad[:-1] = -slope_term + c6 * s_a
+        grad[-1] = 0.0
+        grad[1:] += slope_term + c6 * s_b
         curv = p2 * s_k
         e_aa = curv - 2.0 * p1 * s_a + p0 * s_pairs[:, 0]
         e_ab = -curv + p1 * (s_a - s_b) + p0 * s_pairs[:, 1]
         e_bb = curv + 2.0 * p1 * s_b + p0 * s_pairs[:, 2]
-        return e_bb[:-1] + e_aa[1:], e_ab[1:-1]
+        return grad[1:-1], e_bb[:-1] + e_aa[1:], e_ab[1:-1]
 
-    return hessian
+    return energy, derivatives
 
 
 def _require_bc(f: FeFunction):
@@ -263,29 +229,12 @@ def _require_bc(f: FeFunction):
         raise ValueError("energy is defined on the boundary-pinned space: bc_flag required")
 
 
-def energy_mania(f: FeFunction, rule: QuadRule | None = None) -> float:
-    """J(f) assembled element-wise; exact with the default rule."""
-    _require_bc(f)
-    energy, _ = fe_objective(f.mesh, None, rule)
-    return _check_energy(energy(f.nodal_values[1:-1]))
-
-
-def energy_clamped(f: FeFunction, params: CutoffParams, rule: QuadRule | None = None) -> float:
+def energy_clamped(f: FeFunction, params: CutoffParams) -> float:
     """The clamped energy: J with slopes passed through the cutoff.
 
-    Always in [0, energy_mania(f)]; equals it when no slope exceeds the clamp.
+    Always in [0, J(f)]; equals J(f) when no slope exceeds the clamp.
     """
     _require_bc(f)
     params.check_mesh(f.mesh)
-    energy, _ = fe_objective(f.mesh, params.clamp, rule)
+    energy, _ = fe_objective(f.mesh, params.clamp)
     return _check_energy(energy(f.nodal_values[1:-1]))
-
-
-def gradient_clamped(f: FeFunction, params: CutoffParams,
-                     rule: QuadRule | None = None) -> np.ndarray:
-    """Gradient of the clamped energy with respect to the interior nodal values."""
-    _require_bc(f)
-    params.check_mesh(f.mesh)
-    _, grad = fe_objective(f.mesh, params.clamp, rule)
-    return grad(f.nodal_values[1:-1])
-

@@ -119,14 +119,6 @@ class FeFunction:
         """Per-element derivative values (v' is piecewise constant)."""
         return np.diff(self.nodal_values) / self.mesh.h
 
-    def slope(self, k: int) -> float:
-        """Derivative on element k."""
-        n = self.mesh.n_elements
-        if not 0 <= k <= n - 1:
-            raise IndexError(f"element index {k} out of range 0..{n - 1}")
-        vals = self.nodal_values
-        return (vals[k + 1] - vals[k]) / self.mesh.h
-
     def slope_at(self, y):
         """Derivative at y (scalar or array); right-continuous at nodes."""
         k = self.mesh.element_indices(np.asarray(y, dtype=float))

@@ -2,7 +2,11 @@
 
 Each element's energy depends only on its two endpoint values, so the
 Hessian over the interior nodes is tridiagonal and a Newton step costs one
-O(N) LDL^T factorization.  The solver is modified Newton (Nocedal & Wright,
+O(N) LDL^T factorization.  The energy and the derivatives come from the
+one element kernel ``functionals.fe_objective``; each accepted point is
+differentiated once, and that one pass yields the gradient, the Hessian
+for the next step and, at the final point, the reported smallest
+pivot.  The solver is modified Newton (Nocedal & Wright,
 Numerical Optimization, sec. 3.4): where a pivot is not positive, a
 Levenberg shift tau*I is added and grown until the factorization succeeds,
 and the shift is warm-started from the previous iteration's tau/4.  Armijo
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import CutoffParams, fe_hessian, fe_objective
+from .functionals import CutoffParams, fe_objective
 from .mesh import FeFunction, Mesh1D
 
 __all__ = [
@@ -154,13 +158,13 @@ def _ldl_solve(pivots, mults, rhs):
     return np.array(xs[::-1])
 
 
-def _newton_direction(hess, v, g, shift: float):
-    """Direction -(H + shift I)^{-1} g and the shift it needed.
+def _newton_direction(diag, off, g, shift: float):
+    """Direction -(H + shift I)^{-1} g for the tridiagonal H = (diag, off),
+    and the shift it needed.
 
     A shift below ``_SHIFT_DROP`` times the largest diagonal entry is
     dropped; while a pivot is <= 0 the shift grows fourfold.
     """
-    diag, off = hess(v)
     floor = _SHIFT_DROP * max(1.0, float(np.max(np.abs(diag))))
     diag, off = diag.tolist(), off.tolist()
     if shift < floor:
@@ -172,33 +176,26 @@ def _newton_direction(hess, v, g, shift: float):
         shift = max(4.0 * shift, floor)
 
 
-def _min_pivot(hess, v: np.ndarray) -> float:
-    """Smallest unshifted LDL^T pivot at ``v`` (the first non-positive one
-    when the Hessian is not positive definite)."""
-    if v.size == 0:
-        return float("inf")
-    diag, off = hess(v)
-    return float(min(_ldl(diag.tolist(), off.tolist())[0]))
-
-
-def _descend(energy, grad, hess, v0: np.ndarray, config: SolveConfig, max_step=None):
+def _descend(energy, derivatives, v0: np.ndarray, config: SolveConfig, max_step=None):
     """Shifted Newton with Armijo backtracking from interior values ``v0``.
 
+    ``derivatives`` runs once per accepted point, the start included.
     ``max_step(v, p)``, when given, caps the first trial step along ``p``.
     Returns the final point, its energy and gradient norm, the iteration
-    count, the stop reason and the smallest unshifted pivot.
+    count, the stop reason and the smallest unshifted pivot there (the
+    first non-positive one when the Hessian is not positive definite).
     """
     v = np.array(v0, dtype=float)
     e = energy(v)
     if not np.isfinite(e):
         raise FloatingPointError(f"starting energy is not finite: {e}")
-    g = grad(v)
+    g, diag, off = derivatives(v)
     gnorm = float(np.max(np.abs(g))) if g.size else 0.0
     iters = 0
     shift = 0.0
     stalled = False
     while iters < config.max_iters and gnorm > config.grad_tol:
-        p, shift = _newton_direction(hess, v, g, shift / 4.0)
+        p, shift = _newton_direction(diag, off, g, shift / 4.0)
         slope = float(g @ p)
         if not (np.isfinite(slope) and slope < 0.0):
             p = -g
@@ -216,14 +213,15 @@ def _descend(energy, grad, hess, v0: np.ndarray, config: SolveConfig, max_step=N
             stalled = True
             break
         v, e = v_new, e_cand
-        g = grad(v)
+        g, diag, off = derivatives(v)
         gnorm = float(np.max(np.abs(g)))
         iters += 1
     if gnorm <= config.grad_tol:
         reason = "grad_tol"
     else:
         reason = "line_search" if stalled else "max_iters"
-    return v, e, gnorm, iters, reason, _min_pivot(hess, v)
+    min_pivot = float(min(_ldl(diag.tolist(), off.tolist())[0])) if v.size else float("inf")
+    return v, e, gnorm, iters, reason, min_pivot
 
 
 def _kink_step(mesh: Mesh1D, clamp: float):
@@ -255,11 +253,11 @@ def minimize_from(mesh: Mesh1D, start_values, config: SolveConfig | None = None,
     if params is not None:
         params.check_mesh(mesh)
         clamp = params.clamp
-    energy, gradient = fe_objective(mesh, clamp)
+    energy, derivatives = fe_objective(mesh, clamp)
     max_step = None if clamp is None else _kink_step(mesh, clamp)
     start = np.asarray(start_values, dtype=float)[1:-1]
     v, e, gnorm, iters, reason, min_pivot = _descend(
-        energy, gradient, fe_hessian(mesh, clamp), start, config, max_step)
+        energy, derivatives, start, config, max_step)
     return SolveResult(
         minimizer=FeFunction.from_interior(mesh, v),
         energy=e,

@@ -26,7 +26,6 @@ __all__ = [
     "QuadRule",
     "gauss_rule",
     "integrate_cells",
-    "integrate_composite",
     "graded_grid",
 ]
 
@@ -117,11 +116,6 @@ def integrate_cells(rule: QuadRule, g, breakpoints) -> float:
     x = mid[:, None] + half[:, None] * rule.points[None, :]
     vals = _sample(g, x)
     return float(np.dot(vals @ rule.weights, half))
-
-
-def integrate_composite(rule: QuadRule, g, mesh: Mesh1D) -> float:
-    """Sum of per-element quadratures over the whole mesh."""
-    return integrate_cells(rule, g, mesh.nodes)
 
 
 def graded_grid(mesh: Mesh1D, refine: int = 8, levels: int = 20) -> np.ndarray:

@@ -31,7 +31,6 @@ from .fractional import norm_wkp
 
 __all__ = [
     "RateStudy",
-    "fit_order",
     "make_rate_study",
     "power_fn",
     "interp_error",

@@ -5,13 +5,14 @@ import numpy as np
 from maniafem.quadrature import gauss_rule
 
 
-def batch_energies(mesh, interior_grid, clamp=None):
-    """Vectorized m = 4 energies for a batch of interior nodal vectors.
+def batch_energies(mesh, interior_grid, clamp=None, rule=None):
+    """Vectorized energies for a batch of interior nodal vectors, by the
+    m = 4 Gauss rule unless ``rule`` is given.
 
     Written independently of the package's assembly path so grid scans can
     serve as optimizer oracles.
     """
-    rule = gauss_rule(4)
+    rule = rule or gauss_rule(4)
     t = 0.5 * (rule.points + 1.0)
     w = 0.5 * rule.weights
     grid = np.atleast_2d(interior_grid)

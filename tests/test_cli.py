@@ -73,6 +73,16 @@ def test_seminorm_prints_value(capsys):
     assert value > 0
 
 
+def test_out_is_offered_only_where_something_is_written(tmp_path, capsys):
+    # seminorm only prints, so --out is a usage error there, not a no-op
+    assert main(["seminorm", "--mesh", "16", "--out", str(tmp_path / "sem")]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert not (tmp_path / "sem").exists()
+    assert main(["solve", "--mesh", "8", "--out", str(tmp_path / "sol")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "sol" / "solution_N8.csv").exists()
+
+
 def test_gap_with_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

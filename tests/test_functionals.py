@@ -4,21 +4,25 @@ oracles, sandwich and monotonicity properties."""
 import numpy as np
 import pytest
 
+from helpers import batch_energies
 from maniafem.errors import RegimeError
 from maniafem.functionals import (
     AdmissibleParams,
     CutoffParams,
     cutoff,
     energy_clamped,
-    energy_mania,
-    fe_hessian,
     fe_objective,
-    gradient_clamped,
 )
 from maniafem.mesh import FeFunction, Mesh1D, interpolate
 from maniafem.quadrature import gauss_rule
 
 EIGHT_105 = 8.0 / 105.0
+
+
+def raw_energy(f: FeFunction) -> float:
+    """J(f) from the package's element kernel (4-point rule)."""
+    energy, _ = fe_objective(f.mesh)
+    return energy(f.nodal_values[1:-1])
 
 
 def clamp10() -> CutoffParams:
@@ -113,30 +117,31 @@ class TestAdmissibleParams:
 class TestEnergyMania:
     def test_identity_on_single_element(self):
         f = FeFunction(Mesh1D(1), [0.0, 1.0], bc_flag=True)
-        assert energy_mania(f) == pytest.approx(EIGHT_105, rel=1e-15)
+        assert raw_energy(f) == pytest.approx(EIGHT_105, rel=1e-15)
 
     @pytest.mark.parametrize("n", [2, 5, 16, 100])
     def test_identity_is_mesh_independent(self, n):
         f = interpolate(Mesh1D(n), lambda x: x)
-        assert energy_mania(f) == pytest.approx(EIGHT_105, rel=1e-14)
+        assert raw_energy(f) == pytest.approx(EIGHT_105, rel=1e-14)
 
     def test_nonnegative_on_random_functions(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            assert energy_mania(random_bc_function(rng, 8)) >= 0.0
+            assert raw_energy(random_bc_function(rng, 8)) >= 0.0
 
     def test_requires_boundary_flag(self):
         f = FeFunction(Mesh1D(2), [0.0, 0.5, 1.0], bc_flag=False)
-        with pytest.raises(ValueError):
-            energy_mania(f)
+        with pytest.raises(ValueError, match="bc_flag"):
+            energy_clamped(f, CutoffParams.decoupled(0.035, 0.5))
 
     def test_default_rule_is_exact(self):
+        # the package's 4-point energy against an independent 8-point one
         rng = np.random.default_rng(2)
         for n in (4, 16, 64):
             for _ in range(10):
                 f = random_bc_function(rng, n)
-                e4 = energy_mania(f)
-                e8 = energy_mania(f, rule=gauss_rule(8))
+                e4 = raw_energy(f)
+                [e8] = batch_energies(f.mesh, f.nodal_values[1:-1], rule=gauss_rule(8))
                 assert e4 == pytest.approx(e8, rel=1e-13)
 
 
@@ -150,8 +155,8 @@ class TestEnergyClamped:
     def test_clamping_strictly_reduces_energy(self):
         f = interpolate(Mesh1D(2), lambda x: x ** (1 / 3))
         params = CutoffParams(0.035, f.mesh.h)
-        assert params.clamp < f.slope(0)
-        assert energy_clamped(f, params) < energy_mania(f)
+        assert params.clamp < f.slopes()[0]
+        assert energy_clamped(f, params) < raw_energy(f)
 
     def test_sandwich_property(self):
         rng = np.random.default_rng(3)
@@ -161,14 +166,14 @@ class TestEnergyClamped:
             for _ in range(20):
                 f = random_bc_function(rng, n, scale=2.0)
                 e = energy_clamped(f, params)
-                assert 0.0 <= e <= energy_mania(f) + 1e-18
+                assert 0.0 <= e <= raw_energy(f) + 1e-18
 
     def test_pairing_enforced_unless_decoupled(self):
         from maniafem.optimize import minimize_from
 
         f = interpolate(Mesh1D(4), lambda x: x)
         tied = CutoffParams(0.035, 0.5)
-        for call in (lambda: energy_clamped(f, tied), lambda: gradient_clamped(f, tied),
+        for call in (lambda: energy_clamped(f, tied),
                      lambda: minimize_from(f.mesh, f.nodal_values, None, tied)):
             with pytest.raises(ValueError, match="tied to the mesh"):
                 call()
@@ -216,14 +221,14 @@ class TestGradients:
         rng = np.random.default_rng(4)
         mesh = Mesh1D(n)
         params = CutoffParams(0.035, mesh.h)
-        energy, _ = fe_objective(mesh, params.clamp)
+        energy, derivatives = fe_objective(mesh, params.clamp)
         checked = 0
         while checked < 25:
             f = random_bc_function(rng, n)
             if not kink_free(f.nodal_values, mesh.h, params.clamp):
                 continue
             checked += 1
-            grad = gradient_clamped(f, params)
+            grad = derivatives(f.nodal_values[1:-1])[0]
             approx = fd_gradient(energy, f.nodal_values[1:-1].copy())
             tol = 1e-6 * (1.0 + float(np.max(np.abs(grad))))
             assert np.max(np.abs(grad - approx)) <= tol
@@ -231,10 +236,10 @@ class TestGradients:
     def test_raw_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         mesh = Mesh1D(8)
-        energy, gradient = fe_objective(mesh, None)
+        energy, derivatives = fe_objective(mesh, None)
         for _ in range(25):
             f = random_bc_function(rng, 8)
-            grad = gradient(f.nodal_values[1:-1])
+            grad = derivatives(f.nodal_values[1:-1])[0]
             approx = fd_gradient(energy, f.nodal_values[1:-1].copy())
             tol = 1e-6 * (1.0 + float(np.max(np.abs(grad))))
             assert np.max(np.abs(grad - approx)) <= tol
@@ -242,9 +247,9 @@ class TestGradients:
     def test_gradient_sign_matches_energy_scan(self):
         mesh = Mesh1D(2)
         params = CutoffParams(0.035, mesh.h)
+        _, derivatives = fe_objective(mesh, params.clamp)
         for v1 in (0.3, 0.7, 0.95):
-            f = FeFunction.from_interior(mesh, [v1])
-            grad = gradient_clamped(f, params)[0]
+            grad = derivatives(np.array([v1]))[0][0]
             delta = 1e-4
             slope = (
                 energy_clamped(FeFunction.from_interior(mesh, [v1 + delta]), params)
@@ -256,12 +261,13 @@ class TestGradients:
         rng = np.random.default_rng(6)
         mesh = Mesh1D(16)
         params = CutoffParams(0.035, mesh.h)
-        energy, grad = fe_objective(mesh, params.clamp)
+        energy, derivatives = fe_objective(mesh, params.clamp)
         for _ in range(10):
             f = random_bc_function(rng, 16)
             interior = f.nodal_values[1:-1]
             assert energy(interior) == pytest.approx(energy_clamped(f, params), rel=1e-14)
-            assert np.allclose(grad(interior), gradient_clamped(f, params), rtol=1e-13, atol=0)
+            grad, diag, off = derivatives(interior)
+            assert grad.shape == diag.shape == (15,) and off.shape == (14,)
 
 
 def tridiagonal(diag, off):
@@ -275,8 +281,7 @@ class TestHessian:
         rng = np.random.default_rng(100 + n)
         mesh = Mesh1D(n)
         clamp = CutoffParams(0.035, mesh.h).clamp if clamped else None
-        _, grad = fe_objective(mesh, clamp)
-        hessian = fe_hessian(mesh, clamp)
+        _, derivatives = fe_objective(mesh, clamp)
         eps = 1e-7
         checked = 0
         while checked < 5:
@@ -285,11 +290,12 @@ class TestHessian:
                 continue
             checked += 1
             interior = f.nodal_values[1:-1].copy()
-            diag, off = hessian(interior)
+            _, diag, off = derivatives(interior)
             assert diag.shape == (n - 1,) and off.shape == (n - 2,)
             exact = tridiagonal(diag, off)
             approx = np.column_stack([
-                (grad(interior + eps * e) - grad(interior - eps * e)) / (2 * eps)
+                (derivatives(interior + eps * e)[0] - derivatives(interior - eps * e)[0])
+                / (2 * eps)
                 for e in np.eye(n - 1)
             ])
             tol = 1e-6 * (1.0 + float(np.max(np.abs(exact))))
@@ -300,7 +306,7 @@ class TestHessian:
         # int (v^3 - x)^2, whose second derivative is checked with an
         # independent 8-point rule
         mesh = Mesh1D(2)
-        hessian = fe_hessian(mesh, clamp10().clamp)
+        _, derivatives = fe_objective(mesh, clamp10().clamp)
         rule = gauss_rule(8)
         t = 0.5 * (rule.points + 1.0)
         w = 0.5 * rule.weights
@@ -314,6 +320,6 @@ class TestHessian:
             return total
 
         for v1 in (6.0, 7.0):  # slopes (12, -10) and (14, -12)
-            diag, off = hessian(np.array([v1]))
+            _, diag, off = derivatives(np.array([v1]))
             assert off.size == 0
             assert diag[0] == pytest.approx(1e6 * density_curvature(v1), rel=1e-12)

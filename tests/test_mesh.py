@@ -82,17 +82,12 @@ def test_evaluate_is_continuous_at_nodes():
 
 def test_slopes():
     f = FeFunction(Mesh1D(2), [0.0, 0.5, 1.0], bc_flag=True)
-    assert f.slope(0) == 1.0
-    assert f.slope(1) == 1.0
+    assert f.slopes().tolist() == [1.0, 1.0]
     const = FeFunction(Mesh1D(4), np.full(5, 0.3))
-    assert all(const.slope(k) == 0.0 for k in range(4))
+    assert const.slopes().tolist() == [0.0] * 4
     root = interpolate(Mesh1D(2), lambda x: x ** (1 / 3))
-    assert abs(root.slope(0) - 2.0 * CUBE_HALF) <= 4e-16
-    assert root.slope(0) == 1.5874010519681996
-    with pytest.raises(IndexError):
-        f.slope(2)
-    with pytest.raises(IndexError):
-        f.slope(-1)
+    assert abs(root.slopes()[0] - 2.0 * CUBE_HALF) <= 4e-16
+    assert root.slopes()[0] == 1.5874010519681996
 
 
 def test_slope_telescoping_sum():
@@ -158,7 +153,7 @@ def test_slope_at_matches_elementwise_slopes():
     ys = np.array([0.01, 0.125, 0.3, 0.99, 1.0])
     expected = f.slopes()[mesh.element_indices(ys)]
     assert np.array_equal(f.slope_at(ys), expected)
-    assert f.slope_at(0.3) == f.slope(2)
+    assert f.slope_at(0.3) == f.slopes()[2]
 
 
 def test_element_indices_follow_the_stored_nodes():
@@ -167,7 +162,7 @@ def test_element_indices_follow_the_stored_nodes():
     assert mesh.nodes[3] > 0.6
     assert mesh.element_indices(0.6) == 2
     f = FeFunction(mesh, [0.0, 1.0, 2.0, 4.0, 8.0, 16.0])
-    assert f.slope_at(0.6) == f.slope(2)
+    assert f.slope_at(0.6) == f.slopes()[2]
     rng = np.random.default_rng(17)
     for n in (3, 5, 10, 100):
         nodes = Mesh1D(n).nodes

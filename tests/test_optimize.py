@@ -4,8 +4,9 @@ contracts, Newton steps, and prolongation."""
 import numpy as np
 import pytest
 
+from maniafem import optimize
 from maniafem.experiments import solve_ladder
-from maniafem.functionals import CutoffParams, energy_clamped, fe_hessian, fe_objective
+from maniafem.functionals import CutoffParams, energy_clamped, fe_objective
 from maniafem.mesh import FeFunction, Mesh1D, interpolate
 from maniafem.optimize import (
     STOP_REASONS,
@@ -36,6 +37,15 @@ def cut_solves(mesh, kind, params=None):
     assert np.array_equal(cuts[-1].minimizer.nodal_values, full.minimizer.nodal_values)
     energy, _ = fe_objective(mesh, None if params is None else params.clamp)
     return cuts, energy(initial_values(mesh, kind)[1:-1])
+
+
+def assert_min_pivot_bounds_eigenvalues(derivatives, res):
+    """The smallest eigenvalue of an SPD matrix bounds its LDL^T pivots."""
+    _, diag, off = derivatives(res.minimizer.nodal_values[1:-1])
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    lam = np.linalg.eigvalsh(dense)
+    assert lam[0] > 0.0
+    assert lam[0] <= res.min_pivot * (1 + 1e-12)
 
 
 def scan_axis():
@@ -128,14 +138,11 @@ class TestDescentContracts:
             calls.append(None)
             return float(len(calls))
 
-        def grad(v):
-            return np.ones_like(v)
-
-        def hess(v):
-            return np.full(v.size, 2.0), np.zeros(v.size - 1)
+        def derivatives(v):
+            return np.ones_like(v), np.full(v.size, 2.0), np.zeros(v.size - 1)
 
         v, e, gnorm, iters, reason, min_pivot = _descend(
-            energy, grad, hess, np.zeros(3), SolveConfig(max_iters=50))
+            energy, derivatives, np.zeros(3), SolveConfig(max_iters=50))
         assert reason == "line_search"
         assert iters == 0 and e == 1.0 and gnorm == 1.0
         assert min_pivot == 2.0
@@ -145,6 +152,13 @@ class TestDescentContracts:
         cuts, start_energy = cut_solves(Mesh1D(32), "linear_ramp")
         assert start_energy == pytest.approx(EIGHT_105, rel=1e-14)
         assert cuts[0].energy <= start_energy
+
+    def test_single_element_has_nothing_to_solve(self):
+        # N = 1 has no interior nodes: the pinned identity is the only point
+        res = solve_from(Mesh1D(1), "linear_ramp")
+        assert res.reason == "grad_tol" and res.iters == 0
+        assert res.min_pivot == float("inf")
+        assert res.energy == pytest.approx(EIGHT_105, rel=1e-15)
 
     def test_non_finite_start_raises(self):
         mesh = Mesh1D(4)
@@ -180,14 +194,35 @@ class TestNewtonSteps:
         assert res.min_pivot > 0.0
 
     def test_min_pivot_matches_dense_eigenvalues(self):
-        # the smallest eigenvalue of an SPD matrix bounds its pivots
         mesh = Mesh1D(16)
         [res] = solve_ladder((16,), SolveConfig())
-        diag, off = fe_hessian(mesh)(res.minimizer.nodal_values[1:-1])
-        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        lam = np.linalg.eigvalsh(dense)
-        assert lam[0] > 0.0
-        assert lam[0] <= res.min_pivot * (1 + 1e-12)
+        assert_min_pivot_bounds_eigenvalues(fe_objective(mesh)[1], res)
+
+    @pytest.mark.parametrize("clamped", [False, True])
+    def test_each_point_is_differentiated_once(self, monkeypatch, clamped):
+        # wrap the kernel the way the benchmark's tracer does and count the
+        # derivative passes: one at the start and one per accepted step;
+        # the final min_pivot comes from the last of them
+        calls = []
+        original = optimize.fe_objective
+
+        def fe_objective_counted(mesh, clamp=None):
+            energy, derivatives = original(mesh, clamp)
+
+            def counted(v):
+                calls.append(None)
+                return derivatives(v)
+
+            return energy, counted
+
+        monkeypatch.setattr(optimize, "fe_objective", fe_objective_counted)
+        mesh = Mesh1D(64)
+        params = CutoffParams(0.035, mesh.h) if clamped else None
+        clamp = None if params is None else params.clamp
+        res = solve_from(mesh, "interp_root", params)
+        assert res.reason == "grad_tol" and res.iters > 0
+        assert len(calls) == res.iters + 1
+        assert_min_pivot_bounds_eigenvalues(original(mesh, clamp)[1], res)
 
     def test_root_start_descends_to_a_certified_minimum(self):
         cuts, start_energy = cut_solves(Mesh1D(64), "interp_root")
@@ -198,19 +233,18 @@ class TestNewtonSteps:
     def test_indefinite_hessian_gets_a_levenberg_shift(self):
         diag, off = np.array([-1.0, 2.0, 2.0]), np.array([0.5, 0.5])
         g = np.array([1.0, -1.0, 1.0])
-        p, shift = _newton_direction(lambda v: (diag, off), np.zeros(3), g, 0.0)
+        p, shift = _newton_direction(diag, off, g, 0.0)
         assert shift > 1.0  # the shifted matrix needs diag[0] + shift > 0
         dense = np.diag(diag + shift) + np.diag(off, 1) + np.diag(off, -1)
         assert np.allclose(dense @ p, -g, rtol=0, atol=1e-12)
         assert float(g @ p) < 0.0
         # warm start: a shift too small to help is grown from, not restarted
-        p2, shift2 = _newton_direction(lambda v: (diag, off), np.zeros(3), g, shift / 4.0)
+        p2, shift2 = _newton_direction(diag, off, g, shift / 4.0)
         assert shift2 == shift and np.array_equal(p2, p)
 
     def test_positive_definite_hessian_drops_a_small_shift(self):
         diag, off = np.array([2.0, 2.0]), np.array([0.5])
-        _, shift = _newton_direction(lambda v: (diag, off), np.zeros(2),
-                                     np.ones(2), 1e-15)
+        _, shift = _newton_direction(diag, off, np.ones(2), 1e-15)
         assert shift == 0.0
 
 

@@ -6,12 +6,7 @@ import pytest
 
 from maniafem.errors import EvaluationError
 from maniafem.mesh import Mesh1D
-from maniafem.quadrature import (
-    gauss_rule,
-    graded_grid,
-    integrate_cells,
-    integrate_composite,
-)
+from maniafem.quadrature import gauss_rule, graded_grid, integrate_cells
 
 
 def test_one_point_rule_is_midpoint():
@@ -90,11 +85,11 @@ def test_integrate_element_errors():
 
 
 def test_composite_examples():
-    assert integrate_composite(gauss_rule(2), lambda x: x**2, Mesh1D(8)) == pytest.approx(
+    assert integrate_cells(gauss_rule(2), lambda x: x**2, Mesh1D(8).nodes) == pytest.approx(
         1 / 3, abs=1e-14)
-    assert integrate_composite(gauss_rule(3), lambda x: np.ones_like(x), Mesh1D(7)) == (
+    assert integrate_cells(gauss_rule(3), lambda x: np.ones_like(x), Mesh1D(7).nodes) == (
         pytest.approx(1.0, abs=1e-14))
-    assert integrate_composite(gauss_rule(4), lambda x: (x**3 - x) ** 2, Mesh1D(1)) == (
+    assert integrate_cells(gauss_rule(4), lambda x: (x**3 - x) ** 2, Mesh1D(1).nodes) == (
         pytest.approx(8 / 105, abs=1e-14))
 
 
@@ -108,13 +103,13 @@ def test_polynomial_exactness_property():
             poly = np.polynomial.Polynomial(coeffs)
             integ = poly.integ()
             exact = integ(1.0) - integ(0.0)
-            approx = integrate_composite(rule, poly, mesh)
+            approx = integrate_cells(rule, poly, mesh.nodes)
             assert approx == pytest.approx(exact, rel=1e-12, abs=1e-14)
 
 
 def test_refinement_consistency_for_smooth_integrand():
     rule = gauss_rule(2)
-    values = [integrate_composite(rule, np.exp, Mesh1D(n)) for n in (8, 16, 32, 64, 128)]
+    values = [integrate_cells(rule, np.exp, Mesh1D(n).nodes) for n in (8, 16, 32, 64, 128)]
     gaps = [abs(a - b) for a, b in zip(values, values[1:])]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
