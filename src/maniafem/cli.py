@@ -2,7 +2,9 @@
 
 Configuration is a flat ``key = value`` file with ``#`` comments; recognized
 keys are s, p, alpha, mesh_sizes, grad_tol, max_iters, output_dir.
-Overrides apply after file parsing, last one wins.
+Overrides apply after file parsing, last one wins.  A file is shared across
+subcommands, but ``--set`` of a key the subcommand does not read is a usage
+error (``solve`` reads no mesh_sizes; ``seminorm`` only s, p and alpha).
 
 Exit status: 0 pass, 1 study fail, 2 usage or parameter validation error,
 3 I/O failure.
@@ -38,6 +40,11 @@ _DEFAULTS = {
     "output_dir": _LIBRARY.output_dir,
 }
 _STUDIES = {spec.command: spec for spec in ex.STUDIES}
+# Keys a subcommand never reads: overriding one would have no effect.
+_UNREAD = {
+    "solve": ("mesh_sizes",),
+    "seminorm": ("mesh_sizes", "grad_tol", "max_iters", "output_dir"),
+}
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -82,6 +89,8 @@ def _apply_overrides(settings: dict, args) -> dict:
         key, value = (part.strip() for part in pair.split("=", 1))
         if key not in _CONVERTERS:
             raise ValueError(f"unknown config key {key!r}")
+        if key in _UNREAD.get(args.command, ()):
+            raise ValueError(f"maniafem {args.command} does not read config key {key!r}")
         settings[key] = _CONVERTERS[key](value)
     for key in ("s", "p", "alpha"):
         value = getattr(args, key, None)

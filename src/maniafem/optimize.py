@@ -8,11 +8,17 @@ differentiated once, and that one pass yields the gradient, the Hessian
 for the next step and, at the final point, the reported smallest
 pivot.  The solver is modified Newton (Nocedal & Wright,
 Numerical Optimization, sec. 3.4): where a pivot is not positive, a
-Levenberg shift tau*I is added and grown until the factorization succeeds,
-and the shift is warm-started from the previous iteration's tau/4.  Armijo
-backtracking on the same energy globalizes the step.  The clamped energy
-has kinks where an element slope reaches the clamp, so there the first
-trial step is capped at the first kink along the Newton direction.
+Levenberg shift tau*K is added and grown until the factorization succeeds,
+and the shift is warm-started from the previous iteration's tau/4.  K is
+the P1 stiffness matrix tridiag(-1, 2, -1)/h, the scaling matrix of More's
+Levenberg-Marquardt step (LNM 630, 1978): the step is a Levenberg step in
+the H^1 metric, so the iteration count does not grow with N (Neuberger,
+Sobolev Gradients, LNM 1670, 1997).  Armijo backtracking on the same
+energy globalizes the step; where an unshifted step predicts less decrease
+than one ulp of E, a rise of a few ulps is accepted (Hager & Zhang, SIAM J.
+Optim. 16, 2005).  The clamped energy has kinks where an element slope
+reaches the clamp, so there the first trial step is capped at the first
+kink along the Newton direction.
 Boundary values are pinned structurally: the iterate is the interior
 vector.  Mesh continuation, which seeds finer meshes with prolongated
 coarse minimizers, lives in ``experiments``.
@@ -48,8 +54,12 @@ STOP_REASONS = ("grad_tol", "max_iters", "line_search")
 _ARMIJO_C = 1e-4
 _STEP_SHRINK = 0.5
 _MIN_STEP = 1e-20
-# A warm-started Levenberg shift below this fraction of the Hessian's
-# largest diagonal entry is dropped, so pure Newton steps resume.
+# Rounding allowance, in ulps of E, for an unshifted Newton step whose
+# predicted decrease is below one ulp of E.
+_ROUNDING_ULPS = 4.0
+# A warm-started Levenberg shift tau K whose diagonal 2 tau/h is below this
+# fraction of the Hessian's largest diagonal entry is dropped, so pure
+# Newton steps resume.
 _SHIFT_DROP = 1e-12
 # Kinks nearer than this step are not caps: an element sitting within
 # rounding of its clamp would otherwise pin every first trial near zero.
@@ -64,7 +74,7 @@ _KINK_OVERSHOOT = 1e-9
 class SolveConfig:
     """Stopping rule of one solve: the max-norm gradient tolerance and the
     iteration budget.  The budget is a safety cap only: every default-ladder
-    solve meets the tolerance within about 1.5k iterations, and a solve
+    solve meets the tolerance within a few dozen iterations, and a solve
     that hits the cap says so in its stop reason."""
 
     grad_tol: float = 1e-9
@@ -124,20 +134,20 @@ def prolongate(coarse: FeFunction, fine_mesh: Mesh1D) -> FeFunction:
     return FeFunction(fine_mesh, vals, bc_flag=coarse.bc_flag)
 
 
-def _ldl(diag, off, shift: float = 0.0):
+def _ldl(diag, off):
     """Pivots and multipliers of the LDL^T factorization of the tridiagonal
-    matrix with diagonal ``diag + shift`` and off-diagonal ``off``.
+    matrix with diagonal ``diag`` and off-diagonal ``off``.
 
     Stops after the first pivot <= 0, so the matrix is positive definite
     exactly when the last returned pivot is positive.
     """
-    pivot = diag[0] + shift
+    pivot = diag[0]
     pivots, mults = [pivot], []
     for a, b in zip(diag[1:], off):
         if pivot <= 0.0:
             break
         m = b / pivot
-        pivot = a + shift - m * b
+        pivot = a - m * b
         mults.append(m)
         pivots.append(pivot)
     return pivots, mults
@@ -159,20 +169,24 @@ def _ldl_solve(pivots, mults, rhs):
 
 
 def _newton_direction(diag, off, g, shift: float):
-    """Direction -(H + shift I)^{-1} g for the tridiagonal H = (diag, off),
+    """Direction -(H + shift K)^{-1} g for the tridiagonal H = (diag, off),
     and the shift it needed.
 
-    A shift below ``_SHIFT_DROP`` times the largest diagonal entry is
-    dropped; while a pivot is <= 0 the shift grows fourfold.
+    K = tridiag(-1, 2, -1)/h is the P1 stiffness matrix on the interior
+    nodes of the uniform mesh of [0, 1], so h = 1/(size + 1).  A shift whose
+    diagonal 2 shift/h is below ``_SHIFT_DROP`` times the largest diagonal
+    entry of H is dropped; while a pivot is <= 0 the shift grows fourfold.
     """
-    floor = _SHIFT_DROP * max(1.0, float(np.max(np.abs(diag))))
-    diag, off = diag.tolist(), off.tolist()
+    inv_h = float(diag.size + 1)
+    floor = _SHIFT_DROP * max(1.0, float(np.max(np.abs(diag)))) / (2.0 * inv_h)
     if shift < floor:
         shift = 0.0
+    rhs = (-g).tolist()
     while True:
-        pivots, mults = _ldl(diag, off, shift)
+        k_off = shift * inv_h  # shift K = k_off * tridiag(-1, 2, -1)
+        pivots, mults = _ldl((diag + 2.0 * k_off).tolist(), (off - k_off).tolist())
         if pivots[-1] > 0.0:
-            return _ldl_solve(pivots, mults, (-g).tolist()), shift
+            return _ldl_solve(pivots, mults, rhs), shift
         shift = max(4.0 * shift, floor)
 
 
@@ -197,15 +211,23 @@ def _descend(energy, derivatives, v0: np.ndarray, config: SolveConfig, max_step=
     while iters < config.max_iters and gnorm > config.grad_tol:
         p, shift = _newton_direction(diag, off, g, shift / 4.0)
         slope = float(g @ p)
-        if not (np.isfinite(slope) and slope < 0.0):
+        if np.isfinite(slope) and slope < 0.0:
+            # A pure Newton step that predicts less decrease than one ulp of
+            # E may raise the computed E by a few ulps (Hager & Zhang's
+            # approximate Armijo condition); exact Armijo would reject every
+            # trial at the rounding floor.
+            ulp = float(np.spacing(abs(e)))
+            slack = _ROUNDING_ULPS * ulp if shift == 0.0 and -slope < ulp else 0.0
+        else:
             p = -g
             slope = -float(g @ g)
+            slack = 0.0
         trial = 1.0 if max_step is None else min(1.0, max_step(v, p))
         v_new = None
         while trial > _MIN_STEP:
             cand = v + trial * p
             e_cand = energy(cand)
-            if np.isfinite(e_cand) and e_cand <= e + _ARMIJO_C * trial * slope:
+            if np.isfinite(e_cand) and e_cand <= e + _ARMIJO_C * trial * slope + slack:
                 v_new = cand
                 break
             trial *= _STEP_SHRINK

@@ -39,6 +39,31 @@ def test_unknown_set_key_rejected(capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, pair", [
+    ("solve", "mesh_sizes=8,32"),
+    ("seminorm", "mesh_sizes=8,32"),
+    ("seminorm", "grad_tol=1e-6"),
+    ("seminorm", "max_iters=3"),
+    ("seminorm", "output_dir=reports"),
+])
+def test_set_of_a_key_the_subcommand_does_not_read_is_rejected(tmp_path, capsys, command, pair):
+    args = [command, "--mesh", "8", "--set", pair]
+    if command == "solve":
+        args += ["--out", str(tmp_path / "sol")]
+    assert main(args) == 2
+    assert repr(pair.split("=")[0]) in capsys.readouterr().err
+    assert not (tmp_path / "sol").exists()
+
+
+def test_config_file_stays_shared_across_subcommands(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mesh_sizes = 8,16\nmax_iters = 4000\noutput_dir = {tmp_path / 'out'}\n")
+    assert main(["seminorm", "--mesh", "8", "--config", str(cfg)]) == 0
+    assert main(["solve", "--mesh", "8", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "out" / "solution_N8.csv").exists()
+
+
 def test_malformed_set_pair_rejected(capsys):
     assert main(["gap", "--set", "s0.3"]) == 2
     capsys.readouterr()

@@ -69,10 +69,10 @@ class TestLadderSolves:
 
     def test_every_raw_solve_is_a_certified_minimum(self, monkeypatch):
         solves = recorded_solves(monkeypatch)
-        ex.solve_ladder((8, 16, 32, 64, 128, 256), SolveConfig())
-        # the halving chain is N = 2 ... 256: two fixed seeds on each of its
-        # 8 meshes plus the prolongated previous best above N = 2
-        assert [n for n, _ in solves] == [2, 2] + [n for n in (4, 8, 16, 32, 64, 128, 256)
+        ex.solve_ladder(ex.DEFAULT_MESH_SIZES, SolveConfig())
+        # the halving chain is N = 2 ... 1024: two fixed seeds on each of its
+        # 10 meshes plus the prolongated previous best above N = 2
+        assert [n for n, _ in solves] == [2, 2] + [2 ** k for k in range(2, 11)
                                                    for _ in range(3)]
         for n, result in solves:
             assert result.reason == "grad_tol", (n, result.reason)

@@ -148,6 +148,34 @@ class TestDescentContracts:
         assert min_pivot == 2.0
         assert np.array_equal(v, np.zeros(3))
 
+    @pytest.mark.parametrize("curvature, rise_ulps, reason", [
+        (2.0, 1, "grad_tol"),
+        (2.0, 4, "grad_tol"),
+        (2.0, 5, "line_search"),
+        (-2.0, 1, "line_search"),  # a shifted step gets no rounding allowance
+    ])
+    def test_rounding_floor_allowance(self, curvature, rise_ulps, reason):
+        # from |g| = 2e-9 every step predicts a decrease below one ulp of
+        # E = 1 (3e-18 for the Newton step to v = 0), and every trial's
+        # computed energy is rise_ulps higher
+        calls = []
+
+        def energy(v):
+            calls.append(None)
+            return 1.0 if len(calls) == 1 else 1.0 + rise_ulps * np.spacing(1.0)
+
+        def derivatives(v):
+            return (curvature * v, np.full(v.size, curvature), np.zeros(v.size - 1))
+
+        v, e, gnorm, iters, stop, _ = _descend(
+            energy, derivatives, np.full(3, 1e-9), SolveConfig(max_iters=50))
+        assert stop == reason
+        if reason == "grad_tol":
+            assert iters == 1 and np.array_equal(v, np.zeros(3)) and gnorm == 0.0
+            assert e == 1.0 + rise_ulps * np.spacing(1.0)
+        else:
+            assert iters == 0 and e == 1.0 and np.array_equal(v, np.full(3, 1e-9))
+
     def test_linear_ramp_initial_energy(self):
         cuts, start_energy = cut_solves(Mesh1D(32), "linear_ramp")
         assert start_energy == pytest.approx(EIGHT_105, rel=1e-14)
@@ -187,6 +215,16 @@ class TestNewtonSteps:
         res = minimize_from(mesh, prolongate(coarse.minimizer, mesh).nodal_values)
         assert res.reason == "grad_tol"
         assert res.iters <= 20
+
+    @pytest.mark.parametrize("n", [8, 64, 1024, 4096])
+    def test_raw_root_start_iterations_do_not_grow_with_n(self, n):
+        # the stiffness-matrix shift damps every mode of the indefinite
+        # Hessian in proportion to its own stiffness, so the count is
+        # mesh-independent (the identity shift took 1429 at N = 1024)
+        res = solve_from(Mesh1D(n), "interp_root")
+        assert res.reason == "grad_tol"
+        assert res.iters <= 30
+        assert res.min_pivot > 0.0
 
     def test_raw_minimum_is_certified(self):
         res = solve_from(Mesh1D(32), "linear_ramp")
@@ -234,8 +272,12 @@ class TestNewtonSteps:
         diag, off = np.array([-1.0, 2.0, 2.0]), np.array([0.5, 0.5])
         g = np.array([1.0, -1.0, 1.0])
         p, shift = _newton_direction(diag, off, g, 0.0)
-        assert shift > 1.0  # the shifted matrix needs diag[0] + shift > 0
-        dense = np.diag(diag + shift) + np.diag(off, 1) + np.diag(off, -1)
+        # the shift is by the P1 stiffness matrix K = tridiag(-1, 2, -1)/h
+        # of the 3 interior nodes of N = 4 elements (h = 1/4)
+        stiffness = 4.0 * (2.0 * np.eye(3) - np.eye(3, k=1) - np.eye(3, k=-1))
+        assert shift > 1.0 / 8.0  # the shifted matrix needs diag[0] + 8 shift > 0
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1) + shift * stiffness
+        assert np.linalg.eigvalsh(dense)[0] > 0.0
         assert np.allclose(dense @ p, -g, rtol=0, atol=1e-12)
         assert float(g @ p) < 0.0
         # warm start: a shift too small to help is grown from, not restarted
