@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from maniafem import fractional
-from maniafem.errors import RegimeError
+from maniafem.errors import ConsistencyError, EvaluationError, RegimeError
 from maniafem.fractional import (
     PiecewiseConstant,
+    SeminormResult,
     gagliardo_oracle_mc,
     gagliardo_pc,
     interval_kernel,
@@ -152,6 +153,31 @@ class TestGagliardoClosedForm:
                         acc += 2.0 * abs(vals[i] - vals[j]) ** p * k
                 assert gagliardo_pc(g, s, p).value == pytest.approx(
                     acc ** (1 / p), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 64])
+    def test_hilbert_sum_of_squares_matches_pair_double_loop(self, n):
+        # p = 2 takes its own path (one einsum per gap); s = 0.4 is the
+        # inverse study's Hilbert variant
+        rng = np.random.default_rng(30 + n)
+        mesh = Mesh1D(n)
+        vals = rng.uniform(-1, 1, n)
+        for s in (0.2, 0.4, 0.45):
+            acc = 0.0
+            for i in range(n):
+                for j in range(i + 1, n):
+                    k = interval_kernel(
+                        mesh.nodes[i], mesh.nodes[i + 1],
+                        mesh.nodes[j], mesh.nodes[j + 1], 2.0 * s)
+                    acc += 2.0 * (vals[i] - vals[j]) ** 2 * k
+            value = gagliardo_pc(PiecewiseConstant(mesh, vals), s, 2.0).value
+            assert value == pytest.approx(acc ** 0.5, rel=1e-13, abs=0.0)
+
+    def test_general_p_path_is_pinned_bitwise(self):
+        # abs -> power -> sum per gap, in place: the inverse study's input
+        # keeps the value of the allocate-per-gap loop this replaced
+        f = interpolate(Mesh1D(1024), lambda x: x ** (1 / 3))
+        g = PiecewiseConstant(f.mesh, f.slopes())
+        assert gagliardo_pc(g, 0.2, 1.1).value == 9.799187601477843
 
     def test_two_element_jump_matches_monte_carlo(self):
         g = PiecewiseConstant(Mesh1D(2), [1.0, 0.0])
@@ -332,5 +358,31 @@ class TestTelescopedInnerIntegral:
 def test_piecewise_constant_validation():
     with pytest.raises(ValueError):
         PiecewiseConstant(Mesh1D(4), [1.0, 2.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(EvaluationError):
+            PiecewiseConstant(Mesh1D(4), [0.0, bad, 1.0, 2.0])
     g = PiecewiseConstant(Mesh1D(2), [5.0, 6.0])
     assert np.array_equal(g.evaluate(np.array([0.1, 0.75])), [5.0, 6.0])
+
+
+def test_piecewise_constant_evaluate_rejects_nan_points():
+    g = PiecewiseConstant(Mesh1D(4), [0.0, 1.0, 2.0, 3.0])
+    for y in (np.nan, [0.5, np.nan], np.array([[np.nan]])):
+        with pytest.raises(ValueError):
+            g.evaluate(y)
+
+
+@pytest.mark.parametrize("value, err", [
+    (np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan), (1.0, np.inf), (-1.0, 0.0), (1.0, -1e-3),
+])
+def test_seminorm_result_rejects_non_finite_or_negative(value, err):
+    with pytest.raises(ConsistencyError):
+        SeminormResult(value, 0.2, 1.1, "closed_form", err)
+
+
+def test_non_finite_callable_data_is_named_not_returned():
+    def g(x):
+        return np.where(np.asarray(x) < 0.5, np.nan, 1.0)
+
+    with pytest.raises(ConsistencyError):
+        gagliardo_oracle_mc(g, 0.2, 1.1, 10**4, seed=0)

@@ -71,6 +71,45 @@ def test_evaluate_midpoint_of_root_interpolant():
     assert abs(f.evaluate(0.75) - 0.8968502629920499) <= 1e-15
 
 
+@pytest.mark.parametrize("n", [3, 5, 7, 1024])
+def test_evaluate_agrees_with_barycentric_form(n):
+    # vals[k] (1 - t) + vals[k + 1] t is accurate to 4u M and
+    # vals[k] + slope (x - x_k) to 7u M, with u = eps/2 and M the larger
+    # endpoint magnitude; observed differences stay near 2 eps M
+    rng = np.random.default_rng(40 + n)
+    mesh = Mesh1D(n)
+    f = FeFunction(mesh, rng.uniform(-1, 1, n + 1))
+    x = rng.random(100_000)
+    k = mesh.element_indices(x)
+    vals, nodes = f.nodal_values, mesh.nodes
+    t = (x - nodes[k]) / (nodes[k + 1] - nodes[k])
+    old = vals[k] * (1.0 - t) + vals[k + 1] * t
+    scale = np.maximum(np.abs(vals[k]), np.abs(vals[k + 1]))
+    assert np.all(np.abs(f.evaluate(x) - old) <= 5.5 * np.finfo(float).eps * scale)
+
+
+def test_scalar_inputs_return_float():
+    mesh = Mesh1D(4)
+    f = FeFunction(mesh, [0.0, 0.1, 0.4, 0.9, 1.0])
+    for y in (0.3, np.float64(0.3), np.array(0.3), 1.0):
+        assert type(f.evaluate(y)) is float
+        assert type(f.slope_at(y)) is float
+    assert f.evaluate(np.array(0.3)) == f.evaluate(0.3)
+    assert f.evaluate(np.array([[0.3]])).shape == (1, 1)
+
+
+def test_nan_points_are_rejected():
+    mesh = Mesh1D(4)
+    f = FeFunction(mesh, [0.0, 0.1, 0.4, 0.9, 1.0])
+    for y in (np.nan, [0.5, np.nan], np.array([[np.nan, 1.0]])):
+        for op in (f.evaluate, f.slope_at, mesh.element_indices):
+            with pytest.raises(ValueError):
+                op(y)
+    for y in (-1e-300, 1.0 + 1e-15, [0.2, -np.inf]):
+        with pytest.raises(ValueError):
+            f.evaluate(y)
+
+
 def test_evaluate_is_continuous_at_nodes():
     rng = np.random.default_rng(11)
     mesh = Mesh1D(16)
