@@ -212,9 +212,9 @@ def run_interp_rates(config: ExperimentConfig) -> dict[str, RateStudy]:
     rows_lp, rows_w1p = [], []
     for n in config.mesh_sizes:
         mesh = Mesh1D(n)
-        grid = graded_grid(mesh)
-        rows_lp.append((mesh.h, interp_error(fn, mesh, p, 0, grid=grid)))
-        rows_w1p.append((mesh.h, interp_error(fn, mesh, p, 1, dfn=dfn, grid=grid)))
+        lp, w1p = interp_error(fn, dfn, mesh, p)
+        rows_lp.append((mesh.h, lp))
+        rows_w1p.append((mesh.h, w1p))
     return {
         "interp_lp": make_rate_study(
             "interp_lp", config.params, config.mesh_sizes, ("h", "value"), rows_lp),

@@ -27,7 +27,7 @@ from .functionals import (
 )
 from .mesh import Mesh1D, interpolate
 from .quadrature import gauss_rule, graded_grid, integrate_cells
-from .fractional import norm_wkp
+from .fractional import norm_wkp  # noqa: F401  (perfbench/tracer.py wraps studies.norm_wkp)
 
 __all__ = [
     "RateStudy",
@@ -127,26 +127,15 @@ def power_fn(q: float):
     return fn, dfn
 
 
-def interp_error(fn, mesh: Mesh1D, p: float, order: int, dfn=None, grid=None) -> float:
-    """||v - I_h v|| in L^p (order 0) or W^{1,p} (order 1, needs dfn)."""
-    if order not in (0, 1):
-        raise ValueError(f"order must be 0 or 1, got {order}")
+def interp_error(fn, dfn, mesh: Mesh1D, p: float, grid=None) -> tuple[float, float]:
+    """(||v - I_h v||_{L^p}, ||v - I_h v||_{W^{1,p}}), integrating |v - I_h v|^p once."""
     f_h = interpolate(mesh, fn)
     if grid is None:
         grid = graded_grid(mesh)
-
-    def err(x):
-        return fn(x) - f_h.evaluate(x)
-
-    if order == 0:
-        return norm_wkp(err, 0, p, grid=grid)
-    if dfn is None:
-        raise ValueError("order 1 requires the derivative of v")
-
-    def derr(x):
-        return dfn(x) - f_h.slope_at(x)
-
-    return norm_wkp(err, 1, p, grid=grid, derivative=derr)
+    rule = gauss_rule(8)
+    value = integrate_cells(rule, lambda x: np.abs(fn(x) - f_h.evaluate(x)) ** p, grid)
+    slope = integrate_cells(rule, lambda x: np.abs(dfn(x) - f_h.slope_at(x)) ** p, grid)
+    return value ** (1.0 / p), (value + slope) ** (1.0 / p)
 
 
 def value_mismatch_term(fn, mesh: Mesh1D, params: CutoffParams, grid=None) -> float:

@@ -6,6 +6,8 @@ and a geometrically graded tensor rule on adjacent pairs where the kernel is
 singular but integrable.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -128,13 +130,87 @@ class TestIntervalKernel:
             interval_kernel(0.5, 0.2, 0.6, 1.0, 0.3)
 
 
+def fft_rounding_bound(n, sp):
+    """The a-priori relative error bound of the p = 2 path (gagliardo_pc)."""
+    eps = np.finfo(float).eps
+    return eps * (n**sp * np.log2(2 * n) + 2 * n) / (sp * (1 - sp))
+
+
+def per_gap_reference(vals, h, s):
+    """[g]_{W^{s,2}}: one einsum sum of squares per index gap, no FFT."""
+    sp, n = 2.0 * s, vals.size
+    e = 1.0 - sp
+    acc = 0.0
+    for m in range(1, n):
+        k = (h**e / (sp * e)) * (2.0 * m**e - (m - 1.0) ** e - (m + 1.0) ** e)
+        diff = vals[m:] - vals[:-m]
+        acc += 2.0 * k * float(np.einsum("i,i->", diff, diff))
+    return acc**0.5
+
+
+@functools.lru_cache(maxsize=None)
+def pair_kernel_table(n, sp):
+    """interval_kernel for every ordered element pair i < j, row by row."""
+    nodes = Mesh1D(n).nodes
+    return np.array([interval_kernel(nodes[i], nodes[i + 1], nodes[j], nodes[j + 1], sp)
+                     for i in range(n) for j in range(i + 1, n)])
+
+
 class TestGagliardoClosedForm:
     def test_constant_data_has_zero_seminorm(self):
-        g = PiecewiseConstant(Mesh1D(8), np.full(8, 3.7))
-        result = gagliardo_pc(g, 0.2, 1.1)
-        assert result.value == 0.0
-        assert result.method == "closed_form"
-        assert result.est_error == 0.0
+        # exactly 0, not rounding-level: the p = 2 path shifts by a value
+        # (the median) that constant data reproduces exactly
+        for n in (1, 2, 3, 8, 100, 4096):
+            for value in (3.7, 0.1, -2.2, 1e6 + 0.3):
+                g = PiecewiseConstant(Mesh1D(n), np.full(n, value))
+                for s, p in ((0.2, 1.1), (0.4, 2.0)):
+                    result = gagliardo_pc(g, s, p)
+                    assert result.value == 0.0
+                    assert result.method == "closed_form"
+                    assert result.est_error == 0.0
+
+    @pytest.mark.parametrize("n", [3, 100, 1000, 4096])
+    def test_near_constant_data_never_raises(self, n):
+        # the p = 2 path's S_m are sums of squares computed by cancellation;
+        # clipping keeps rounding from turning the accumulation negative
+        vals = 1.0 + 1e-8 * np.random.default_rng(n).standard_normal(n)
+        g = PiecewiseConstant(Mesh1D(n), vals)
+        assert gagliardo_pc(g, 0.2, 1.1).value > 0.0
+        for s in (0.2, 0.4, 0.45):
+            assert gagliardo_pc(g, s, 2.0).value == pytest.approx(
+                per_gap_reference(vals, g.mesh.h, s), rel=fft_rounding_bound(n, 2 * s), abs=0.0)
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_hilbert_fft_matches_pair_kernel_sum(self, n):
+        # the a-priori bound from the docstring, against an independent
+        # per-pair kernel evaluation summed in one pairwise np.sum
+        rng = np.random.default_rng(40 + n)
+        x = np.arange(n, dtype=float)
+        data = {
+            "random": rng.uniform(-1, 1, n),
+            "ramp": x,
+            "near_constant": 1.0 + 1e-8 * rng.standard_normal(n),
+            "offset_sine": 1e6 + np.sin(0.1 * x),
+        }
+        i, j = np.triu_indices(n, k=1)
+        for s in (0.2, 0.4):
+            kernels = pair_kernel_table(n, 2.0 * s)
+            for name, vals in data.items():
+                exact = np.sum(2.0 * kernels * (vals[i] - vals[j]) ** 2) ** 0.5
+                value = gagliardo_pc(PiecewiseConstant(Mesh1D(n), vals), s, 2.0).value
+                assert value == pytest.approx(
+                    exact, rel=fft_rounding_bound(n, 2.0 * s), abs=0.0), name
+
+    def test_hilbert_fft_on_root_slopes_matches_per_gap_sum(self):
+        # the inverse study's input at N = 4096: the first slope is ~500x
+        # the median, and a shift by vals[0] instead misses 1e-12 here
+        f = interpolate(Mesh1D(4096), lambda x: x ** (1 / 3))
+        g = PiecewiseConstant(f.mesh, f.slopes())
+        for s in (0.2, 0.4, 0.45):
+            value = gagliardo_pc(g, s, 2.0).value
+            assert value == pytest.approx(
+                per_gap_reference(g.values, f.mesh.h, s), rel=1e-12, abs=0.0)
+            assert gagliardo_pc(g, s, 2.0).value == value
 
     def test_matches_pairwise_kernel_sum(self):
         # the uniform-gap shortcut must equal the explicit pair double sum

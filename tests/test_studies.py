@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from maniafem.errors import StudyError
+from maniafem.fractional import norm_wkp
 from maniafem.functionals import CutoffParams, energy_clamped
 from maniafem.mesh import Mesh1D, interpolate
+from maniafem.quadrature import graded_grid
 from maniafem.studies import (
     fit_order,
     interp_error,
@@ -56,26 +58,36 @@ class TestInterpError:
         fn = lambda x: 0.25 + 0.5 * np.asarray(x, dtype=float)
         dfn = lambda x: np.full_like(np.asarray(x, dtype=float), 0.5)
         for n in (2, 8):
-            assert interp_error(fn, Mesh1D(n), 1.3, 0) <= 1e-14
-            assert interp_error(fn, Mesh1D(n), 1.3, 1, dfn=dfn) <= 1e-14
+            lp, w1p = interp_error(fn, dfn, Mesh1D(n), 1.3)
+            assert lp <= 1e-14
+            assert w1p <= 1e-14
 
     def test_quadratic_on_single_element(self):
-        # I_h x^2 on N = 1 is x, so the L^1 error is int (x - x^2) = 1/6
-        value = interp_error(lambda x: np.asarray(x) ** 2, Mesh1D(1), 1.0, 0)
-        assert value == pytest.approx(1 / 6, rel=1e-12)
+        # I_h x^2 on N = 1 is x, so the L^1 error is int (x - x^2) = 1/6 and
+        # the W^{1,1} error adds int |2x - 1| = 1/2
+        lp, w1p = interp_error(lambda x: np.asarray(x) ** 2, lambda x: 2.0 * np.asarray(x),
+                               Mesh1D(1), 1.0)
+        assert lp == pytest.approx(1 / 6, rel=1e-12)
+        assert w1p == pytest.approx(1 / 6 + 1 / 2, rel=1e-12)
 
     def test_root_profile_errors_decrease(self):
         fn, dfn = power_fn(1.0 / 3.0)
-        l0 = [interp_error(fn, Mesh1D(n), 1.1, 0) for n in (8, 16, 32, 64)]
-        l1 = [interp_error(fn, Mesh1D(n), 1.1, 1, dfn=dfn) for n in (8, 16, 32, 64)]
+        l0, l1 = zip(*(interp_error(fn, dfn, Mesh1D(n), 1.1) for n in (8, 16, 32, 64)))
         assert all(b < a for a, b in zip(l0, l0[1:]))
         assert all(b < a for a, b in zip(l1, l1[1:]))
 
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            interp_error(lambda x: x, Mesh1D(2), 1.1, 2)
-        with pytest.raises(ValueError):
-            interp_error(lambda x: x, Mesh1D(2), 1.1, 1)  # missing derivative
+    def test_both_norms_match_norm_wkp_bitwise(self):
+        # the shared integral of |v - I_h v|^p gives the values the two
+        # separate norm_wkp integrations gave
+        fn, dfn = power_fn(1.0 / 3.0)
+        mesh = Mesh1D(64)
+        f_h = interpolate(mesh, fn)
+        grid = graded_grid(mesh)
+        err = lambda x: fn(x) - f_h.evaluate(x)
+        derr = lambda x: dfn(x) - f_h.slope_at(x)
+        assert interp_error(fn, dfn, mesh, 1.1, grid) == (
+            norm_wkp(err, 0, 1.1, grid=grid),
+            norm_wkp(err, 1, 1.1, grid=grid, derivative=derr))
 
 
 class TestRecoveryTerms:
