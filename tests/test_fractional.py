@@ -380,6 +380,15 @@ class TestMonteCarloOracle:
         with pytest.raises(ValueError):
             gagliardo_oracle_mc(g, 0.2, 1.1, 5000)
 
+    def test_non_integral_sample_count_is_rejected(self):
+        # 10000.9 used to draw 10 000 samples and divide their sum by 10000.9
+        g = PiecewiseConstant(Mesh1D(2), [0.0, 1.0])
+        for bad in (10_000.9, 1e5, "10000"):
+            with pytest.raises(ValueError, match="integer"):
+                gagliardo_oracle_mc(g, 0.2, 1.1, bad, seed=1)
+        assert (gagliardo_oracle_mc(g, 0.2, 1.1, np.int64(10_000), seed=1)
+                == gagliardo_oracle_mc(g, 0.2, 1.1, 10_000, seed=1))
+
     def test_error_scales_like_root_n(self):
         g = PiecewiseConstant(Mesh1D(2), [1.0, 0.0])
         small = gagliardo_oracle_mc(g, 0.25, 1.0, 10**5, seed=3).est_error
@@ -394,6 +403,18 @@ class TestMonteCarloOracle:
         assert abs(mc.value - closed) <= 6.0 * mc.est_error
         # its x and y draws interleave per chunk; pin them bitwise
         assert (mc.value, mc.est_error) == (3.630461406681625, 0.03690854825107343)
+
+    @pytest.mark.parametrize("values, n_samples, seed, pinned", [
+        ([0.3, -1.0, 0.8, 0.1, -0.4], 3 * fractional._PC_CHUNK + 7, 8,
+         (4.3519843120754755, 0.006946506827280667)),
+        (np.linspace(-1, 1, 16) ** 3, 10**6, 9, (2.021247391979403, 0.0009982015197497983)),
+    ])
+    def test_pc_path_is_pinned_bitwise(self, values, n_samples, seed, pinned):
+        # recorded from the sampler that evaluated each chunk whole; blocking
+        # the chunk must leave every sample, and so every sum, unchanged
+        g = PiecewiseConstant(Mesh1D(len(values)), values)
+        mc = gagliardo_oracle_mc(g, 0.2, 1.1, n_samples, seed=seed)
+        assert (mc.value, mc.est_error) == pinned
 
     def test_agreement_on_random_data(self):
         rng = np.random.default_rng(14)
@@ -420,6 +441,30 @@ class TestTelescopedInnerIntegral:
         want = per_element_inner_integral(g, s * p, p)(x)
         assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    # blocks of 65 536 // (n + 1) = 1040 and 109 samples, both shorter than a
+    # chunk; at n = 62 the first element guess is off at 9 nodes
+    @pytest.mark.parametrize("n", [62, 600])
+    def test_block_edges(self, n):
+        rng = np.random.default_rng(60 + n)
+        g = PiecewiseConstant(Mesh1D(n), rng.uniform(-1, 1, n))
+        s, p = 0.2, 1.1
+        inner = fractional._pc_inner_integral(g, s * p, p)
+        nodes = g.mesh.nodes[1:-1]
+        special = rng.permutation(np.concatenate(
+            [nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, 1.0)]))
+        # longer than two blocks and not a multiple of one; every slot holds a
+        # node or a neighbour, so each block, however x is cut, starts and ends
+        # on one
+        block = fractional._PC_BLOCK // (n + 1)
+        size = (max(special.size, 2 * block) // block + 1) * block + block // 2 + 1
+        x = np.resize(special, size)
+        got = inner(x)
+        want = per_element_inner_integral(g, s * p, p)(x)
+        assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        alone = np.concatenate([inner(x[i:i + 1]) for i in range(size)])
+        assert np.array_equal(got, alone)
 
     def test_chunking_keeps_the_draws(self):
         g = PiecewiseConstant(Mesh1D(5), [0.3, -1.0, 0.8, 0.1, -0.4])
