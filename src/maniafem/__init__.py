@@ -10,7 +10,7 @@ machinery and the convergence studies that quantify why it works.
 
 from .errors import ConsistencyError, EvaluationError, RegimeError, StudyError
 from .mesh import FeFunction, Mesh1D, interpolate
-from .quadrature import QuadRule, gauss_rule, graded_grid, integrate_cells
+from .quadrature import QuadRule, StudyGrid, gauss_rule, integrate_cells
 from .functionals import (
     AdmissibleParams,
     CutoffParams,

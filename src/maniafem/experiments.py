@@ -14,6 +14,7 @@ ceiling so the clamp is as active as the theory allows.
 from __future__ import annotations
 
 import json
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -25,10 +26,13 @@ from .fractional import norm_wkp, seminorm_w1sp
 from .functionals import AdmissibleParams, CutoffParams, energy_clamped
 from .mesh import Mesh1D, interpolate
 from .optimize import SolveConfig, SolveResult, initial_values, minimize_from, prolongate
-from .quadrature import graded_grid
+from .quadrature import StudyGrid
+from .quadrature import graded_grid  # noqa: F401  (kept for perfbench/tracer.py)
 from .studies import (
     RateStudy,
+    fe_error,
     interp_error,
+    ladder_tail,
     make_rate_study,
     power_fn,
     recovery_gap,
@@ -75,6 +79,10 @@ SPLIT_MIN_R2 = 0.9
 RECOVERY_TOL = 1e-3
 SLOPE_PROBE_EXPONENT = 0.45
 
+# Ladders solved during the current run_all call, by solve_ladder's
+# arguments; None outside run_all, so no result outlives the call.
+_solved_ladders: ContextVar[dict | None] = ContextVar("solved_ladders", default=None)
+
 
 def default_params() -> AdmissibleParams:
     return AdmissibleParams(s=0.2, p=1.1, alpha=0.035)
@@ -106,8 +114,13 @@ def solve_ladder(mesh_sizes, solver: SolveConfig, alpha: float | None = None) ->
     (n, n/2, n/4, ... while the size is even and > 2).  On each mesh it
     solves from the fixed seeds, then from the prolongated previous best,
     and keeps the lowest energy (the first on ties).  Every requested size
-    must lie on the chain.
+    must lie on the chain.  Inside ``run_all`` a ladder already solved with
+    the same arguments is returned again instead of being solved twice.
     """
+    solved = _solved_ladders.get()
+    key = (tuple(mesh_sizes), solver, alpha)
+    if solved is not None and key in solved:
+        return list(solved[key])
     chain = [max(mesh_sizes)]
     while chain[-1] > 2 and chain[-1] % 2 == 0:
         chain.append(chain[-1] // 2)
@@ -125,7 +138,10 @@ def solve_ladder(mesh_sizes, solver: SolveConfig, alpha: float | None = None) ->
             starts.append(prolongate(prev.minimizer, mesh).nodal_values)
         best[n] = prev = min((minimize_from(mesh, start, solver, params) for start in starts),
                              key=lambda r: r.energy)
-    return [best[n] for n in mesh_sizes]
+    results = [best[n] for n in mesh_sizes]
+    if solved is not None:
+        solved[key] = results
+    return list(results)
 
 
 def run_gap_demo(config: ExperimentConfig) -> dict:
@@ -181,16 +197,7 @@ def run_min_convergence(config: ExperimentConfig) -> RateStudy:
         mesh = Mesh1D(n)
         params_h = CutoffParams(config.params.alpha, mesh.h)
         interp_energy = energy_clamped(interpolate(mesh, fn), params_h)
-        grid = graded_grid(mesh)
-        u_h = res.minimizer
-
-        def err(x):
-            return u_h.evaluate(x) - fn(x)
-
-        def derr(x):
-            return u_h.slope_at(x) - dfn(x)
-
-        dist = norm_wkp(err, 1, p, grid=grid, derivative=derr)
+        _, dist = fe_error(fn, dfn, res.minimizer, StudyGrid(mesh), p)
         rows.append((mesh.h, res.energy, interp_energy, dist))
     return make_rate_study(
         "min_convergence", config.params, config.mesh_sizes,
@@ -212,7 +219,7 @@ def run_interp_rates(config: ExperimentConfig) -> dict[str, RateStudy]:
     rows_lp, rows_w1p = [], []
     for n in config.mesh_sizes:
         mesh = Mesh1D(n)
-        lp, w1p = interp_error(fn, dfn, mesh, p)
+        lp, w1p = interp_error(fn, dfn, StudyGrid(mesh), p)
         rows_lp.append((mesh.h, lp))
         rows_w1p.append((mesh.h, w1p))
     return {
@@ -275,9 +282,9 @@ def run_split_rates(config: ExperimentConfig) -> dict[str, RateStudy]:
     for n in config.mesh_sizes:
         mesh = Mesh1D(n)
         params_h = CutoffParams(alpha, mesh.h)
-        grid = graded_grid(mesh)
-        rows_value.append((mesh.h, value_mismatch_term(fn_root, mesh, params_h, grid=grid)))
-        rows_slope.append((mesh.h, slope_mismatch_term(fn_q, dfn_q, mesh, params_h, grid=grid)))
+        grid = StudyGrid(mesh)
+        rows_value.append((mesh.h, value_mismatch_term(fn_root, grid, params_h)))
+        rows_slope.append((mesh.h, slope_mismatch_term(fn_q, dfn_q, grid, params_h)))
     return {
         "value_term": make_rate_study(
             "value_term", config.params, config.mesh_sizes, ("h", "value"), rows_value),
@@ -290,8 +297,7 @@ def split_rates_passes(studies: dict[str, RateStudy], params: AdmissibleParams) 
     value_bound = 1.0 + params.s - 6.0 * params.alpha - SPLIT_ORDER_SLACK
     slope_bound = params.s - 5.0 * params.alpha - SPLIT_ORDER_SLACK
     value_t, slope_t = studies["value_term"], studies["slope_term"]
-    tail = [abs(r[1]) for r in slope_t.rows[2:]] if len(slope_t.rows) >= 5 else [
-        abs(r[1]) for r in slope_t.rows]
+    tail = [abs(r[1]) for r in ladder_tail(slope_t.rows)]
     decreasing = all(b < a for a, b in zip(tail, tail[1:]))
     return (
         value_t.fitted_order >= value_bound and value_t.fit_r2 >= SPLIT_MIN_R2
@@ -392,13 +398,17 @@ def run_all(config: ExperimentConfig) -> dict:
     return the bundle.  A study that raises is recorded under its name and
     marks the bundle partial instead of aborting the rest."""
     summary: dict = {"partial": False, "studies": {}}
-    for spec in STUDIES:
-        try:
-            summary["studies"].update(run_study(spec, config))
-        except Exception as exc:  # noqa: BLE001 - studies are independent
-            summary["partial"] = True
-            summary["studies"][spec.name] = {"error": f"{type(exc).__name__}: {exc}",
-                                             "pass": False}
+    token = _solved_ladders.set({})
+    try:
+        for spec in STUDIES:
+            try:
+                summary["studies"].update(run_study(spec, config))
+            except Exception as exc:  # noqa: BLE001 - studies are independent
+                summary["partial"] = True
+                summary["studies"][spec.name] = {"error": f"{type(exc).__name__}: {exc}",
+                                                 "pass": False}
+    finally:
+        _solved_ladders.reset(token)
     summary["config"] = {
         "s": config.params.s,
         "p": config.params.p,

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ConsistencyError, EvaluationError, RegimeError
 from .mesh import FeFunction, Mesh1D, _element_index
-from .quadrature import gauss_rule, integrate_cells
+from .quadrature import integrate_cells  # noqa: F401  (kept for perfbench/tracer.py)
 
 __all__ = [
     "PiecewiseConstant",
@@ -188,30 +188,19 @@ def _lp_power_linear(values: np.ndarray, h: float, p: float) -> float:
     return float(np.sum(np.where(flat, level, sloped)))
 
 
-def norm_wkp(f, k: int, p: float, *, grid=None, derivative=None) -> float:
-    """W^{k,p} norm for k in {0, 1}.
-
-    Finite element functions use exact per-element antiderivatives; callables
-    are integrated on a supplied study grid (with ``derivative`` required for
-    k = 1).
-    """
+def norm_wkp(f: FeFunction, k: int, p: float) -> float:
+    """W^{k,p} norm of a finite element function for k in {0, 1}, from exact
+    per-element antiderivatives.  Other profiles are integrated on a
+    ``StudyGrid`` (see ``studies.fe_error``)."""
     if k not in (0, 1):
         raise ValueError(f"k must be 0 or 1, got {k}")
     if not p >= 1.0:
         raise RegimeError(f"p >= 1 violated: p = {p}")
-    if isinstance(f, FeFunction):
-        total = _lp_power_linear(f.nodal_values, f.mesh.h, p)
-        if k == 1:
-            total += f.mesh.h * float(np.sum(np.abs(f.slopes()) ** p))
-        return total ** (1.0 / p)
-    if grid is None:
-        raise ValueError("integrating a callable requires a study grid")
-    rule = gauss_rule(8)
-    total = integrate_cells(rule, lambda x: np.abs(f(x)) ** p, grid)
+    if not isinstance(f, FeFunction):
+        raise TypeError(f"norm_wkp takes a FeFunction, got {type(f).__name__}")
+    total = _lp_power_linear(f.nodal_values, f.mesh.h, p)
     if k == 1:
-        if derivative is None:
-            raise ValueError("k = 1 for a callable requires its derivative")
-        total += integrate_cells(rule, lambda x: np.abs(derivative(x)) ** p, grid)
+        total += f.mesh.h * float(np.sum(np.abs(f.slopes()) ** p))
     return total ** (1.0 / p)
 
 
@@ -243,6 +232,29 @@ def _mc_accumulate(rng, n_samples: int, sampler, chunk: int) -> tuple[float, flo
     return mean, float(np.sqrt(var / n_samples))
 
 
+def _pc_weights(c: np.ndarray, sp: float, p: float) -> np.ndarray:
+    """W^T for ``_pc_inner_integral``: the (n+1) x n table with entry [i, k]
+    +-(|c_i - c_k|^p - |c_{i-1} - c_k|^p)/sp (+ for i > k), built in place.
+
+    Each node's row runs contiguously over samples.  Row i starts as
+    |c_i - c_k|^p (that equals |c_k - c_i|^p bitwise), and the rows are
+    differenced from the bottom up, one at a time, so no second n x n table
+    is ever allocated.
+    """
+    n = c.size
+    w = np.empty((n + 1, n))
+    numer = w[:n]
+    np.subtract(c[:, None], c, out=numer)
+    np.abs(numer, out=numer)
+    numer **= p
+    np.subtract(0.0, w[n - 1], out=w[n])
+    for i in range(n - 1, 0, -1):
+        w[i] -= w[i - 1]
+    np.negative(w, out=w, where=np.arange(n + 1)[:, None] <= np.arange(n))
+    w /= sp
+    return w
+
+
 def _pc_inner_integral(g: PiecewiseConstant, sp: float, p: float):
     """x -> int_0^1 |g(x) - g(y)|^p |x - y|^(-(1+sp)) dy, exact, for x in [0, 1).
 
@@ -260,11 +272,7 @@ def _pc_inner_integral(g: PiecewiseConstant, sp: float, p: float):
     W[0, 0] = 0 keeps the sum finite.
     """
     n, h, nodes = g.mesh.n_elements, g.mesh.h, g.mesh.nodes
-    numer = np.abs(g.values[:, None] - g.values[None, :]) ** p
-    jumps = np.diff(numer, axis=1, prepend=0.0, append=0.0)
-    # stored as W^T, (n+1) x n, so each node's row runs contiguously over samples
-    sign = np.where(np.arange(n + 1)[:, None] > np.arange(n), 1.0, -1.0)
-    weights = sign * jumps.T / sp
+    weights = _pc_weights(g.values, sp, p)
     column = nodes[:, None]
     block = max(_PC_BLOCK // (n + 1), 3)
     gathered, dist = np.empty((n + 1) * block), np.empty((n + 1) * block)

@@ -117,9 +117,9 @@ class FeFunction:
         between it evaluates fp[j] + slope (x - xp[j]), which agrees with
         the barycentric form to a few ulps of the element's values.  Its
         search starts from the previous point's element, so increasing
-        points (the study grids) cost a few ns each and unsorted ones a
-        binary search.  It clamps points outside [0, 1] silently, hence
-        the range check.
+        points (``prolongate``'s fine nodes) cost a few ns each and
+        unsorted ones a binary search.  It clamps points outside [0, 1]
+        silently, hence the range check.
         """
         arr = np.asarray(y, dtype=float)
         _check_unit_interval(arr)

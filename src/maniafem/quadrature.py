@@ -9,7 +9,10 @@ only the method's error.
 Integrals of non-polynomial integrands (x^{1/3}-type profiles and their
 interpolation errors) use an 8-point rule on a study grid that subdivides
 every element and grades the first one geometrically toward x = 0, where the
-derivative singularity concentrates all the error mass.
+derivative singularity concentrates all the error mass.  ``StudyGrid`` builds
+that grid's points once per mesh in element order, so per-element data
+(finite element slopes, clamp factors) reach the points by broadcasting
+instead of a search per point.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = [
     "gauss_rule",
     "integrate_cells",
     "graded_grid",
+    "StudyGrid",
 ]
 
 MAX_POINTS = 32
@@ -94,17 +98,12 @@ def _sample(g, x: np.ndarray) -> np.ndarray:
             raise TypeError
     except (TypeError, ValueError):  # non-vectorized callables
         vals = np.array([float(g(xi)) for xi in flat])
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError("integrand returned a non-finite value")
+    _check_finite(vals)
     return vals.reshape(x.shape)
 
 
-def integrate_cells(rule: QuadRule, g, breakpoints) -> float:
-    """Composite quadrature over the cells between consecutive breakpoints.
-
-    The breakpoints must be strictly increasing.  Summation order is fixed
-    (left to right), so results are reproducible.
-    """
+def _cell_points(rule: QuadRule, breakpoints):
+    """(points, half-widths): the rule's points on each cell, one row per cell."""
     b = np.asarray(breakpoints, dtype=float)
     if b.ndim != 1 or b.size < 2:
         raise ValueError("breakpoints must be a 1-D array with at least two entries")
@@ -113,7 +112,21 @@ def integrate_cells(rule: QuadRule, g, breakpoints) -> float:
         raise ValueError("breakpoints must be strictly increasing")
     half *= 0.5
     mid = 0.5 * (b[1:] + b[:-1])
-    x = mid[:, None] + half[:, None] * rule.points[None, :]
+    return mid[:, None] + half[:, None] * rule.points[None, :], half
+
+
+def _check_finite(vals: np.ndarray):
+    if not np.all(np.isfinite(vals)):
+        raise EvaluationError("integrand returned a non-finite value")
+
+
+def integrate_cells(rule: QuadRule, g, breakpoints) -> float:
+    """Composite quadrature over the cells between consecutive breakpoints.
+
+    The breakpoints must be strictly increasing.  Summation order is fixed
+    (left to right), so results are reproducible.
+    """
+    x, half = _cell_points(rule, breakpoints)
     vals = _sample(g, x)
     return float(np.dot(vals @ rule.weights, half))
 
@@ -130,3 +143,53 @@ def graded_grid(mesh: Mesh1D, refine: int = 8, levels: int = 20) -> np.ndarray:
     seg = np.linspace(mesh.nodes[:-1], mesh.nodes[1:], refine + 1, axis=1)
     geo = mesh.h * 0.5 ** np.arange(1, levels + 1)
     return np.unique(np.concatenate([seg.ravel(), geo]))
+
+
+class StudyGrid:
+    """``graded_grid(mesh)`` with the 8-point rule on every cell, built once.
+
+    ``points`` holds the cells in the grid's order as one contiguous
+    (cells, 8) array, bitwise the points ``integrate_cells`` forms.  The
+    first ``head`` cells are the graded first element; elements 1..N-1 hold
+    8 cells each, so their points form (N-1, 64) rows and a per-element
+    array reaches them by broadcasting (``by_element``).  Integrals keep
+    ``integrate_cells``' reduction, so both give the same bits.
+    """
+
+    def __init__(self, mesh: Mesh1D):
+        rule = gauss_rule(8)
+        self.mesh = mesh
+        self.weights = rule.weights
+        self.points, self.half = _cell_points(rule, graded_grid(mesh))
+        self.points.setflags(write=False)
+        self.head = self.half.size - 8 * (mesh.n_elements - 1)
+
+    def by_element(self, op, a: np.ndarray, per_element, out: np.ndarray) -> np.ndarray:
+        """``out = op(a, per_element[k])`` on the points of each element k.
+
+        ``a`` and ``out`` are (cells, 8) arrays, ``out`` C-contiguous (it may
+        be ``a``); ``per_element`` has one entry per element.
+        """
+        h, rows = self.head, (self.mesh.n_elements - 1, 64)
+        op(a[:h], per_element[0], out=out[:h])
+        op(a[h:].reshape(rows), per_element[1:, None], out=out[h:].reshape(rows))
+        return out
+
+    def fe_values(self, f) -> np.ndarray:
+        """A finite element function of this mesh at the points, in a new array.
+
+        Written as s_k (x - x_k) + v_k, ``np.interp``'s formula, so the
+        values equal ``f.evaluate`` bitwise wherever the node spacing is h
+        exactly (power-of-two N) and within a few ulps otherwise.
+        """
+        if f.mesh.n_elements != self.mesh.n_elements:
+            raise ValueError("the function lives on another mesh")
+        out = self.by_element(np.subtract, self.points, self.mesh.nodes[:-1],
+                              np.empty_like(self.points))
+        self.by_element(np.multiply, out, f.slopes(), out)
+        return self.by_element(np.add, out, f.nodal_values[:-1], out)
+
+    def integrate(self, vals: np.ndarray) -> float:
+        """Quadrature of integrand values at the points."""
+        _check_finite(vals)
+        return float(np.dot(vals @ self.weights, self.half))

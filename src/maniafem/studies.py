@@ -10,6 +10,10 @@ its energy error splits into three pieces:
 The first two decay like h^(1+s-6a) and h^(s-5a) for profiles v whose
 derivative has fractional smoothness s in L^p; the studies here measure
 those orders by log-log regression over a mesh ladder.
+
+Every integral runs on a ``StudyGrid`` built once per mesh: the interpolant's
+values, slopes and clamp factors are computed per element and broadcast to
+the grid's points, and each integrand is formed in one array filled in place.
 """
 
 from __future__ import annotations
@@ -25,14 +29,17 @@ from .functionals import (
     cutoff,
     energy_clamped,
 )
-from .mesh import Mesh1D, interpolate
-from .quadrature import gauss_rule, graded_grid, integrate_cells
-from .fractional import norm_wkp  # noqa: F401  (perfbench/tracer.py wraps studies.norm_wkp)
+from .mesh import FeFunction, Mesh1D, interpolate
+from .quadrature import StudyGrid
+# not called here; kept so perfbench/tracer.py can wrap these attributes
+from .quadrature import graded_grid, integrate_cells  # noqa: F401
+from .fractional import norm_wkp  # noqa: F401
 
 __all__ = [
     "RateStudy",
     "make_rate_study",
     "power_fn",
+    "fe_error",
     "interp_error",
     "value_mismatch_term",
     "slope_mismatch_term",
@@ -93,13 +100,15 @@ def fit_order(rows) -> tuple[float, float]:
     return float(coeffs[0]), float(min(max(r2, 0.0), 1.0))
 
 
-def _tail(rows):
+def ladder_tail(rows):
+    """The rows an asymptotic verdict looks at: all but the TAIL_DROP
+    coarsest, once at least five meshes are present."""
     return rows[TAIL_DROP:] if len(rows) >= 5 else rows
 
 
 def make_rate_study(target, params, mesh_sizes, columns, rows) -> RateStudy:
     """Assemble a RateStudy, fitting |value| on the ladder tail."""
-    fit_rows = [(h, abs(v)) for h, v, *_ in _tail(rows)]
+    fit_rows = [(h, abs(v)) for h, v, *_ in ladder_tail(rows)]
     try:
         order, r2 = fit_order(fit_rows)
     except StudyError:
@@ -127,48 +136,60 @@ def power_fn(q: float):
     return fn, dfn
 
 
-def interp_error(fn, dfn, mesh: Mesh1D, p: float, grid=None) -> tuple[float, float]:
-    """(||v - I_h v||_{L^p}, ||v - I_h v||_{W^{1,p}}), integrating |v - I_h v|^p once."""
-    f_h = interpolate(mesh, fn)
-    if grid is None:
-        grid = graded_grid(mesh)
-    rule = gauss_rule(8)
-    value = integrate_cells(rule, lambda x: np.abs(fn(x) - f_h.evaluate(x)) ** p, grid)
-    slope = integrate_cells(rule, lambda x: np.abs(dfn(x) - f_h.slope_at(x)) ** p, grid)
-    return value ** (1.0 / p), (value + slope) ** (1.0 / p)
+def fe_error(fn, dfn, f: FeFunction, grid: StudyGrid, p: float) -> tuple[float, float]:
+    """(||v - f||_{L^p}, ||v - f||_{W^{1,p}}) for v = ``fn`` with derivative
+    ``dfn`` and a finite element function ``f`` on the grid's mesh,
+    integrating |v - f|^p once."""
+    err = grid.fe_values(f)
+    np.subtract(fn(grid.points), err, out=err)
+    np.abs(err, out=err)
+    err **= p
+    value = grid.integrate(err)
+    grid.by_element(np.subtract, dfn(grid.points), f.slopes(), err)
+    np.abs(err, out=err)
+    err **= p
+    return value ** (1.0 / p), (value + grid.integrate(err)) ** (1.0 / p)
 
 
-def value_mismatch_term(fn, mesh: Mesh1D, params: CutoffParams, grid=None) -> float:
+def interp_error(fn, dfn, grid: StudyGrid, p: float) -> tuple[float, float]:
+    """(||v - I_h v||_{L^p}, ||v - I_h v||_{W^{1,p}}) on the grid's mesh."""
+    return fe_error(fn, dfn, interpolate(grid.mesh, fn), grid, p)
+
+
+def _density(fn, grid: StudyGrid) -> np.ndarray:
+    """(v^3 - x)^2 at the grid points, in a new array."""
+    x = grid.points
+    out = fn(x) ** 3
+    out -= x
+    out **= 2
+    return out
+
+
+def value_mismatch_term(fn, grid: StudyGrid, params: CutoffParams) -> float:
     """Energy cost of swapping v for I_h v inside the density weight.
 
     Signed: the integrand is a difference of squares under the clamped
-    slope factor of the interpolant.
+    slope factor of the interpolant, which is constant on each element.
     """
-    f_h = interpolate(mesh, fn)
-    if grid is None:
-        grid = graded_grid(mesh)
-    rule = gauss_rule(8)
-
-    def integrand(x):
-        c6 = cutoff(params, f_h.slope_at(x)) ** 6
-        return c6 * ((f_h.evaluate(x) ** 3 - x) ** 2 - (fn(x) ** 3 - x) ** 2)
-
-    return integrate_cells(rule, integrand, grid)
+    f_h = interpolate(grid.mesh, fn)
+    vals = grid.fe_values(f_h)
+    vals **= 3
+    vals -= grid.points
+    vals **= 2
+    vals -= _density(fn, grid)
+    return grid.integrate(
+        grid.by_element(np.multiply, vals, cutoff(params, f_h.slopes()) ** 6, vals))
 
 
-def slope_mismatch_term(fn, dfn, mesh: Mesh1D, params: CutoffParams, grid=None) -> float:
+def slope_mismatch_term(fn, dfn, grid: StudyGrid, params: CutoffParams) -> float:
     """Energy cost of clamping the interpolant's slope instead of v'."""
-    f_h = interpolate(mesh, fn)
-    if grid is None:
-        grid = graded_grid(mesh)
-    rule = gauss_rule(8)
-
-    def integrand(x):
-        ci = cutoff(params, f_h.slope_at(x)) ** 6
-        cv = cutoff(params, dfn(x)) ** 6
-        return np.abs(ci - cv) * (fn(x) ** 3 - x) ** 2
-
-    return integrate_cells(rule, integrand, grid)
+    f_h = interpolate(grid.mesh, fn)
+    vals = cutoff(params, dfn(grid.points)) ** 6
+    # |c_v - c_h| equals |c_h - c_v| bitwise: rounding is symmetric under negation
+    grid.by_element(np.subtract, vals, cutoff(params, f_h.slopes()) ** 6, vals)
+    np.abs(vals, out=vals)
+    vals *= _density(fn, grid)
+    return grid.integrate(vals)
 
 
 def recovery_gap(fn, mesh: Mesh1D, params: CutoffParams, reference: float) -> float:

@@ -99,6 +99,25 @@ class TestLadderSolves:
             ex.solve_ladder((6, 8), SolveConfig())
 
 
+class TestLadderSharing:
+    def test_run_all_solves_each_ladder_once_per_call(self, tmp_path, monkeypatch):
+        solves = recorded_solves(monkeypatch)
+        config = ex.ExperimentConfig(output_dir=str(tmp_path / "reports"))
+        # the raw ladder makes 29 solves and the clamped one 19; gap_demo and
+        # min_convergence share the clamped one (67 solves when each solved it)
+        summary = ex.run_all(config)
+        assert len(solves) == 48
+        assert summary["all_pass"]
+        gap = summary["studies"]["gap_demo"]
+        conv = summary["studies"]["min_convergence"]
+        assert [row[2] for row in gap["rows"]] == [row[1] for row in conv["rows"]]
+        # nothing is kept between calls
+        ex.run_all(config)
+        assert len(solves) == 96
+        ex.run_min_convergence(config)
+        assert len(solves) == 115
+
+
 class TestMinConvergence:
     def test_small_ladder_study(self, tmp_path):
         config = small_config(tmp_path)
@@ -201,6 +220,33 @@ class TestStudyPassPredicates:
                 "inverse_ratio", params, (8, 16, 32), ("h", "value"), rows),
         }
         assert not ex.inverse_passes(bad)
+
+    @pytest.mark.parametrize("n_meshes", [4, 5])
+    def test_split_pass_checks_decay_on_the_ladder_tail(self, n_meshes):
+        from maniafem.studies import RateStudy
+
+        params = AdmissibleParams(0.2, 1.1, 0.035)
+        sizes = tuple(8 * 2**k for k in range(n_meshes))
+
+        def studies(slope_values):
+            # fits that pass outright, so only the decay check can fail
+            def study(target, values):
+                rows = tuple(zip((1 / n for n in sizes), values))
+                return RateStudy(target, params, sizes, ("h", "value"), rows, 2.0, 1.0)
+
+            return {"value_term": study("value_term", [1.0] * n_meshes),
+                    "slope_term": study("slope_term", slope_values)}
+
+        decaying = [0.4 * 0.5**k for k in range(n_meshes)]
+        assert ex.split_rates_passes(studies(decaying), params)
+        # a rise between the two coarsest meshes: with five meshes it lies
+        # before the tail (TAIL_DROP = 2) and is ignored; with four the whole
+        # ladder is the tail
+        rising = [0.9 * decaying[1]] + decaying[1:]
+        assert ex.split_rates_passes(studies(rising), params) == (n_meshes == 5)
+        # a rise inside the tail fails either way
+        late = decaying[:-1] + [decaying[-2]]
+        assert not ex.split_rates_passes(studies(late), params)
 
     def test_recovery_pass_requires_decay_and_floor(self):
         from maniafem.studies import make_rate_study

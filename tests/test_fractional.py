@@ -7,6 +7,7 @@ singular but integrable.
 """
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from maniafem.fractional import (
     seminorm_w1sp,
 )
 from maniafem.mesh import FeFunction, Mesh1D, interpolate
-from maniafem.quadrature import gauss_rule, graded_grid
+from maniafem.quadrature import StudyGrid, gauss_rule, graded_grid, integrate_cells
 
 
 def tensor_kernel_quad(a, b, c, d, sp, m=8):
@@ -324,8 +325,8 @@ class TestNormWkp:
         assert norm_wkp(f, 1, 1.3) == 0.0
 
     def test_root_l1_norm_via_graded_quadrature(self):
-        grid = graded_grid(Mesh1D(16))
-        value = norm_wkp(lambda x: x ** (1 / 3), 0, 1.0, grid=grid)
+        grid = StudyGrid(Mesh1D(16))
+        value = grid.integrate(np.abs(grid.points ** (1 / 3)))
         assert value == pytest.approx(0.75, rel=1e-10)
 
     def test_fe_closed_form_matches_quadrature_positive_data(self):
@@ -335,16 +336,20 @@ class TestNormWkp:
         for n in (3, 8):
             mesh = Mesh1D(n)
             f = FeFunction(mesh, rng.uniform(0.1, 1.1, n + 1))
-            grid = graded_grid(mesh)
+            grid = StudyGrid(mesh)
+            slopes = grid.by_element(np.add, np.zeros(grid.points.shape), f.slopes(),
+                                     np.empty(grid.points.shape))
             for p in (1.0, 1.1, 2.0, 2.7):
                 closed = norm_wkp(f, 1, p)
-                quad = norm_wkp(f.evaluate, 1, p, grid=grid, derivative=f.slope_at)
+                quad = (grid.integrate(np.abs(grid.fe_values(f)) ** p)
+                        + grid.integrate(np.abs(slopes) ** p)) ** (1.0 / p)
                 assert closed == pytest.approx(quad, rel=1e-12)
 
     def test_fe_closed_form_handles_sign_crossings(self):
         # for p in {1, 2} a crossing-aligned grid integrates |v|^p exactly,
         # which pins down the closed form's sign handling
         rng = np.random.default_rng(19)
+        rule = gauss_rule(8)
         for n in (3, 8):
             mesh = Mesh1D(n)
             f = FeFunction(mesh, rng.uniform(-1, 1, n + 1))
@@ -354,7 +359,9 @@ class TestNormWkp:
             grid = np.unique(np.concatenate([graded_grid(mesh), zeros]))
             for p in (1.0, 2.0):
                 closed = norm_wkp(f, 1, p)
-                quad = norm_wkp(f.evaluate, 1, p, grid=grid, derivative=f.slope_at)
+                quad = (integrate_cells(rule, lambda x: np.abs(f.evaluate(x)) ** p, grid)
+                        + integrate_cells(rule, lambda x: np.abs(f.slope_at(x)) ** p, grid)
+                        ) ** (1.0 / p)
                 assert closed == pytest.approx(quad, rel=1e-12)
 
     def test_validation(self):
@@ -363,10 +370,11 @@ class TestNormWkp:
             norm_wkp(f, 2, 1.1)
         with pytest.raises(RegimeError):
             norm_wkp(f, 0, 0.5)
-        with pytest.raises(ValueError):
-            norm_wkp(lambda x: x, 0, 1.1)  # callable without a grid
-        with pytest.raises(ValueError):
-            norm_wkp(lambda x: x, 1, 1.1, grid=graded_grid(Mesh1D(2)))  # no derivative
+        # other profiles are integrated on a StudyGrid, not here
+        with pytest.raises(TypeError, match="FeFunction"):
+            norm_wkp(lambda x: x, 0, 1.1)
+        with pytest.raises(TypeError, match="FeFunction"):
+            norm_wkp(f.evaluate, 1, 1.1)
 
 
 class TestMonteCarloOracle:
@@ -427,6 +435,39 @@ class TestMonteCarloOracle:
 
 
 class TestTelescopedInnerIntegral:
+    @staticmethod
+    def dense_weights(c, sp, p):
+        """W^T from three dense tables, the formula the sampler first used."""
+        n = c.size
+        numer = np.abs(c[:, None] - c[None, :]) ** p
+        jumps = np.diff(numer, axis=1, prepend=0.0, append=0.0)
+        sign = np.where(np.arange(n + 1)[:, None] > np.arange(n), 1.0, -1.0)
+        return sign * jumps.T / sp
+
+    @pytest.mark.parametrize("n", [2, 5, 64])
+    @pytest.mark.parametrize("p", [1.0, 1.1, 2.0])
+    def test_weights_match_the_dense_formula_bitwise(self, n, p):
+        rng = np.random.default_rng(70 + n)
+        c = rng.uniform(-1, 1, n)
+        c[-1] = c[0]  # a zero numerator off the diagonal
+        got = fractional._pc_weights(c, 0.22, p)
+        # bytes, so signed zeros must agree too
+        assert got.tobytes() == self.dense_weights(c, 0.22, p).tobytes()
+
+    def test_weights_setup_memory(self):
+        # the dense formula peaks at about four n x n tables, the in-place
+        # build at one (n + 1) x n table
+        c = np.random.default_rng(71).uniform(-1, 1, 1024)
+        peaks = []
+        for build in (self.dense_weights, fractional._pc_weights):
+            tracemalloc.start()
+            try:
+                build(c, 0.22, 1.1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert 2 * peaks[1] <= peaks[0]
+
     # n = 5 and n = 7 each need one of the two index corrections at a node
     @pytest.mark.parametrize("n", [2, 3, 5, 7, 8, 16])
     def test_matches_per_element_form(self, n):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from maniafem.errors import EvaluationError
-from maniafem.mesh import Mesh1D
-from maniafem.quadrature import gauss_rule, graded_grid, integrate_cells
+from maniafem.mesh import FeFunction, Mesh1D, interpolate
+from maniafem.quadrature import StudyGrid, gauss_rule, graded_grid, integrate_cells
 
 
 def test_one_point_rule_is_midpoint():
@@ -141,3 +141,80 @@ def test_graded_grid_resolves_root_singularity():
     grid = graded_grid(Mesh1D(16))
     value = integrate_cells(gauss_rule(8), lambda x: x ** (1 / 3), grid)
     assert value == pytest.approx(0.75, rel=1e-10)
+
+
+class TestStudyGrid:
+    @staticmethod
+    def cell_points(mesh):
+        # the points integrate_cells forms on graded_grid(mesh)
+        b = graded_grid(mesh)
+        half = np.diff(b) * 0.5
+        mid = 0.5 * (b[1:] + b[:-1])
+        return mid[:, None] + half[:, None] * gauss_rule(8).points[None, :], half
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 1024])
+    def test_points_are_the_graded_cells_bitwise(self, n):
+        mesh = Mesh1D(n)
+        grid = StudyGrid(mesh)
+        x, half = self.cell_points(mesh)
+        assert np.array_equal(grid.points, x) and np.array_equal(grid.half, half)
+        assert grid.points.flags.c_contiguous
+        # the graded first element, then 8 cells per element (none for N = 1)
+        assert grid.head == 25
+        assert half.size == grid.head + 8 * (n - 1)
+        assert grid.points[:grid.head].max() < mesh.nodes[1]
+        assert n == 1 or grid.points[grid.head:].min() > mesh.nodes[1]
+
+    @staticmethod
+    def fe_reference(grid, f):
+        x = grid.points.ravel()
+        return f.evaluate(x).reshape(grid.points.shape), f.slope_at(x).reshape(grid.points.shape)
+
+    def slopes_on(self, grid, f):
+        return grid.by_element(np.add, np.zeros(grid.points.shape), f.slopes(),
+                               np.empty(grid.points.shape))
+
+    @pytest.mark.parametrize("n", [8, 1024, 16384])
+    def test_fe_values_and_slopes_are_bitwise(self, n):
+        mesh = Mesh1D(n)
+        grid = StudyGrid(mesh)
+        rng = np.random.default_rng(n)
+        for f in (interpolate(mesh, lambda x: x ** (1 / 3)),
+                  FeFunction(mesh, rng.uniform(-1, 1, n + 1))):
+            values, slopes = self.fe_reference(grid, f)
+            assert grid.fe_values(f).tobytes() == values.tobytes()
+            assert np.array_equal(self.slopes_on(grid, f), slopes)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_fe_values_off_power_of_two_within_4_ulps(self, n):
+        # np.interp divides by the stored node difference, the slopes by h;
+        # on the study profiles the two agree to 4 ulps of the value (data
+        # steep against its values can differ by more, relative to them)
+        mesh = Mesh1D(n)
+        grid = StudyGrid(mesh)
+        for q in (1 / 3, 0.45):
+            f = interpolate(mesh, lambda x: x**q)
+            values, slopes = self.fe_reference(grid, f)
+            got = grid.fe_values(f)
+            assert np.all(np.abs(got - values) <= 4 * np.spacing(values))
+            assert np.array_equal(self.slopes_on(grid, f), slopes)
+
+    def test_integrate_matches_integrate_cells_bitwise(self):
+        mesh = Mesh1D(64)
+        grid = StudyGrid(mesh)
+        g = lambda x: np.abs(x ** (1 / 3) - 0.5) ** 1.1
+        assert grid.integrate(g(grid.points)) == integrate_cells(gauss_rule(8), g,
+                                                                 graded_grid(mesh))
+
+    def test_rejects_non_finite_values_and_foreign_functions(self):
+        grid = StudyGrid(Mesh1D(4))
+        vals = np.ones(grid.points.shape)
+        vals[3, 2] = np.nan
+        with pytest.raises(EvaluationError):
+            grid.integrate(vals)
+        vals[3, 2] = np.inf
+        with pytest.raises(EvaluationError):
+            grid.integrate(vals)
+        with pytest.raises(ValueError, match="another mesh"):
+            grid.fe_values(interpolate(Mesh1D(8), lambda x: x))
+        assert not grid.points.flags.writeable

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from maniafem.errors import StudyError
-from maniafem.fractional import norm_wkp
 from maniafem.functionals import CutoffParams, energy_clamped
 from maniafem.mesh import Mesh1D, interpolate
-from maniafem.quadrature import graded_grid
+from maniafem.quadrature import StudyGrid, gauss_rule, graded_grid, integrate_cells
 from maniafem.studies import (
     fit_order,
     interp_error,
@@ -58,7 +57,7 @@ class TestInterpError:
         fn = lambda x: 0.25 + 0.5 * np.asarray(x, dtype=float)
         dfn = lambda x: np.full_like(np.asarray(x, dtype=float), 0.5)
         for n in (2, 8):
-            lp, w1p = interp_error(fn, dfn, Mesh1D(n), 1.3)
+            lp, w1p = interp_error(fn, dfn, StudyGrid(Mesh1D(n)), 1.3)
             assert lp <= 1e-14
             assert w1p <= 1e-14
 
@@ -66,35 +65,36 @@ class TestInterpError:
         # I_h x^2 on N = 1 is x, so the L^1 error is int (x - x^2) = 1/6 and
         # the W^{1,1} error adds int |2x - 1| = 1/2
         lp, w1p = interp_error(lambda x: np.asarray(x) ** 2, lambda x: 2.0 * np.asarray(x),
-                               Mesh1D(1), 1.0)
+                               StudyGrid(Mesh1D(1)), 1.0)
         assert lp == pytest.approx(1 / 6, rel=1e-12)
         assert w1p == pytest.approx(1 / 6 + 1 / 2, rel=1e-12)
 
     def test_root_profile_errors_decrease(self):
         fn, dfn = power_fn(1.0 / 3.0)
-        l0, l1 = zip(*(interp_error(fn, dfn, Mesh1D(n), 1.1) for n in (8, 16, 32, 64)))
+        l0, l1 = zip(*(interp_error(fn, dfn, StudyGrid(Mesh1D(n)), 1.1)
+                       for n in (8, 16, 32, 64)))
         assert all(b < a for a, b in zip(l0, l0[1:]))
         assert all(b < a for a, b in zip(l1, l1[1:]))
 
-    def test_both_norms_match_norm_wkp_bitwise(self):
-        # the shared integral of |v - I_h v|^p gives the values the two
-        # separate norm_wkp integrations gave
+    def test_both_norms_match_separate_integrations_bitwise(self):
+        # the shared integral of |v - I_h v|^p on the study grid gives the
+        # values two separate integrate_cells passes over graded_grid give
         fn, dfn = power_fn(1.0 / 3.0)
         mesh = Mesh1D(64)
         f_h = interpolate(mesh, fn)
-        grid = graded_grid(mesh)
-        err = lambda x: fn(x) - f_h.evaluate(x)
-        derr = lambda x: dfn(x) - f_h.slope_at(x)
-        assert interp_error(fn, dfn, mesh, 1.1, grid) == (
-            norm_wkp(err, 0, 1.1, grid=grid),
-            norm_wkp(err, 1, 1.1, grid=grid, derivative=derr))
+        rule, breaks = gauss_rule(8), graded_grid(mesh)
+        value = integrate_cells(rule, lambda x: np.abs(fn(x) - f_h.evaluate(x)) ** 1.1, breaks)
+        slope = integrate_cells(rule, lambda x: np.abs(dfn(x) - f_h.slope_at(x)) ** 1.1, breaks)
+        assert interp_error(fn, dfn, StudyGrid(mesh), 1.1) == (
+            value ** (1.0 / 1.1), (value + slope) ** (1.0 / 1.1))
 
 
 class TestRecoveryTerms:
     def test_value_term_vanishes_for_linear_profile(self):
         mesh = Mesh1D(8)
         params = CutoffParams(0.035, mesh.h)
-        assert abs(value_mismatch_term(lambda x: np.asarray(x, float), mesh, params)) <= 1e-16
+        assert abs(value_mismatch_term(lambda x: np.asarray(x, float), StudyGrid(mesh),
+                                       params)) <= 1e-16
 
     def test_value_term_for_root_equals_interpolant_energy(self):
         # v = x^(1/3) kills the subtracted density, leaving the clamped
@@ -103,7 +103,7 @@ class TestRecoveryTerms:
         for n in (8, 32):
             mesh = Mesh1D(n)
             params = CutoffParams(0.035, mesh.h)
-            term = value_mismatch_term(fn, mesh, params)
+            term = value_mismatch_term(fn, StudyGrid(mesh), params)
             direct = energy_clamped(interpolate(mesh, fn), params)
             assert term == pytest.approx(direct, rel=1e-10)
             assert term >= 0.0
@@ -112,17 +112,19 @@ class TestRecoveryTerms:
         mesh = Mesh1D(8)
         params = CutoffParams(0.035, mesh.h)
         fn_root, dfn_root = power_fn(1.0 / 3.0)
-        assert slope_mismatch_term(fn_root, dfn_root, mesh, params) <= 1e-25
+        grid = StudyGrid(mesh)
+        assert slope_mismatch_term(fn_root, dfn_root, grid, params) <= 1e-25
         identity = lambda x: np.asarray(x, dtype=float)
         d_identity = lambda x: np.ones_like(np.asarray(x, dtype=float))
-        assert slope_mismatch_term(identity, d_identity, mesh, params) == 0.0
+        assert slope_mismatch_term(identity, d_identity, grid, params) == 0.0
 
     def test_slope_term_decreases_for_nondegenerate_profile(self):
         fn, dfn = power_fn(0.45)
         values = []
         for n in (8, 16, 32, 64):
             mesh = Mesh1D(n)
-            values.append(slope_mismatch_term(fn, dfn, mesh, CutoffParams(0.035, mesh.h)))
+            values.append(slope_mismatch_term(fn, dfn, StudyGrid(mesh),
+                                              CutoffParams(0.035, mesh.h)))
         assert all(v > 0 for v in values)
         assert all(b < a for a, b in zip(values, values[1:]))
 
