@@ -11,12 +11,7 @@ machinery and the convergence studies that quantify why it works.
 from .errors import ConsistencyError, EvaluationError, RegimeError, StudyError
 from .mesh import FeFunction, Mesh1D, interpolate
 from .quadrature import QuadRule, StudyGrid, gauss_rule, integrate_cells
-from .functionals import (
-    AdmissibleParams,
-    CutoffParams,
-    cutoff,
-    energy_clamped,
-)
+from .functionals import AdmissibleParams, energy_clamped
 from .fractional import (
     PiecewiseConstant,
     SeminormResult,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConsistencyError
 from .fractional import norm_wkp, seminorm_w1sp
-from .functionals import AdmissibleParams, CutoffParams, energy_clamped
+from .functionals import AdmissibleParams, energy_clamped
 from .mesh import Mesh1D, interpolate
 from .optimize import SolveConfig, SolveResult, initial_values, minimize_from, prolongate
 from .quadrature import StudyGrid
@@ -77,7 +77,7 @@ HILBERT_VARIANT_BETA = 0.4
 SPLIT_ORDER_SLACK = 0.1
 SPLIT_MIN_R2 = 0.9
 RECOVERY_TOL = 1e-3
-SLOPE_PROBE_EXPONENT = 0.45
+SPLIT_PROBE_EXPONENT = 0.45
 
 # Ladders solved during the current run_all call, by solve_ladder's
 # arguments; None outside run_all, so no result outlives the call.
@@ -132,11 +132,10 @@ def solve_ladder(mesh_sizes, solver: SolveConfig, alpha: float | None = None) ->
     prev: SolveResult | None = None
     for n in reversed(chain):
         mesh = Mesh1D(n)
-        params = None if alpha is None else CutoffParams(alpha, mesh.h)
         starts = [initial_values(mesh, kind) for kind in seeds]
         if prev is not None:
             starts.append(prolongate(prev.minimizer, mesh).nodal_values)
-        best[n] = prev = min((minimize_from(mesh, start, solver, params) for start in starts),
+        best[n] = prev = min((minimize_from(mesh, start, solver, alpha) for start in starts),
                              key=lambda r: r.energy)
     results = [best[n] for n in mesh_sizes]
     if solved is not None:
@@ -166,9 +165,8 @@ def run_gap_demo(config: ExperimentConfig) -> dict:
     if any(b > a for a, b in zip(raw_e, raw_e[1:])):
         raise ConsistencyError(f"raw minima increased along the ladder: {raw_e}")
     trend = make_rate_study(
-        "gap_clamped_trend", config.params, config.mesh_sizes,
-        ("h", "value"), [(1.0 / n, e) for n, e in zip(config.mesh_sizes, clamped_e)],
-    )
+        "gap_clamped_trend", config.mesh_sizes, ("h", "value"),
+        [(1.0 / n, e) for n, e in zip(config.mesh_sizes, clamped_e)])
     raw_floor = min(raw_e)
     return {
         "raw_floor": raw_floor,
@@ -195,14 +193,12 @@ def run_min_convergence(config: ExperimentConfig) -> RateStudy:
     rows = []
     for n, res in zip(config.mesh_sizes, results):
         mesh = Mesh1D(n)
-        params_h = CutoffParams(config.params.alpha, mesh.h)
-        interp_energy = energy_clamped(interpolate(mesh, fn), params_h)
+        interp_energy = energy_clamped(interpolate(mesh, fn), config.params.alpha)
         _, dist = fe_error(fn, dfn, res.minimizer, StudyGrid(mesh), p)
         rows.append((mesh.h, res.energy, interp_energy, dist))
     return make_rate_study(
-        "min_convergence", config.params, config.mesh_sizes,
-        ("h", "value", "interp_energy", "w1p_distance"), rows,
-    )
+        "min_convergence", config.mesh_sizes,
+        ("h", "value", "interp_energy", "w1p_distance"), rows)
 
 
 def min_convergence_passes(study: RateStudy) -> bool:
@@ -224,9 +220,9 @@ def run_interp_rates(config: ExperimentConfig) -> dict[str, RateStudy]:
         rows_w1p.append((mesh.h, w1p))
     return {
         "interp_lp": make_rate_study(
-            "interp_lp", config.params, config.mesh_sizes, ("h", "value"), rows_lp),
+            "interp_lp", config.mesh_sizes, ("h", "value"), rows_lp),
         "interp_w1p": make_rate_study(
-            "interp_w1p", config.params, config.mesh_sizes, ("h", "value"), rows_w1p),
+            "interp_w1p", config.mesh_sizes, ("h", "value"), rows_w1p),
     }
 
 
@@ -255,10 +251,10 @@ def run_inverse_study(config: ExperimentConfig) -> dict[str, RateStudy]:
     s, p = config.params.s, config.params.p
     return {
         "inverse_ratio": make_rate_study(
-            "inverse_ratio", config.params, config.mesh_sizes, ("h", "value"),
+            "inverse_ratio", config.mesh_sizes, ("h", "value"),
             _inverse_rows(config.mesh_sizes, s, p)),
         "inverse_ratio_h1": make_rate_study(
-            "inverse_ratio_h1", None, config.mesh_sizes, ("h", "value"),
+            "inverse_ratio_h1", config.mesh_sizes, ("h", "value"),
             _inverse_rows(config.mesh_sizes, HILBERT_VARIANT_BETA, 2.0)),
     }
 
@@ -272,24 +268,23 @@ def inverse_passes(studies: dict[str, RateStudy]) -> bool:
 
 
 def run_split_rates(config: ExperimentConfig) -> dict[str, RateStudy]:
-    """Decay of the two recovery-split terms: the value term probed at
-    x^(1/3) (where the density weight degenerates helpfully) and the slope
-    term probed at x^0.45 (a non-degenerate profile in the same regime)."""
+    """Decay of the two recovery-split terms, both probed at x^0.45: a
+    non-degenerate profile in the same regime.  At x^(1/3) the value term
+    would degenerate into the clamped interpolant energy, since v^3 - x
+    vanishes there."""
     alpha = config.params.alpha
     rows_value, rows_slope = [], []
-    fn_root, _ = power_fn(1.0 / 3.0)
-    fn_q, dfn_q = power_fn(SLOPE_PROBE_EXPONENT)
+    fn_q, dfn_q = power_fn(SPLIT_PROBE_EXPONENT)
     for n in config.mesh_sizes:
         mesh = Mesh1D(n)
-        params_h = CutoffParams(alpha, mesh.h)
         grid = StudyGrid(mesh)
-        rows_value.append((mesh.h, value_mismatch_term(fn_root, grid, params_h)))
-        rows_slope.append((mesh.h, slope_mismatch_term(fn_q, dfn_q, grid, params_h)))
+        rows_value.append((mesh.h, value_mismatch_term(fn_q, grid, alpha)))
+        rows_slope.append((mesh.h, slope_mismatch_term(fn_q, dfn_q, grid, alpha)))
     return {
         "value_term": make_rate_study(
-            "value_term", config.params, config.mesh_sizes, ("h", "value"), rows_value),
+            "value_term", config.mesh_sizes, ("h", "value"), rows_value),
         "slope_term": make_rate_study(
-            "slope_term", config.params, config.mesh_sizes, ("h", "value"), rows_slope),
+            "slope_term", config.mesh_sizes, ("h", "value"), rows_slope),
     }
 
 
@@ -312,10 +307,9 @@ def run_recovery(config: ExperimentConfig) -> RateStudy:
     rows = []
     for n in config.mesh_sizes:
         mesh = Mesh1D(n)
-        params_h = CutoffParams(config.params.alpha, mesh.h)
-        rows.append((mesh.h, recovery_gap(fn, mesh, params_h, reference=0.0)))
+        rows.append((mesh.h, recovery_gap(fn, mesh, config.params.alpha, reference=0.0)))
     return make_rate_study(
-        "recovery_gap", config.params, config.mesh_sizes, ("h", "value"), rows)
+        "recovery_gap", config.mesh_sizes, ("h", "value"), rows)
 
 
 def recovery_passes(study: RateStudy) -> bool:

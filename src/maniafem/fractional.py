@@ -70,16 +70,13 @@ class PiecewiseConstant:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def evaluate(self, y):
-        return self.values[self.mesh.element_indices(np.asarray(y, dtype=float))]
-
 
 @dataclass(frozen=True)
 class SeminormResult:
     value: float
     s: float
     p: float
-    method: str  # closed_form | quadrature | monte_carlo
+    method: str  # closed_form | monte_carlo
     est_error: float
 
     def __post_init__(self):
@@ -204,11 +201,9 @@ def norm_wkp(f: FeFunction, k: int, p: float) -> float:
     return total ** (1.0 / p)
 
 
-# Samples per chunk, the unit _mc_accumulate sums.  The piecewise-constant
-# draws do not depend on the chunk; the callable path draws x and y chunk by
-# chunk, so its chunk is part of its random stream.
+# Samples per chunk, the unit _mc_accumulate sums; the draws do not depend
+# on it.
 _PC_CHUNK = 65_536
-_CALLABLE_CHUNK = 500_000
 # Elements per (n+1) x block buffer of the piecewise-constant sampler, so the
 # block is _PC_BLOCK // (n+1) samples and the two buffers take 1 MiB, inside a
 # 2 MiB L2.  A whole (n+1) x chunk array takes 4.7 MB at n = 8; blocks cut
@@ -216,13 +211,13 @@ _CALLABLE_CHUNK = 500_000
 _PC_BLOCK = 65_536
 
 
-def _mc_accumulate(rng, n_samples: int, sampler, chunk: int) -> tuple[float, float]:
+def _mc_accumulate(rng, n_samples: int, sampler) -> tuple[float, float]:
     """Chunked mean and standard error of ``sampler(x)`` over uniform x."""
     total = 0.0
     total_sq = 0.0
     remaining = int(n_samples)
     while remaining > 0:
-        size = min(remaining, chunk)
+        size = min(remaining, _PC_CHUNK)
         f = sampler(rng.random(size))
         total += float(np.sum(f))
         total_sq += float(np.sum(f * f))
@@ -303,57 +298,39 @@ def _pc_inner_integral(g: PiecewiseConstant, sp: float, p: float):
     return inner
 
 
-def gagliardo_oracle_mc(g, s: float, p: float, n_samples: int,
+def gagliardo_oracle_mc(g: PiecewiseConstant, s: float, p: float, n_samples: int,
                         seed: int = 0) -> SeminormResult:
-    """Monte-Carlo estimate of the Gagliardo double integral.
+    """Monte-Carlo estimate of the Gagliardo double integral of
+    piecewise-constant data.
 
-    For piecewise-constant data x is sampled uniformly and the inner
-    y-integral is carried out exactly with the once-integrated kernel
-    antiderivative t^(-sp)/sp, telescoped over the nodes so a sample costs
-    n+1 powers (see ``_pc_inner_integral``).  Same-element pairs drop out
-    analytically (their numerator is zero), and a sample exactly on a node
-    takes the element ending there as contributing nothing.  The exact inner
-    integral is what keeps the estimator's variance finite (for 2sp < 1)
-    despite the integrable kernel singularity at shared element boundaries --
-    naive sampling of both coordinates is heavy-tailed there and its standard
-    error estimate is unreliable.  This path shares no algebra with the
-    twice-integrated closed form it is used to check.
+    x is sampled uniformly and the inner y-integral is carried out exactly
+    with the once-integrated kernel antiderivative t^(-sp)/sp, telescoped
+    over the nodes so a sample costs n+1 powers (see ``_pc_inner_integral``).
+    Same-element pairs drop out analytically (their numerator is zero), and
+    a sample exactly on a node takes the element ending there as
+    contributing nothing.  The exact inner integral is what keeps the
+    estimator's variance finite (for 2sp < 1) despite the integrable kernel
+    singularity at shared element boundaries -- naive sampling of both
+    coordinates is heavy-tailed there and its standard error estimate is
+    unreliable.  This path shares no algebra with the twice-integrated
+    closed form it is used to check.
 
-    Arbitrary callables fall back to plain uniform sampling of both
-    coordinates (no element structure to integrate over); expect noisy error
-    estimates in that mode.
-
-    Piecewise-constant samples are summed in chunks of 65 536 and evaluated
-    in cache-sized blocks; the block size changes no sample's value.
-    ``n_samples`` must be an integer (a float such as 1e6 raises).
+    Samples are summed in chunks of 65 536 and evaluated in cache-sized
+    blocks; the block size changes no sample's value.  ``n_samples`` must be
+    an integer (a float such as 1e6 raises).
 
     ``est_error`` is the standard error of the mean, transported to the
     seminorm scale by the delta method.
     """
     _check_regime(s, p)
+    if not isinstance(g, PiecewiseConstant):
+        raise TypeError(f"gagliardo_oracle_mc takes a PiecewiseConstant, got {type(g).__name__}")
     if not isinstance(n_samples, (int, np.integer)):
         raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 10_000:
         raise ValueError(f"need at least 1e4 samples, got {n_samples}")
     rng = np.random.default_rng(seed)
-    sp = s * p
-
-    if isinstance(g, PiecewiseConstant):
-        sampler, chunk = _pc_inner_integral(g, sp, p), _PC_CHUNK
-    else:
-        exponent = 1.0 + sp
-
-        def sampler(x):
-            y = rng.random(x.size)
-            num = np.abs(np.asarray(g(x), dtype=float)
-                         - np.asarray(g(y), dtype=float)) ** p
-            dist = np.abs(x - y)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(num == 0.0, 0.0, num / dist**exponent)
-
-        chunk = _CALLABLE_CHUNK
-
-    mean, se_mean = _mc_accumulate(rng, n_samples, sampler, chunk)
+    mean, se_mean = _mc_accumulate(rng, n_samples, _pc_inner_integral(g, s * p, p))
     if mean <= 0.0:
         return SeminormResult(0.0, s, p, "monte_carlo", 0.0)
     value = mean ** (1.0 / p)

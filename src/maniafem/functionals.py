@@ -24,7 +24,7 @@ values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +33,7 @@ from .mesh import FeFunction, Mesh1D
 from .quadrature import gauss_rule
 
 __all__ = [
-    "CutoffParams",
     "AdmissibleParams",
-    "cutoff",
     "fe_objective",
     "energy_clamped",
 ]
@@ -43,41 +41,6 @@ __all__ = [
 # (v^3 - x)^2 with v linear has degree 6; four points are exact to degree 7
 DENSITY_RULE_SIZE = 4
 NEG_ENERGY_TOL = -1e-14
-
-
-@dataclass(frozen=True)
-class CutoffParams:
-    """Clamp level h^(-alpha) for the derivative cutoff.
-
-    ``tied`` marks that h is meant to equal the mesh size of the functions
-    the cutoff is applied to; the energy evaluators and solvers enforce that
-    pairing through :meth:`check_mesh`.
-    ``decoupled`` builds parameters free of it, for studies that evaluate
-    the clamped density of non-mesh functions.
-    """
-
-    alpha: float
-    h: float
-    tied: bool = True
-    clamp: float = field(init=False)
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not 0.0 < self.h < 1.0:
-            raise ValueError(f"h must lie in (0, 1), got {self.h}")
-        object.__setattr__(self, "clamp", self.h ** -self.alpha)
-
-    def check_mesh(self, mesh: Mesh1D):
-        """Raise ValueError if this level is tied to a different mesh size."""
-        if self.tied and self.h != mesh.h:
-            raise ValueError(
-                f"cutoff level is tied to the mesh: params.h = {self.h} but mesh.h = {mesh.h}"
-            )
-
-    @classmethod
-    def decoupled(cls, alpha: float, h: float) -> "CutoffParams":
-        return cls(alpha, h, tied=False)
 
 
 @dataclass(frozen=True)
@@ -112,11 +75,17 @@ class AdmissibleParams:
             raise RegimeError("; ".join(fails))
 
 
-def cutoff(params: CutoffParams, t):
-    """sgn(t) * min(|t|, clamp); odd, 1-Lipschitz, identity below the clamp."""
-    t_arr = np.asarray(t, dtype=float)
-    out = np.sign(t_arr) * np.minimum(np.abs(t_arr), params.clamp)
-    return float(out) if out.ndim == 0 else out
+def clamp_level(mesh: Mesh1D, alpha: float) -> float:
+    """The clamp h^(-alpha) for functions on ``mesh``, h its element size.
+
+    Raises ValueError unless alpha > 0 (NaN included) and h < 1, i.e. the
+    mesh has more than one element.
+    """
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not mesh.h < 1.0:
+        raise ValueError(f"the clamp needs h < 1, got a one-element mesh (h = {mesh.h})")
+    return mesh.h ** -alpha
 
 
 def _check_energy(value: float) -> float:
@@ -229,12 +198,12 @@ def _require_bc(f: FeFunction):
         raise ValueError("energy is defined on the boundary-pinned space: bc_flag required")
 
 
-def energy_clamped(f: FeFunction, params: CutoffParams) -> float:
-    """The clamped energy: J with slopes passed through the cutoff.
+def energy_clamped(f: FeFunction, alpha: float) -> float:
+    """The clamped energy: J with slopes clipped at h^(-alpha), h the mesh
+    size of ``f``.
 
     Always in [0, J(f)]; equals J(f) when no slope exceeds the clamp.
     """
     _require_bc(f)
-    params.check_mesh(f.mesh)
-    energy, _ = fe_objective(f.mesh, params.clamp)
+    energy, _ = fe_objective(f.mesh, clamp_level(f.mesh, alpha))
     return _check_energy(energy(f.nodal_values[1:-1]))

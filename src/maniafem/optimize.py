@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import CutoffParams, fe_objective
+from .functionals import clamp_level, fe_objective
 from .mesh import FeFunction, Mesh1D
 
 __all__ = [
@@ -265,16 +265,14 @@ def _kink_step(mesh: Mesh1D, clamp: float):
 
 
 def minimize_from(mesh: Mesh1D, start_values, config: SolveConfig | None = None,
-                  params: CutoffParams | None = None) -> SolveResult:
-    """Single solve from given full nodal values; clamped if params given.
+                  alpha: float | None = None) -> SolveResult:
+    """Single solve from given full nodal values; clamped at h^(-alpha) on
+    ``mesh`` if ``alpha`` is given, raw otherwise.
 
     The starting boundary values are replaced by the pinned 0 and 1.
     """
     config = config or SolveConfig()
-    clamp = None
-    if params is not None:
-        params.check_mesh(mesh)
-        clamp = params.clamp
+    clamp = None if alpha is None else clamp_level(mesh, alpha)
     energy, derivatives = fe_objective(mesh, clamp)
     max_step = None if clamp is None else _kink_step(mesh, clamp)
     start = np.asarray(start_values, dtype=float)[1:-1]

@@ -23,12 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StudyError
-from .functionals import (
-    AdmissibleParams,
-    CutoffParams,
-    cutoff,
-    energy_clamped,
-)
+from .functionals import clamp_level, energy_clamped
 from .mesh import FeFunction, Mesh1D, interpolate
 from .quadrature import StudyGrid
 # not called here; kept so perfbench/tracer.py can wrap these attributes
@@ -60,7 +55,6 @@ class RateStudy:
     """
 
     target: str
-    params: AdmissibleParams | None
     mesh_sizes: tuple[int, ...]
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
@@ -106,7 +100,7 @@ def ladder_tail(rows):
     return rows[TAIL_DROP:] if len(rows) >= 5 else rows
 
 
-def make_rate_study(target, params, mesh_sizes, columns, rows) -> RateStudy:
+def make_rate_study(target, mesh_sizes, columns, rows) -> RateStudy:
     """Assemble a RateStudy, fitting |value| on the ladder tail."""
     fit_rows = [(h, abs(v)) for h, v, *_ in ladder_tail(rows)]
     try:
@@ -115,7 +109,6 @@ def make_rate_study(target, params, mesh_sizes, columns, rows) -> RateStudy:
         order, r2 = float("nan"), 0.0
     return RateStudy(
         target=target,
-        params=params,
         mesh_sizes=tuple(int(n) for n in mesh_sizes),
         columns=tuple(columns),
         rows=tuple(tuple(row) for row in rows),
@@ -165,12 +158,13 @@ def _density(fn, grid: StudyGrid) -> np.ndarray:
     return out
 
 
-def value_mismatch_term(fn, grid: StudyGrid, params: CutoffParams) -> float:
+def value_mismatch_term(fn, grid: StudyGrid, alpha: float) -> float:
     """Energy cost of swapping v for I_h v inside the density weight.
 
     Signed: the integrand is a difference of squares under the clamped
     slope factor of the interpolant, which is constant on each element.
     """
+    clamp = clamp_level(grid.mesh, alpha)
     f_h = interpolate(grid.mesh, fn)
     vals = grid.fe_values(f_h)
     vals **= 3
@@ -178,20 +172,21 @@ def value_mismatch_term(fn, grid: StudyGrid, params: CutoffParams) -> float:
     vals **= 2
     vals -= _density(fn, grid)
     return grid.integrate(
-        grid.by_element(np.multiply, vals, cutoff(params, f_h.slopes()) ** 6, vals))
+        grid.by_element(np.multiply, vals, np.clip(f_h.slopes(), -clamp, clamp) ** 6, vals))
 
 
-def slope_mismatch_term(fn, dfn, grid: StudyGrid, params: CutoffParams) -> float:
+def slope_mismatch_term(fn, dfn, grid: StudyGrid, alpha: float) -> float:
     """Energy cost of clamping the interpolant's slope instead of v'."""
+    clamp = clamp_level(grid.mesh, alpha)
     f_h = interpolate(grid.mesh, fn)
-    vals = cutoff(params, dfn(grid.points)) ** 6
+    vals = np.clip(dfn(grid.points), -clamp, clamp) ** 6
     # |c_v - c_h| equals |c_h - c_v| bitwise: rounding is symmetric under negation
-    grid.by_element(np.subtract, vals, cutoff(params, f_h.slopes()) ** 6, vals)
+    grid.by_element(np.subtract, vals, np.clip(f_h.slopes(), -clamp, clamp) ** 6, vals)
     np.abs(vals, out=vals)
     vals *= _density(fn, grid)
     return grid.integrate(vals)
 
 
-def recovery_gap(fn, mesh: Mesh1D, params: CutoffParams, reference: float) -> float:
+def recovery_gap(fn, mesh: Mesh1D, alpha: float, reference: float) -> float:
     """Clamped energy of the interpolant minus the limit value J(v)."""
-    return energy_clamped(interpolate(mesh, fn), params) - reference
+    return energy_clamped(interpolate(mesh, fn), alpha) - reference

@@ -20,7 +20,7 @@ from maniafem.fractional import (
     gagliardo_pc,
     interval_kernel,
 )
-from maniafem.functionals import AdmissibleParams, CutoffParams, fe_objective
+from maniafem.functionals import AdmissibleParams, clamp_level, fe_objective
 from maniafem.mesh import Mesh1D
 from maniafem.optimize import initial_values, minimize_from
 from maniafem.quadrature import gauss_rule, integrate_cells
@@ -150,11 +150,10 @@ def test_criterion_6_recovery_limsup(config):
     zero_ok = True
     for n in config.mesh_sizes:
         mesh = Mesh1D(n)
-        params = CutoffParams(config.params.alpha, mesh.h)
-        assert params.clamp >= 1.0
+        assert clamp_level(mesh, config.params.alpha) >= 1.0
         # two exact quadratures of the same degree-6 density differ only in
         # float summation order, so "exactly zero" means machine zero here
-        zero_ok &= abs(recovery_gap(identity, mesh, params, EIGHT_105)) <= 1e-15
+        zero_ok &= abs(recovery_gap(identity, mesh, config.params.alpha, EIGHT_105)) <= 1e-15
     ok = decay_ok and zero_ok
     report(6, ok, (
         f"J_h(interp of x^(1/3)) decays {gaps[0]:.3e} -> {gaps[-1]:.3e} <= 1e-3; "
@@ -208,14 +207,14 @@ def test_criterion_8_gradient_correctness():
     eps = 1e-6
     for n in (4, 16, 64):
         mesh = Mesh1D(n)
-        params = CutoffParams(0.035, mesh.h)
-        energy, derivatives = fe_objective(mesh, params.clamp)
+        clamp = clamp_level(mesh, 0.035)
+        energy, derivatives = fe_objective(mesh, clamp)
         checked = 0
         while checked < 100:
             interior = rng.uniform(0.0, 1.0, n - 1)
             values = np.concatenate([[0.0], interior, [1.0]])
             slopes = np.abs(np.diff(values) / mesh.h)
-            if np.min(np.abs(slopes - params.clamp)) <= 1e-3:
+            if np.min(np.abs(slopes - clamp)) <= 1e-3:
                 continue
             checked += 1
             grad = derivatives(interior)[0]

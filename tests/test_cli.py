@@ -78,6 +78,13 @@ def test_solve_writes_solution(tmp_path, capsys):
     assert (out / "solution_N16.csv").exists()
 
 
+def test_solve_on_a_single_element_is_usage_error(tmp_path, capsys):
+    # the clamp h^(-alpha) needs h < 1
+    assert main(["solve", "--mesh", "1", "--out", str(tmp_path / "sol")]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not (tmp_path / "sol").exists()
+
+
 def test_solve_prints_the_converge_study_value(tmp_path, capsys):
     # solve and the study share one continuation ladder, so the clamped
     # minimum at N = 64 is the same number to the last digit

@@ -7,8 +7,11 @@ import pytest
 
 from maniafem import experiments as ex
 from maniafem.cli import main
-from maniafem.functionals import AdmissibleParams
+from maniafem.functionals import AdmissibleParams, energy_clamped
+from maniafem.mesh import Mesh1D, interpolate
 from maniafem.optimize import SolveConfig
+from maniafem.quadrature import StudyGrid
+from maniafem.studies import power_fn, value_mismatch_term
 
 
 def small_config(tmp_path, sizes=(8, 16, 32, 64)) -> ex.ExperimentConfig:
@@ -129,6 +132,22 @@ class TestMinConvergence:
         assert ex.min_convergence_passes(study)
 
 
+class TestSplitRates:
+    def test_value_term_probes_the_slope_profile(self, tmp_path):
+        # at x^(1/3) the value term would be min_convergence's interp_energy
+        # again, since v^3 - x vanishes there
+        config = small_config(tmp_path, sizes=(8, 16, 32))
+        value_t = ex.run_split_rates(config)["value_term"]
+        assert ex.SPLIT_PROBE_EXPONENT == 0.45
+        fn, _ = power_fn(ex.SPLIT_PROBE_EXPONENT)
+        root, _ = power_fn(1.0 / 3.0)
+        for n, (h, value) in zip(config.mesh_sizes, value_t.rows):
+            mesh = Mesh1D(n)
+            assert value == value_mismatch_term(fn, StudyGrid(mesh), 0.035) > 0.0
+            interp_energy = energy_clamped(interpolate(mesh, root), 0.035)
+            assert abs(value - interp_energy) > 0.1 * interp_energy
+
+
 class TestRunAll:
     def test_bundle_files_and_determinism(self, tmp_path):
         config = small_config(tmp_path, sizes=(8, 16, 32))
@@ -213,11 +232,10 @@ class TestStudyPassPredicates:
     def test_inverse_pass_rejects_growth(self):
         from maniafem.studies import make_rate_study
 
-        params = AdmissibleParams(0.2, 1.1, 0.035)
         rows = [(1 / 8, 1.0), (1 / 16, 1.0), (1 / 32, 3.0)]
         bad = {
             "inverse_ratio": make_rate_study(
-                "inverse_ratio", params, (8, 16, 32), ("h", "value"), rows),
+                "inverse_ratio", (8, 16, 32), ("h", "value"), rows),
         }
         assert not ex.inverse_passes(bad)
 
@@ -232,7 +250,7 @@ class TestStudyPassPredicates:
             # fits that pass outright, so only the decay check can fail
             def study(target, values):
                 rows = tuple(zip((1 / n for n in sizes), values))
-                return RateStudy(target, params, sizes, ("h", "value"), rows, 2.0, 1.0)
+                return RateStudy(target, sizes, ("h", "value"), rows, 2.0, 1.0)
 
             return {"value_term": study("value_term", [1.0] * n_meshes),
                     "slope_term": study("slope_term", slope_values)}
@@ -251,12 +269,11 @@ class TestStudyPassPredicates:
     def test_recovery_pass_requires_decay_and_floor(self):
         from maniafem.studies import make_rate_study
 
-        params = AdmissibleParams(0.2, 1.1, 0.035)
         good = make_rate_study(
-            "recovery_gap", params, (8, 16, 32),
+            "recovery_gap", (8, 16, 32),
             ("h", "value"), [(1 / 8, 1e-4), (1 / 16, 1e-5), (1 / 32, 1e-6)])
         assert ex.recovery_passes(good)
         stuck = make_rate_study(
-            "recovery_gap", params, (8, 16, 32),
+            "recovery_gap", (8, 16, 32),
             ("h", "value"), [(1 / 8, 1e-2), (1 / 16, 5e-3), (1 / 32, 4e-3)])
         assert not ex.recovery_passes(stuck)

@@ -1,4 +1,4 @@
-"""Energy and cutoff tests: analytic values, finite-difference gradient
+"""Energy and clamp tests: analytic values, finite-difference gradient
 oracles, sandwich and monotonicity properties."""
 
 import numpy as np
@@ -8,12 +8,12 @@ from helpers import batch_energies
 from maniafem.errors import RegimeError
 from maniafem.functionals import (
     AdmissibleParams,
-    CutoffParams,
-    cutoff,
+    clamp_level,
     energy_clamped,
     fe_objective,
 )
 from maniafem.mesh import FeFunction, Mesh1D, interpolate
+from maniafem.optimize import minimize_from
 from maniafem.quadrature import gauss_rule
 
 EIGHT_105 = 8.0 / 105.0
@@ -25,67 +25,38 @@ def raw_energy(f: FeFunction) -> float:
     return energy(f.nodal_values[1:-1])
 
 
-def clamp10() -> CutoffParams:
+def clamp10() -> float:
     # h = 10^(-1/2), alpha = 2 gives clamp level exactly 10
-    return CutoffParams(alpha=2.0, h=0.1**0.5, tied=False)
+    return (0.1**0.5) ** -2.0
 
 
 def random_bc_function(rng, n, scale=1.0) -> FeFunction:
     return FeFunction.from_interior(Mesh1D(n), rng.uniform(0, scale, n - 1))
 
 
-class TestCutoff:
-    def test_examples(self):
-        params = clamp10()
-        assert params.clamp == pytest.approx(10.0, rel=1e-15)
-        assert cutoff(params, 3.0) == 3.0
-        assert cutoff(params, -15.0) == pytest.approx(-10.0, rel=1e-15)
-        assert cutoff(params, 0.0) == 0.0
-
-    def test_odd_and_bounded(self):
-        params = CutoffParams(0.5, 0.25)
-        ts = np.linspace(-40, 40, 201)
-        out = cutoff(params, ts)
-        assert np.allclose(out, -cutoff(params, -ts))
-        assert np.all(np.abs(out) <= params.clamp)
-        inside = np.abs(ts) <= params.clamp
-        assert np.array_equal(out[inside], ts[inside])
-
-    def test_contraction(self):
-        params = CutoffParams(0.3, 0.125)
-        rng = np.random.default_rng(0)
-        a = rng.uniform(-50, 50, 1000)
-        b = rng.uniform(-50, 50, 1000)
-        assert np.all(np.abs(cutoff(params, a) - cutoff(params, b))
-                      <= np.abs(a - b) + 1e-12)
-
-
-class TestCutoffParams:
+class TestClampLevel:
     def test_clamp_matches_exp_form(self):
-        for alpha, h in ((0.035, 1 / 64), (0.2, 0.3), (1.5, 0.9)):
-            params = CutoffParams(alpha, h)
-            expected = np.exp(-alpha * np.log(h))
-            assert abs(params.clamp - expected) <= 4 * np.finfo(float).eps * expected
-            assert params.clamp >= 1.0
+        for alpha, n in ((0.035, 64), (0.2, 3), (1.5, 2)):
+            mesh = Mesh1D(n)
+            clamp = clamp_level(mesh, alpha)
+            expected = np.exp(-alpha * np.log(mesh.h))
+            assert abs(clamp - expected) <= 4 * np.finfo(float).eps * expected
+            assert clamp >= 1.0
 
-    def test_validation(self):
+    @pytest.mark.parametrize("n, alpha", [
+        (4, 0.0), (4, -0.1), (4, float("nan")), (1, 0.035),
+    ])
+    def test_validation(self, n, alpha):
+        # a non-positive or NaN alpha, and a one-element mesh (h = 1), are
+        # rejected by every clamped entry point
+        mesh = Mesh1D(n)
+        f = interpolate(mesh, lambda x: x)
         with pytest.raises(ValueError):
-            CutoffParams(0.0, 0.5)
+            clamp_level(mesh, alpha)
         with pytest.raises(ValueError):
-            CutoffParams(0.1, 1.0)
+            energy_clamped(f, alpha)
         with pytest.raises(ValueError):
-            CutoffParams(0.1, 0.0)
-
-    def test_level_ties_to_its_mesh(self):
-        mesh = Mesh1D(64)
-        params = CutoffParams(0.035, mesh.h)
-        assert params.tied
-        params.check_mesh(mesh)
-        with pytest.raises(ValueError, match="tied to the mesh"):
-            params.check_mesh(Mesh1D(32))
-        decoupled = CutoffParams.decoupled(0.035, mesh.h)
-        assert not decoupled.tied
-        decoupled.check_mesh(Mesh1D(32))
+            minimize_from(mesh, f.nodal_values, None, alpha)
 
 
 class TestAdmissibleParams:
@@ -132,7 +103,7 @@ class TestEnergyMania:
     def test_requires_boundary_flag(self):
         f = FeFunction(Mesh1D(2), [0.0, 0.5, 1.0], bc_flag=False)
         with pytest.raises(ValueError, match="bc_flag"):
-            energy_clamped(f, CutoffParams.decoupled(0.035, 0.5))
+            energy_clamped(f, 0.035)
 
     def test_default_rule_is_exact(self):
         # the package's 4-point energy against an independent 8-point one
@@ -148,43 +119,28 @@ class TestEnergyMania:
 class TestEnergyClamped:
     def test_reduces_to_raw_when_unclamped(self):
         f = interpolate(Mesh1D(4), lambda x: x)
-        params = CutoffParams(0.035, f.mesh.h)
-        assert params.clamp >= 1.0
-        assert energy_clamped(f, params) == pytest.approx(EIGHT_105, rel=1e-14)
+        assert clamp_level(f.mesh, 0.035) >= 1.0
+        assert energy_clamped(f, 0.035) == pytest.approx(EIGHT_105, rel=1e-14)
 
     def test_clamping_strictly_reduces_energy(self):
         f = interpolate(Mesh1D(2), lambda x: x ** (1 / 3))
-        params = CutoffParams(0.035, f.mesh.h)
-        assert params.clamp < f.slopes()[0]
-        assert energy_clamped(f, params) < raw_energy(f)
+        assert clamp_level(f.mesh, 0.035) < f.slopes()[0]
+        assert energy_clamped(f, 0.035) < raw_energy(f)
 
     def test_sandwich_property(self):
         rng = np.random.default_rng(3)
         for n in (4, 16):
-            mesh = Mesh1D(n)
-            params = CutoffParams(0.035, mesh.h)
             for _ in range(20):
                 f = random_bc_function(rng, n, scale=2.0)
-                e = energy_clamped(f, params)
+                e = energy_clamped(f, 0.035)
                 assert 0.0 <= e <= raw_energy(f) + 1e-18
-
-    def test_pairing_enforced_unless_decoupled(self):
-        from maniafem.optimize import minimize_from
-
-        f = interpolate(Mesh1D(4), lambda x: x)
-        tied = CutoffParams(0.035, 0.5)
-        for call in (lambda: energy_clamped(f, tied),
-                     lambda: minimize_from(f.mesh, f.nodal_values, None, tied)):
-            with pytest.raises(ValueError, match="tied to the mesh"):
-                call()
-        energy_clamped(f, CutoffParams.decoupled(0.035, 0.5))  # allowed
 
     def test_monotone_in_cutoff_h(self):
         f = interpolate(Mesh1D(8), lambda x: x ** (1 / 3))
         alpha = 0.3
         hs = [0.5, 0.25, 0.1, 0.01, 0.001]
         energies = [
-            energy_clamped(f, CutoffParams.decoupled(alpha, h)) for h in hs
+            fe_objective(f.mesh, h**-alpha)[0](f.nodal_values[1:-1]) for h in hs
         ]
         # smaller cutoff h means a larger clamp and so a larger energy
         assert all(a <= b + 1e-18 for a, b in zip(energies, energies[1:]))
@@ -192,10 +148,9 @@ class TestEnergyClamped:
     def test_discrete_minimum_is_positive(self):
         # no finite element function annihilates the density: scan N=2
         mesh = Mesh1D(2)
-        params = CutoffParams(0.035, mesh.h)
         vs = np.arange(0.0, 1.2, 1e-3)
         energies = [
-            energy_clamped(FeFunction.from_interior(mesh, [v]), params) for v in vs
+            energy_clamped(FeFunction.from_interior(mesh, [v]), 0.035) for v in vs
         ]
         assert min(energies) > 0.0
 
@@ -220,12 +175,12 @@ class TestGradients:
     def test_clamped_gradient_matches_finite_differences(self, n):
         rng = np.random.default_rng(4)
         mesh = Mesh1D(n)
-        params = CutoffParams(0.035, mesh.h)
-        energy, derivatives = fe_objective(mesh, params.clamp)
+        clamp = clamp_level(mesh, 0.035)
+        energy, derivatives = fe_objective(mesh, clamp)
         checked = 0
         while checked < 25:
             f = random_bc_function(rng, n)
-            if not kink_free(f.nodal_values, mesh.h, params.clamp):
+            if not kink_free(f.nodal_values, mesh.h, clamp):
                 continue
             checked += 1
             grad = derivatives(f.nodal_values[1:-1])[0]
@@ -246,26 +201,24 @@ class TestGradients:
 
     def test_gradient_sign_matches_energy_scan(self):
         mesh = Mesh1D(2)
-        params = CutoffParams(0.035, mesh.h)
-        _, derivatives = fe_objective(mesh, params.clamp)
+        _, derivatives = fe_objective(mesh, clamp_level(mesh, 0.035))
         for v1 in (0.3, 0.7, 0.95):
             grad = derivatives(np.array([v1]))[0][0]
             delta = 1e-4
             slope = (
-                energy_clamped(FeFunction.from_interior(mesh, [v1 + delta]), params)
-                - energy_clamped(FeFunction.from_interior(mesh, [v1 - delta]), params)
+                energy_clamped(FeFunction.from_interior(mesh, [v1 + delta]), 0.035)
+                - energy_clamped(FeFunction.from_interior(mesh, [v1 - delta]), 0.035)
             ) / (2 * delta)
             assert np.sign(grad) == np.sign(slope)
 
     def test_objective_closures_match_public_api(self):
         rng = np.random.default_rng(6)
         mesh = Mesh1D(16)
-        params = CutoffParams(0.035, mesh.h)
-        energy, derivatives = fe_objective(mesh, params.clamp)
+        energy, derivatives = fe_objective(mesh, clamp_level(mesh, 0.035))
         for _ in range(10):
             f = random_bc_function(rng, 16)
             interior = f.nodal_values[1:-1]
-            assert energy(interior) == pytest.approx(energy_clamped(f, params), rel=1e-14)
+            assert energy(interior) == pytest.approx(energy_clamped(f, 0.035), rel=1e-14)
             grad, diag, off = derivatives(interior)
             assert grad.shape == diag.shape == (15,) and off.shape == (14,)
 
@@ -280,7 +233,7 @@ class TestHessian:
     def test_matches_gradient_differences(self, n, clamped):
         rng = np.random.default_rng(100 + n)
         mesh = Mesh1D(n)
-        clamp = CutoffParams(0.035, mesh.h).clamp if clamped else None
+        clamp = clamp_level(mesh, 0.035) if clamped else None
         _, derivatives = fe_objective(mesh, clamp)
         eps = 1e-7
         checked = 0
@@ -306,7 +259,7 @@ class TestHessian:
         # int (v^3 - x)^2, whose second derivative is checked with an
         # independent 8-point rule
         mesh = Mesh1D(2)
-        _, derivatives = fe_objective(mesh, clamp10().clamp)
+        _, derivatives = fe_objective(mesh, clamp10())
         rule = gauss_rule(8)
         t = 0.5 * (rule.points + 1.0)
         w = 0.5 * rule.weights

@@ -6,7 +6,7 @@ import pytest
 
 from maniafem import optimize
 from maniafem.experiments import solve_ladder
-from maniafem.functionals import CutoffParams, energy_clamped, fe_objective
+from maniafem.functionals import clamp_level, energy_clamped, fe_objective
 from maniafem.mesh import FeFunction, Mesh1D, interpolate
 from maniafem.optimize import (
     STOP_REASONS,
@@ -22,20 +22,20 @@ from helpers import batch_energies
 EIGHT_105 = 8.0 / 105.0
 
 
-def solve_from(mesh, kind, params=None, **config):
-    return minimize_from(mesh, initial_values(mesh, kind), SolveConfig(**config), params)
+def solve_from(mesh, kind, alpha=None, **config):
+    return minimize_from(mesh, initial_values(mesh, kind), SolveConfig(**config), alpha)
 
 
-def cut_solves(mesh, kind, params=None):
+def cut_solves(mesh, kind, alpha=None):
     """The solve from a named start cut after k = 1, 2, ... iterations, up
     to the uncut solve, and the start energy.  Solves are deterministic, so
     the k-th cut is the k-th iterate of the uncut solve."""
-    full = solve_from(mesh, kind, params)
-    cuts = [solve_from(mesh, kind, params, max_iters=k) for k in range(1, full.iters + 1)]
+    full = solve_from(mesh, kind, alpha)
+    cuts = [solve_from(mesh, kind, alpha, max_iters=k) for k in range(1, full.iters + 1)]
     assert [c.iters for c in cuts] == list(range(1, full.iters + 1))
     assert cuts[-1].energy == full.energy
     assert np.array_equal(cuts[-1].minimizer.nodal_values, full.minimizer.nodal_values)
-    energy, _ = fe_objective(mesh, None if params is None else params.clamp)
+    energy, _ = fe_objective(mesh, None if alpha is None else clamp_level(mesh, alpha))
     return cuts, energy(initial_values(mesh, kind)[1:-1])
 
 
@@ -67,10 +67,10 @@ class TestScanOraclesN2:
             assert res.energy <= energies[best] + 1e-6
 
     def test_clamped_solver_matches_scan(self):
-        params = CutoffParams(0.035, self.mesh.h)
-        energies = batch_energies(self.mesh, self.vs[:, None], clamp=params.clamp)
+        clamp = clamp_level(self.mesh, 0.035)
+        energies = batch_energies(self.mesh, self.vs[:, None], clamp=clamp)
         best = int(np.argmin(energies))
-        res = solve_from(self.mesh, "interp_root", params)
+        res = solve_from(self.mesh, "interp_root", 0.035)
         assert res.converged
         assert abs(res.minimizer.nodal_values[1] - self.vs[best]) <= 1e-3
         assert res.energy <= energies[best] + 1e-6
@@ -86,16 +86,15 @@ class TestScanOracleN3:
         best_raw = min(solve_from(mesh, k).energy for k in ("linear_ramp", "interp_root"))
         assert best_raw <= float(raw_energies.min()) + 1e-6
 
-        params = CutoffParams(0.035, mesh.h)
-        clamped_energies = batch_energies(mesh, grid, clamp=params.clamp)
-        res = solve_from(mesh, "interp_root", params)
+        clamped_energies = batch_energies(mesh, grid, clamp=clamp_level(mesh, 0.035))
+        res = solve_from(mesh, "interp_root", 0.035)
         assert res.energy <= float(clamped_energies.min()) + 1e-6
 
 
 class TestDescentContracts:
     def test_history_is_nonincreasing(self):
         mesh = Mesh1D(16)
-        cuts, start_energy = cut_solves(mesh, "interp_root", CutoffParams(0.035, mesh.h))
+        cuts, start_energy = cut_solves(mesh, "interp_root", 0.035)
         energies = [start_energy] + [c.energy for c in cuts]
         assert all(b <= a for a, b in zip(energies, energies[1:]))
 
@@ -108,7 +107,7 @@ class TestDescentContracts:
 
     def test_converged_implies_grad_tolerance(self):
         mesh = Mesh1D(4)
-        res = solve_from(mesh, "interp_root", CutoffParams(0.035, mesh.h), grad_tol=1e-10)
+        res = solve_from(mesh, "interp_root", 0.035, grad_tol=1e-10)
         assert res.converged
         assert res.grad_norm <= 1e-10
 
@@ -197,7 +196,7 @@ class TestDescentContracts:
         coarse, fine = solve_ladder((2, 4), SolveConfig(), alpha=0.035)
         fine_mesh = Mesh1D(4)
         seed = prolongate(coarse.minimizer, fine_mesh)
-        assert fine.energy <= energy_clamped(seed, CutoffParams(0.035, fine_mesh.h)) + 1e-15
+        assert fine.energy <= energy_clamped(seed, 0.035) + 1e-15
 
     def test_clamped_beats_raw_on_fine_mesh(self):
         mesh = Mesh1D(64)
@@ -255,9 +254,9 @@ class TestNewtonSteps:
 
         monkeypatch.setattr(optimize, "fe_objective", fe_objective_counted)
         mesh = Mesh1D(64)
-        params = CutoffParams(0.035, mesh.h) if clamped else None
-        clamp = None if params is None else params.clamp
-        res = solve_from(mesh, "interp_root", params)
+        alpha = 0.035 if clamped else None
+        clamp = None if alpha is None else clamp_level(mesh, alpha)
+        res = solve_from(mesh, "interp_root", alpha)
         assert res.reason == "grad_tol" and res.iters > 0
         assert len(calls) == res.iters + 1
         assert_min_pivot_bounds_eigenvalues(original(mesh, clamp)[1], res)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maniafem.errors import StudyError
-from maniafem.functionals import CutoffParams, energy_clamped
+from maniafem.functionals import clamp_level, energy_clamped
 from maniafem.mesh import Mesh1D, interpolate
 from maniafem.quadrature import StudyGrid, gauss_rule, graded_grid, integrate_cells
 from maniafem.studies import (
@@ -92,9 +92,8 @@ class TestInterpError:
 class TestRecoveryTerms:
     def test_value_term_vanishes_for_linear_profile(self):
         mesh = Mesh1D(8)
-        params = CutoffParams(0.035, mesh.h)
         assert abs(value_mismatch_term(lambda x: np.asarray(x, float), StudyGrid(mesh),
-                                       params)) <= 1e-16
+                                       0.035)) <= 1e-16
 
     def test_value_term_for_root_equals_interpolant_energy(self):
         # v = x^(1/3) kills the subtracted density, leaving the clamped
@@ -102,46 +101,39 @@ class TestRecoveryTerms:
         fn, _ = power_fn(1.0 / 3.0)
         for n in (8, 32):
             mesh = Mesh1D(n)
-            params = CutoffParams(0.035, mesh.h)
-            term = value_mismatch_term(fn, StudyGrid(mesh), params)
-            direct = energy_clamped(interpolate(mesh, fn), params)
+            term = value_mismatch_term(fn, StudyGrid(mesh), 0.035)
+            direct = energy_clamped(interpolate(mesh, fn), 0.035)
             assert term == pytest.approx(direct, rel=1e-10)
             assert term >= 0.0
 
     def test_slope_term_zero_cases(self):
-        mesh = Mesh1D(8)
-        params = CutoffParams(0.035, mesh.h)
         fn_root, dfn_root = power_fn(1.0 / 3.0)
-        grid = StudyGrid(mesh)
-        assert slope_mismatch_term(fn_root, dfn_root, grid, params) <= 1e-25
+        grid = StudyGrid(Mesh1D(8))
+        assert slope_mismatch_term(fn_root, dfn_root, grid, 0.035) <= 1e-25
         identity = lambda x: np.asarray(x, dtype=float)
         d_identity = lambda x: np.ones_like(np.asarray(x, dtype=float))
-        assert slope_mismatch_term(identity, d_identity, grid, params) == 0.0
+        assert slope_mismatch_term(identity, d_identity, grid, 0.035) == 0.0
 
     def test_slope_term_decreases_for_nondegenerate_profile(self):
         fn, dfn = power_fn(0.45)
         values = []
         for n in (8, 16, 32, 64):
-            mesh = Mesh1D(n)
-            values.append(slope_mismatch_term(fn, dfn, StudyGrid(mesh),
-                                              CutoffParams(0.035, mesh.h)))
+            values.append(slope_mismatch_term(fn, dfn, StudyGrid(Mesh1D(n)), 0.035))
         assert all(v > 0 for v in values)
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_recovery_gap_zero_for_identity(self):
         for n in (4, 16, 64):
             mesh = Mesh1D(n)
-            params = CutoffParams(0.035, mesh.h)
-            assert params.clamp >= 1.0
-            gap = recovery_gap(lambda x: np.asarray(x, float), mesh, params, EIGHT_105)
+            assert clamp_level(mesh, 0.035) >= 1.0
+            gap = recovery_gap(lambda x: np.asarray(x, float), mesh, 0.035, EIGHT_105)
             assert abs(gap) <= 1e-15
 
     def test_recovery_gap_decays_for_root(self):
         fn, _ = power_fn(1.0 / 3.0)
         gaps = []
         for n in (8, 16, 32, 64, 128):
-            mesh = Mesh1D(n)
-            gaps.append(recovery_gap(fn, mesh, CutoffParams(0.035, mesh.h), 0.0))
+            gaps.append(recovery_gap(fn, Mesh1D(n), 0.035, 0.0))
         assert all(g >= 0 for g in gaps)
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
@@ -151,8 +143,8 @@ class TestRateStudyInvariants:
         from maniafem.studies import make_rate_study
 
         with pytest.raises(ValueError):
-            make_rate_study("x", None, (8, 16), ("h", "value"),
+            make_rate_study("x", (8, 16), ("h", "value"),
                             [(1 / 8, 1.0), (1 / 16, 0.5), (1 / 32, 0.25)])
         with pytest.raises(ValueError):
-            make_rate_study("x", None, (16, 8, 4), ("h", "value"),
+            make_rate_study("x", (16, 8, 4), ("h", "value"),
                             [(1 / 16, 1.0), (1 / 8, 0.5), (1 / 4, 0.25)])
