@@ -43,6 +43,24 @@ class TestClampLevel:
             assert abs(clamp - expected) <= 4 * np.finfo(float).eps * expected
             assert clamp >= 1.0
 
+    def test_level_ties_to_its_mesh(self):
+        # the clamped energy clamps at the level of the function's own mesh:
+        # it equals the kernel at that level and differs from the kernel at
+        # the level of a finer mesh
+        levels = []
+        for n in (2, 8, 64):
+            mesh = Mesh1D(n)
+            f = interpolate(mesh, lambda x: x ** (1 / 3))
+            clamp = clamp_level(mesh, 0.035)
+            assert clamp == pytest.approx(n**0.035, rel=4 * np.finfo(float).eps)
+            assert clamp < f.slopes()[0]  # the first element is clamped
+            interior = f.nodal_values[1:-1]
+            assert energy_clamped(f, 0.035) == fe_objective(mesh, clamp)[0](interior)
+            finer = clamp_level(Mesh1D(2 * n), 0.035)
+            assert energy_clamped(f, 0.035) < fe_objective(mesh, finer)[0](interior)
+            levels.append(clamp)
+        assert levels == sorted(levels)
+
     @pytest.mark.parametrize("n, alpha", [
         (4, 0.0), (4, -0.1), (4, float("nan")), (1, 0.035),
     ])

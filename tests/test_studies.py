@@ -122,6 +122,45 @@ class TestRecoveryTerms:
         assert all(v > 0 for v in values)
         assert all(b < a for a, b in zip(values, values[1:]))
 
+    @staticmethod
+    def sign_min_sixth(t, clamp):
+        # the clamp written as sgn(t) min(|t|, clamp), independently of np.clip
+        return (np.sign(t) * np.minimum(np.abs(t), clamp)) ** 6
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_slope_term_clips_at_the_mesh_level(self, n):
+        # pointwise reference: v' and I_h v' located per point, both clamped
+        # at h^(-alpha) of the interpolant's own mesh
+        fn, dfn = power_fn(0.45)
+        mesh = Mesh1D(n)
+        grid = StudyGrid(mesh)
+        clamp = clamp_level(mesh, 0.035)
+        f_h = interpolate(mesh, fn)
+        x = grid.points
+        assert np.max(dfn(x)) > clamp  # the clamp is active near x = 0
+        density = (fn(x) ** 3 - x) ** 2
+        reference = grid.integrate(np.abs(
+            self.sign_min_sixth(dfn(x), clamp)
+            - self.sign_min_sixth(f_h.slope_at(x), clamp)) * density)
+        term = slope_mismatch_term(fn, dfn, grid, 0.035)
+        assert term > 0.0
+        assert term == pytest.approx(reference, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_value_term_clips_at_the_mesh_level(self, n):
+        fn, _ = power_fn(0.45)
+        mesh = Mesh1D(n)
+        grid = StudyGrid(mesh)
+        clamp = clamp_level(mesh, 0.035)
+        f_h = interpolate(mesh, fn)
+        x = grid.points
+        assert np.max(f_h.slopes()) > clamp  # the first element is clamped
+        weight = self.sign_min_sixth(f_h.slope_at(x), clamp)
+        reference = grid.integrate(
+            ((f_h.evaluate(x) ** 3 - x) ** 2 - (fn(x) ** 3 - x) ** 2) * weight)
+        term = value_mismatch_term(fn, grid, 0.035)
+        assert term == pytest.approx(reference, rel=1e-10, abs=1e-15)
+
     def test_recovery_gap_zero_for_identity(self):
         for n in (4, 16, 64):
             mesh = Mesh1D(n)
