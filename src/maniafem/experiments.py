@@ -416,5 +416,7 @@ def run_all(config: ExperimentConfig) -> dict:
     ) and not summary["partial"]
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    # RFC 8259 has no NaN: write a too-short ladder's undefined orders as null
+    strict = json.loads(json.dumps(summary), parse_constant=lambda _: None)
+    (out / "summary.json").write_text(json.dumps(strict, indent=2, sort_keys=True) + "\n")
     return summary

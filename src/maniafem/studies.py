@@ -11,9 +11,10 @@ The first two decay like h^(1+s-6a) and h^(s-5a) for profiles v whose
 derivative has fractional smoothness s in L^p; the studies here measure
 those orders by log-log regression over a mesh ladder.
 
-Every integral runs on a ``StudyGrid`` built once per mesh: the interpolant's
-values, slopes and clamp factors are computed per element and broadcast to
-the grid's points, and each integrand is formed in one array filled in place.
+Every integral runs on a ``StudyGrid`` built once per mesh: each term is an
+integrand of one block of elements, the interpolant's slopes and clamp
+factors are computed once per element and broadcast to the block's points,
+and the block's integrand is formed in one array filled in place.
 """
 
 from __future__ import annotations
@@ -133,15 +134,17 @@ def fe_error(fn, dfn, f: FeFunction, grid: StudyGrid, p: float) -> tuple[float, 
     """(||v - f||_{L^p}, ||v - f||_{W^{1,p}}) for v = ``fn`` with derivative
     ``dfn`` and a finite element function ``f`` on the grid's mesh,
     integrating |v - f|^p once."""
-    err = grid.fe_values(f)
-    np.subtract(fn(grid.points), err, out=err)
-    np.abs(err, out=err)
-    err **= p
-    value = grid.integrate(err)
-    grid.by_element(np.subtract, dfn(grid.points), f.slopes(), err)
-    np.abs(err, out=err)
-    err **= p
-    return value ** (1.0 / p), (value + grid.integrate(err)) ** (1.0 / p)
+    slopes = f.slopes()
+
+    def abs_power(err):
+        np.abs(err, out=err)
+        err **= p
+        return err
+
+    value = grid.integrate(lambda block: abs_power(fn(block.points) - block.fe_values(f)))
+    slope = grid.integrate(lambda block: abs_power(block.by_element(
+        np.subtract, dfn(block.points), slopes, np.empty_like(block.points))))
+    return value ** (1.0 / p), (value + slope) ** (1.0 / p)
 
 
 def interp_error(fn, dfn, grid: StudyGrid, p: float) -> tuple[float, float]:
@@ -149,10 +152,9 @@ def interp_error(fn, dfn, grid: StudyGrid, p: float) -> tuple[float, float]:
     return fe_error(fn, dfn, interpolate(grid.mesh, fn), grid, p)
 
 
-def _density(fn, grid: StudyGrid) -> np.ndarray:
-    """(v^3 - x)^2 at the grid points, in a new array."""
-    x = grid.points
-    out = fn(x) ** 3
+def _density(v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(v^3 - x)^2 for values ``v`` at the points ``x``, in a new array."""
+    out = v ** 3
     out -= x
     out **= 2
     return out
@@ -166,25 +168,30 @@ def value_mismatch_term(fn, grid: StudyGrid, alpha: float) -> float:
     """
     clamp = clamp_level(grid.mesh, alpha)
     f_h = interpolate(grid.mesh, fn)
-    vals = grid.fe_values(f_h)
-    vals **= 3
-    vals -= grid.points
-    vals **= 2
-    vals -= _density(fn, grid)
-    return grid.integrate(
-        grid.by_element(np.multiply, vals, np.clip(f_h.slopes(), -clamp, clamp) ** 6, vals))
+    weight = np.clip(f_h.slopes(), -clamp, clamp) ** 6
+
+    def integrand(block):
+        vals = _density(block.fe_values(f_h), block.points)
+        vals -= _density(fn(block.points), block.points)
+        return block.by_element(np.multiply, vals, weight, vals)
+
+    return grid.integrate(integrand)
 
 
 def slope_mismatch_term(fn, dfn, grid: StudyGrid, alpha: float) -> float:
     """Energy cost of clamping the interpolant's slope instead of v'."""
     clamp = clamp_level(grid.mesh, alpha)
-    f_h = interpolate(grid.mesh, fn)
-    vals = np.clip(dfn(grid.points), -clamp, clamp) ** 6
-    # |c_v - c_h| equals |c_h - c_v| bitwise: rounding is symmetric under negation
-    grid.by_element(np.subtract, vals, np.clip(f_h.slopes(), -clamp, clamp) ** 6, vals)
-    np.abs(vals, out=vals)
-    vals *= _density(fn, grid)
-    return grid.integrate(vals)
+    weight = np.clip(interpolate(grid.mesh, fn).slopes(), -clamp, clamp) ** 6
+
+    def integrand(block):
+        vals = np.clip(dfn(block.points), -clamp, clamp) ** 6
+        # |c_v - c_h| equals |c_h - c_v| bitwise: rounding is symmetric under negation
+        block.by_element(np.subtract, vals, weight, vals)
+        np.abs(vals, out=vals)
+        vals *= _density(fn(block.points), block.points)
+        return vals
+
+    return grid.integrate(integrand)
 
 
 def recovery_gap(fn, mesh: Mesh1D, alpha: float, reference: float) -> float:

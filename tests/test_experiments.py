@@ -179,6 +179,25 @@ class TestRunAll:
         for name in sorted(f"{n}.csv" for n in expected) + ["summary.json"]:
             assert (out / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
 
+    def test_short_ladder_summary_is_strict_json(self, tmp_path):
+        # two meshes leave no order fit its 3 usable rows: the NaN orders are
+        # written as null, while the returned summary keeps them
+        summary = ex.run_all(small_config(tmp_path, sizes=(8, 16)))
+
+        def reject(token):
+            raise ValueError(f"{token} is not RFC 8259 JSON")
+
+        text = (tmp_path / "reports" / "summary.json").read_text()
+        loaded = json.loads(text, parse_constant=reject)
+        nan_orders = [name for name, entry in summary["studies"].items()
+                      if np.isnan(entry.get("fitted_order", 0.0))]
+        assert len(nan_orders) == 8
+        for name in nan_orders:
+            assert loaded["studies"][name]["fitted_order"] is None
+        assert np.isnan(summary["studies"]["gap_demo"]["clamped_trend_order"])
+        assert loaded["studies"]["gap_demo"]["clamped_trend_order"] is None
+        assert loaded["config"]["mesh_sizes"] == [8, 16]
+
     def test_gap_demo_records_raw_solves(self, tmp_path):
         config = small_config(tmp_path, sizes=(8, 16, 32))
         summary = ex.run_all(config)

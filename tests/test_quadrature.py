@@ -152,27 +152,32 @@ class TestStudyGrid:
         mid = 0.5 * (b[1:] + b[:-1])
         return mid[:, None] + half[:, None] * gauss_rule(8).points[None, :], half
 
+    @staticmethod
+    def on_blocks(grid, per_block):
+        # per_block(block) over every block, concatenated in grid order
+        return np.concatenate([per_block(block) for block in grid.blocks()])
+
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 1024])
     def test_points_are_the_graded_cells_bitwise(self, n):
         mesh = Mesh1D(n)
         grid = StudyGrid(mesh)
         x, half = self.cell_points(mesh)
-        assert np.array_equal(grid.points, x) and np.array_equal(grid.half, half)
-        assert grid.points.flags.c_contiguous
+        points = self.on_blocks(grid, lambda block: block.points)
+        assert np.array_equal(points, x) and np.array_equal(grid.half, half)
+        assert all(block.points.flags.c_contiguous for block in grid.blocks())
         # the graded first element, then 8 cells per element (none for N = 1)
         assert grid.head == 25
         assert half.size == grid.head + 8 * (n - 1)
-        assert grid.points[:grid.head].max() < mesh.nodes[1]
-        assert n == 1 or grid.points[grid.head:].min() > mesh.nodes[1]
+        assert points[:grid.head].max() < mesh.nodes[1]
+        assert n == 1 or points[grid.head:].min() > mesh.nodes[1]
 
-    @staticmethod
-    def fe_reference(grid, f):
-        x = grid.points.ravel()
-        return f.evaluate(x).reshape(grid.points.shape), f.slope_at(x).reshape(grid.points.shape)
+    def fe_reference(self, grid, f):
+        x = self.on_blocks(grid, lambda block: block.points)
+        return f.evaluate(x.ravel()).reshape(x.shape), f.slope_at(x.ravel()).reshape(x.shape)
 
     def slopes_on(self, grid, f):
-        return grid.by_element(np.add, np.zeros(grid.points.shape), f.slopes(),
-                               np.empty(grid.points.shape))
+        return self.on_blocks(grid, lambda block: block.by_element(
+            np.add, np.zeros(block.points.shape), f.slopes(), np.empty(block.points.shape)))
 
     @pytest.mark.parametrize("n", [8, 1024, 16384])
     def test_fe_values_and_slopes_are_bitwise(self, n):
@@ -182,7 +187,8 @@ class TestStudyGrid:
         for f in (interpolate(mesh, lambda x: x ** (1 / 3)),
                   FeFunction(mesh, rng.uniform(-1, 1, n + 1))):
             values, slopes = self.fe_reference(grid, f)
-            assert grid.fe_values(f).tobytes() == values.tobytes()
+            got = self.on_blocks(grid, lambda block: block.fe_values(f))
+            assert got.tobytes() == values.tobytes()
             assert np.array_equal(self.slopes_on(grid, f), slopes)
 
     @pytest.mark.parametrize("n", [3, 5])
@@ -195,7 +201,7 @@ class TestStudyGrid:
         for q in (1 / 3, 0.45):
             f = interpolate(mesh, lambda x: x**q)
             values, slopes = self.fe_reference(grid, f)
-            got = grid.fe_values(f)
+            got = self.on_blocks(grid, lambda block: block.fe_values(f))
             assert np.all(np.abs(got - values) <= 4 * np.spacing(values))
             assert np.array_equal(self.slopes_on(grid, f), slopes)
 
@@ -203,18 +209,36 @@ class TestStudyGrid:
         mesh = Mesh1D(64)
         grid = StudyGrid(mesh)
         g = lambda x: np.abs(x ** (1 / 3) - 0.5) ** 1.1
-        assert grid.integrate(g(grid.points)) == integrate_cells(gauss_rule(8), g,
-                                                                 graded_grid(mesh))
+        assert grid.integrate(lambda block: g(block.points)) == integrate_cells(
+            gauss_rule(8), g, graded_grid(mesh))
+
+    @pytest.mark.parametrize("n", [1, 2, 600, 1025])
+    def test_per_cell_sums_match_the_whole_array_product(self, n):
+        # nonzero values only in the head's last cell and the grid's last
+        # cell, the two whose per-cell sums depend on how the cells are cut
+        # into products, so any change of those sums shows in the integral
+        grid = StudyGrid(Mesh1D(n))
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            vals = np.zeros((grid.half.size, 8))
+            vals[[grid.head - 1, -1]] = rng.standard_normal((2, 8)) ** 3
+            whole = float(np.dot(vals @ grid.rule.weights, grid.half))
+            assert grid.integrate(lambda block: vals[block.cells]) == whole
 
     def test_rejects_non_finite_values_and_foreign_functions(self):
         grid = StudyGrid(Mesh1D(4))
-        vals = np.ones(grid.points.shape)
+        vals = np.ones((grid.half.size, 8))
         vals[3, 2] = np.nan
         with pytest.raises(EvaluationError):
-            grid.integrate(vals)
+            grid.integrate(lambda block: vals[block.cells])
         vals[3, 2] = np.inf
         with pytest.raises(EvaluationError):
-            grid.integrate(vals)
-        with pytest.raises(ValueError, match="another mesh"):
-            grid.fe_values(interpolate(Mesh1D(8), lambda x: x))
-        assert not grid.points.flags.writeable
+            grid.integrate(lambda block: vals[block.cells])
+        vals[3, 2] = 1.0
+        vals[-1, 7] = np.nan  # in the last block, not the head
+        with pytest.raises(EvaluationError):
+            grid.integrate(lambda block: vals[block.cells])
+        for block in grid.blocks():
+            with pytest.raises(ValueError, match="another mesh"):
+                block.fe_values(interpolate(Mesh1D(8), lambda x: x))
+            assert not block.points.flags.writeable

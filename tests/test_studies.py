@@ -1,13 +1,17 @@
 """Rate-study tests: order fitting, interpolation errors, recovery terms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from maniafem.errors import StudyError
 from maniafem.functionals import clamp_level, energy_clamped
-from maniafem.mesh import Mesh1D, interpolate
-from maniafem.quadrature import StudyGrid, gauss_rule, graded_grid, integrate_cells
+from maniafem.mesh import FeFunction, Mesh1D, interpolate
+from maniafem.quadrature import (
+    _STUDY_BLOCK, StudyGrid, _cell_points, gauss_rule, graded_grid, integrate_cells)
 from maniafem.studies import (
+    fe_error,
     fit_order,
     interp_error,
     power_fn,
@@ -127,6 +131,15 @@ class TestRecoveryTerms:
         # the clamp written as sgn(t) min(|t|, clamp), independently of np.clip
         return (np.sign(t) * np.minimum(np.abs(t), clamp)) ** 6
 
+    @staticmethod
+    def points(grid):
+        return np.concatenate([block.points for block in grid.blocks()])
+
+    @staticmethod
+    def whole_integral(grid, vals):
+        # values at every point of the grid, handed to integrate block by block
+        return grid.integrate(lambda block: vals[block.cells])
+
     @pytest.mark.parametrize("n", [8, 64])
     def test_slope_term_clips_at_the_mesh_level(self, n):
         # pointwise reference: v' and I_h v' located per point, both clamped
@@ -136,10 +149,10 @@ class TestRecoveryTerms:
         grid = StudyGrid(mesh)
         clamp = clamp_level(mesh, 0.035)
         f_h = interpolate(mesh, fn)
-        x = grid.points
+        x = self.points(grid)
         assert np.max(dfn(x)) > clamp  # the clamp is active near x = 0
         density = (fn(x) ** 3 - x) ** 2
-        reference = grid.integrate(np.abs(
+        reference = self.whole_integral(grid, np.abs(
             self.sign_min_sixth(dfn(x), clamp)
             - self.sign_min_sixth(f_h.slope_at(x), clamp)) * density)
         term = slope_mismatch_term(fn, dfn, grid, 0.035)
@@ -153,11 +166,11 @@ class TestRecoveryTerms:
         grid = StudyGrid(mesh)
         clamp = clamp_level(mesh, 0.035)
         f_h = interpolate(mesh, fn)
-        x = grid.points
+        x = self.points(grid)
         assert np.max(f_h.slopes()) > clamp  # the first element is clamped
         weight = self.sign_min_sixth(f_h.slope_at(x), clamp)
-        reference = grid.integrate(
-            ((f_h.evaluate(x) ** 3 - x) ** 2 - (fn(x) ** 3 - x) ** 2) * weight)
+        reference = self.whole_integral(
+            grid, ((f_h.evaluate(x) ** 3 - x) ** 2 - (fn(x) ** 3 - x) ** 2) * weight)
         term = value_mismatch_term(fn, grid, 0.035)
         assert term == pytest.approx(reference, rel=1e-10, abs=1e-15)
 
@@ -187,3 +200,120 @@ class TestRateStudyInvariants:
         with pytest.raises(ValueError):
             make_rate_study("x", (16, 8, 4), ("h", "value"),
                             [(1 / 16, 1.0), (1 / 8, 0.5), (1 / 4, 0.25)])
+
+
+class WholeGrid:
+    """The study grid as one (cells, 8) point array: the formulas the streamed
+    ``StudyGrid`` replaced, kept as the reference for its block edges."""
+
+    def __init__(self, mesh):
+        rule = gauss_rule(8)
+        self.mesh = mesh
+        self.weights = rule.weights
+        self.points, self.half = _cell_points(rule, graded_grid(mesh))
+        self.head = self.half.size - 8 * (mesh.n_elements - 1)
+
+    def by_element(self, op, a, per_element, out):
+        h, rows = self.head, (self.mesh.n_elements - 1, 64)
+        op(a[:h], per_element[0], out=out[:h])
+        op(a[h:].reshape(rows), per_element[1:, None], out=out[h:].reshape(rows))
+        return out
+
+    def fe_values(self, f):
+        out = self.by_element(np.subtract, self.points, self.mesh.nodes[:-1],
+                              np.empty_like(self.points))
+        self.by_element(np.multiply, out, f.slopes(), out)
+        return self.by_element(np.add, out, f.nodal_values[:-1], out)
+
+    def integrate(self, vals):
+        return float(np.dot(vals @ self.weights, self.half))
+
+    def fe_error(self, fn, dfn, f, p):
+        err = self.fe_values(f)
+        np.subtract(fn(self.points), err, out=err)
+        np.abs(err, out=err)
+        err **= p
+        value = self.integrate(err)
+        self.by_element(np.subtract, dfn(self.points), f.slopes(), err)
+        np.abs(err, out=err)
+        err **= p
+        return value ** (1.0 / p), (value + self.integrate(err)) ** (1.0 / p)
+
+    def density(self, fn):
+        out = fn(self.points) ** 3
+        out -= self.points
+        out **= 2
+        return out
+
+    def value_term(self, fn, alpha):
+        clamp = clamp_level(self.mesh, alpha)
+        f_h = interpolate(self.mesh, fn)
+        vals = self.fe_values(f_h)
+        vals **= 3
+        vals -= self.points
+        vals **= 2
+        vals -= self.density(fn)
+        return self.integrate(self.by_element(
+            np.multiply, vals, np.clip(f_h.slopes(), -clamp, clamp) ** 6, vals))
+
+    def slope_term(self, fn, dfn, alpha):
+        clamp = clamp_level(self.mesh, alpha)
+        f_h = interpolate(self.mesh, fn)
+        vals = np.clip(dfn(self.points), -clamp, clamp) ** 6
+        self.by_element(np.subtract, vals, np.clip(f_h.slopes(), -clamp, clamp) ** 6, vals)
+        np.abs(vals, out=vals)
+        vals *= self.density(fn)
+        return self.integrate(vals)
+
+
+# the smallest power of two whose elements 1..N-1 span at least three blocks
+_POW2_N = 1 << (2 * _STUDY_BLOCK + 1).bit_length()
+
+
+class TestStreamedBlockEdges:
+    # N - 1 = B - 1, B and B + 1 blocked elements, then a last partial block
+    @pytest.mark.parametrize("n", [_STUDY_BLOCK, _STUDY_BLOCK + 1, _STUDY_BLOCK + 2, _POW2_N])
+    def test_blocks_tile_the_grid_once_in_order(self, n):
+        grid = StudyGrid(Mesh1D(n))
+        blocks = list(grid.blocks())
+        assert (blocks[0].elements, blocks[0].cells) == (slice(0, 1), slice(0, grid.head))
+        assert [b.elements.start for b in blocks[1:]] == list(range(1, n, _STUDY_BLOCK))
+        for prev, block in zip(blocks, blocks[1:]):
+            assert block.elements.start == prev.elements.stop
+            assert block.cells.start == prev.cells.stop
+            assert block.cells.stop - block.cells.start == 8 * (
+                block.elements.stop - block.elements.start)
+        assert (blocks[-1].elements.stop, blocks[-1].cells.stop) == (n, grid.half.size)
+
+    @pytest.mark.parametrize("n", [_STUDY_BLOCK, _STUDY_BLOCK + 1, _STUDY_BLOCK + 2, _POW2_N])
+    def test_terms_equal_the_whole_array_formulas_bitwise(self, n):
+        mesh = Mesh1D(n)
+        grid, whole = StudyGrid(mesh), WholeGrid(mesh)
+        assert n < _POW2_N or len(list(grid.blocks())) >= 4
+        f = FeFunction(mesh, np.random.default_rng(n).uniform(-1, 1, n + 1))
+        root, d_root = power_fn(1.0 / 3.0)
+        assert fe_error(root, d_root, f, grid, 1.3) == whole.fe_error(root, d_root, f, 1.3)
+        for q in (1.0 / 3.0, 0.45):
+            fn, dfn = power_fn(q)
+            f_h = interpolate(mesh, fn)
+            assert interp_error(fn, dfn, grid, 1.1) == whole.fe_error(fn, dfn, f_h, 1.1)
+            assert value_mismatch_term(fn, grid, 0.035) == whole.value_term(fn, 0.035)
+            assert (slope_mismatch_term(fn, dfn, grid, 0.035)
+                    == whole.slope_term(fn, dfn, 0.035))
+
+
+def test_streamed_terms_memory():
+    # the whole-array grid peaked at about 34 MiB here: an 8 MiB point array
+    # plus full-size temporaries; blocks of 4096 cells keep this near 5 MiB
+    root, d_root = power_fn(1.0 / 3.0)
+    fn, dfn = power_fn(0.45)
+    tracemalloc.start()
+    try:
+        grid = StudyGrid(Mesh1D(16384))
+        interp_error(root, d_root, grid, 1.1)
+        value_mismatch_term(fn, grid, 0.035)
+        slope_mismatch_term(fn, dfn, grid, 0.035)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
