@@ -260,7 +260,9 @@ def _pc_inner_integral(g: PiecewiseConstant, sp: float, p: float):
     +-(|c_k - c_i|^p - |c_k - c_{i-1}|^p)/sp (+ for i > k, - for i <= k;
     out-of-range and same-element numerators are 0): n+1 powers per sample.
     x is evaluated in blocks of _PC_BLOCK // (n+1) samples through two reused
-    buffers, one for the distances and one for the gathered weights.
+    buffers, one for the distances and one for the gathered weights.  The
+    closure never refers to itself, so the buffers and the weight table are
+    freed by reference counting as soon as the caller drops it.
 
     On a node hit (x == x_k bitwise) d_k := h makes phi_k = phi_{k-1}, so
     element k-1 contributes 0 instead of its divergent integral; at x = 0,
@@ -273,10 +275,13 @@ def _pc_inner_integral(g: PiecewiseConstant, sp: float, p: float):
     gathered, dist = np.empty((n + 1) * block), np.empty((n + 1) * block)
 
     def inner(x):
-        if x.size == 1:
+        lone = x.size == 1
+        if lone:
             # einsum sums a lone column in another order; a repeated column
-            # keeps every value independent of how the samples are split
-            return inner(np.repeat(x, 2))[:1]
+            # keeps every value independent of how the samples are split.
+            # Repeated here, not by calling inner again: a self-reference
+            # would tie the closure into a cycle that keeps the buffers alive
+            x = np.repeat(x, 2)
         out = np.empty(x.size)
         n_blocks = -(-x.size // block)
         for b in range(n_blocks):
@@ -293,7 +298,7 @@ def _pc_inner_integral(g: PiecewiseConstant, sp: float, p: float):
             w = np.take(weights, k, axis=1, mode="clip",
                         out=gathered[:used].reshape(n + 1, -1))
             np.einsum("ij,ij->j", w, d, out=out[lo:hi])
-        return out
+        return out[:1] if lone else out
 
     return inner
 

@@ -1,5 +1,6 @@
 """Experiment orchestration tests on a reduced mesh ladder."""
 
+import gc
 import json
 
 import numpy as np
@@ -7,11 +8,23 @@ import pytest
 
 from maniafem import experiments as ex
 from maniafem.cli import main
+from maniafem.fractional import (
+    PiecewiseConstant,
+    gagliardo_oracle_mc,
+    gagliardo_pc,
+    norm_wkp,
+    seminorm_w1sp,
+)
 from maniafem.functionals import AdmissibleParams, energy_clamped
 from maniafem.mesh import Mesh1D, interpolate
-from maniafem.optimize import SolveConfig
+from maniafem.optimize import SolveConfig, initial_values, minimize_from
 from maniafem.quadrature import StudyGrid
-from maniafem.studies import power_fn, value_mismatch_term
+from maniafem.studies import (
+    interp_error,
+    power_fn,
+    slope_mismatch_term,
+    value_mismatch_term,
+)
 
 
 def small_config(tmp_path, sizes=(8, 16, 32, 64)) -> ex.ExperimentConfig:
@@ -296,3 +309,55 @@ class TestStudyPassPredicates:
             "recovery_gap", (8, 16, 32),
             ("h", "value"), [(1 / 8, 1e-2), (1 / 16, 5e-3), (1 / 32, 4e-3)])
         assert not ex.recovery_passes(stuck)
+
+
+def _no_cycle_cases():
+    """One ``call(tmp_path)`` param per numeric entry point the sweep checks."""
+    alpha = ex.default_params().alpha
+    root, droot = power_fn(1.0 / 3.0)
+    g = PiecewiseConstant(Mesh1D(16), np.random.default_rng(5).uniform(-1, 1, 16))
+
+    def fe():
+        return interpolate(Mesh1D(64), root)
+
+    def minimize(a):
+        mesh = Mesh1D(16)
+        return minimize_from(mesh, initial_values(mesh, "interp_root"), alpha=a)
+
+    cases = [
+        ("minimize_from_raw", lambda _: minimize(None)),
+        ("minimize_from_clamped", lambda _: minimize(alpha)),
+        ("solve_ladder", lambda _: ex.solve_ladder((8, 16, 32), SolveConfig())),
+        ("gagliardo_pc_p1.1", lambda _: gagliardo_pc(g, 0.2, 1.1)),
+        ("gagliardo_pc_p2", lambda _: gagliardo_pc(g, 0.2, 2.0)),
+        ("seminorm_w1sp", lambda _: seminorm_w1sp(fe(), 0.2, 1.1)),
+        ("norm_wkp", lambda _: norm_wkp(fe(), 1, 1.1)),
+        ("interp_error", lambda _: interp_error(root, droot, StudyGrid(Mesh1D(64)), 1.1)),
+        ("value_mismatch_term",
+         lambda _: value_mismatch_term(root, StudyGrid(Mesh1D(64)), alpha)),
+        ("slope_mismatch_term",
+         lambda _: slope_mismatch_term(root, droot, StudyGrid(Mesh1D(64)), alpha)),
+        ("gagliardo_oracle_mc", lambda _: gagliardo_oracle_mc(g, 0.2, 1.1, 10**4)),
+    ]
+    # run_all is left out: the stdlib JSON encoder behind json.dumps(...,
+    # indent=2) builds closure cycles of its own
+    for spec in ex.STUDIES:
+        if spec.name != "gap_demo":
+            cases.append((f"run_study_{spec.name}", lambda tmp_path, spec=spec: ex.run_study(
+                spec, small_config(tmp_path, sizes=(8, 16, 32)))))
+    return [pytest.param(call, id=name) for name, call in cases]
+
+
+@pytest.mark.parametrize("call", _no_cycle_cases())
+def test_entry_point_leaves_no_reference_cycles(call, tmp_path):
+    # memory held in a cycle outlives the call until a full collection.  The
+    # first call is a warm-up: numpy's lazy imports (np.fft's on first use)
+    # leave one-off stdlib garbage that holds no arrays
+    call(tmp_path)
+    gc.collect()
+    gc.disable()
+    try:
+        call(tmp_path)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -7,7 +7,9 @@ singular but integrable.
 """
 
 import functools
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -428,6 +430,22 @@ class TestMonteCarloOracle:
             mc = gagliardo_oracle_mc(g, 0.2, 1.1, 10**6, seed=100 + trial)
             assert abs(closed.value - mc.value) <= 3.0 * mc.est_error
 
+    def test_calls_retain_no_memory(self):
+        # a sampler caught in a reference cycle keeps its 1 MiB of block
+        # buffers and its weight table until a full collection
+        g = PiecewiseConstant(Mesh1D(8), np.random.default_rng(15).uniform(-1, 1, 8))
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            for seed in range(5):
+                gagliardo_oracle_mc(g, 0.2, 1.1, 10**5, seed=seed)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held <= 64 * 1024
+
 
 class TestTelescopedInnerIntegral:
     @staticmethod
@@ -501,6 +519,18 @@ class TestTelescopedInnerIntegral:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         alone = np.concatenate([inner(x[i:i + 1]) for i in range(size)])
         assert np.array_equal(got, alone)
+
+    def test_sampler_is_freed_without_gc(self):
+        g = PiecewiseConstant(Mesh1D(5), [0.3, -1.0, 0.8, 0.1, -0.4])
+        gc.disable()
+        try:
+            inner = fractional._pc_inner_integral(g, 0.22, 1.1)
+            inner(np.array([0.3]))  # the lone-sample path
+            ref = weakref.ref(inner)
+            del inner
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_chunking_keeps_the_draws(self):
         g = PiecewiseConstant(Mesh1D(5), [0.3, -1.0, 0.8, 0.1, -0.4])
