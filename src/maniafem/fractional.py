@@ -121,8 +121,7 @@ def gagliardo_pc(g: PiecewiseConstant, s: float, p: float) -> SeminormResult:
     P_m and Q_m are the sums of c_i^2 over the first and last m elements,
     and R_m = sum_i c_i c_{i+m} comes from one rfft/irfft pair of length 2N:
     about 3 ms at N = 16384.  Each S_m is clipped at 0.  The weighted sum is
-    an einsum: np.dot is threaded by OpenBLAS above length 1e4, and its last
-    bits then depend on the thread count.
+    an einsum, by the summation rule in ``quadrature``.
 
     Rounding for p = 2: each S_m is off by at most about
     eps (log2(2N) + 2m) T (the FFT's normwise bound and two sequential

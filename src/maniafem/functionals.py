@@ -149,7 +149,7 @@ def fe_objective(mesh: Mesh1D, clamp: float | None = None):
             if clamp is not None:
                 d = np.clip(d, -clamp, clamp)
             d2 = d * d
-            return float((d2 * d2 * d2) @ s_k)
+            return float(np.einsum("i,i->", d2 * d2 * d2, s_k))
 
     def derivatives(interior) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         full = assemble(interior)
@@ -165,25 +165,19 @@ def fe_objective(mesh: Mesh1D, clamp: float | None = None):
         c = d if clamp is None else np.clip(d, -clamp, clamp)
         c2 = c * c
         c4 = c2 * c2
-        c5 = c4 * c
-        c6 = c5 * c
-        # slope_term = P'/h S (gradient); p1 = P'/h, p2 = P''/h^2, p0 = P
-        # (Hessian).  c6 and p0 both equal P, and slope_term and p1 * s_k
-        # both equal P'/h S, but each rounds differently; the reported minima
-        # depend on those last bits, so both forms are kept.
-        slope_term = (6.0 * inv_h) * c5 * s_k
+        # p0 = P, p1 = P'/h, p2 = P''/h^2
+        p0 = c4 * c2
         p1 = (6.0 * inv_h) * c4 * c
         p2 = (30.0 * inv_h * inv_h) * c4
-        p0 = c4 * c2
         if clamp is not None:
             active = np.abs(d) < clamp
-            slope_term = np.where(active, slope_term, 0.0)
             p1 = np.where(active, p1, 0.0)
             p2 = np.where(active, p2, 0.0)
+        slope_term = p1 * s_k
         grad = np.empty(n + 1)
-        grad[:-1] = -slope_term + c6 * s_a
+        grad[:-1] = -slope_term + p0 * s_a
         grad[-1] = 0.0
-        grad[1:] += slope_term + c6 * s_b
+        grad[1:] += slope_term + p0 * s_b
         curv = p2 * s_k
         e_aa = curv - 2.0 * p1 * s_a + p0 * s_pairs[:, 0]
         e_ab = -curv + p1 * (s_a - s_b) + p0 * s_pairs[:, 1]

@@ -81,10 +81,11 @@ class SolveConfig:
     max_iters: int = 20_000
 
     def __post_init__(self):
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
-        if not self.max_iters > 0:
-            raise ValueError("max_iters must be positive")
+        if not 0 < self.grad_tol < float("inf"):
+            raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol!r}")
+        iters = self.max_iters
+        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {iters!r}")
 
 
 @dataclass(frozen=True)
@@ -210,7 +211,7 @@ def _descend(energy, derivatives, v0: np.ndarray, config: SolveConfig, max_step=
     stalled = False
     while iters < config.max_iters and gnorm > config.grad_tol:
         p, shift = _newton_direction(diag, off, g, shift / 4.0)
-        slope = float(g @ p)
+        slope = float(np.einsum("i,i->", g, p))
         if np.isfinite(slope) and slope < 0.0:
             # A pure Newton step that predicts less decrease than one ulp of
             # E may raise the computed E by a few ulps (Hager & Zhang's
@@ -220,7 +221,7 @@ def _descend(energy, derivatives, v0: np.ndarray, config: SolveConfig, max_step=
             slack = _ROUNDING_ULPS * ulp if shift == 0.0 and -slope < ulp else 0.0
         else:
             p = -g
-            slope = -float(g @ g)
+            slope = -float(np.einsum("i,i->", g, g))
             slack = 0.0
         trial = 1.0 if max_step is None else min(1.0, max_step(v, p))
         v_new = None

@@ -14,6 +14,12 @@ that grid's cells once per mesh and streams their points in element order
 through cache-sized blocks, so per-element data (finite element slopes,
 clamp factors) reach the points by broadcasting instead of a search per
 point, and no integrand is ever formed on the whole grid at once.
+
+Summation rule: every sum whose length grows with N is an ``np.einsum``
+reduction in a fixed order, never BLAS.  OpenBLAS threads dot products above
+length 1e4 and its gemv rounds a row by its position in the array, so its
+sums would depend on the thread count and on where blocks are cut.  Only
+the per-element products of fixed width 4 in ``functionals`` stay BLAS.
 """
 
 from __future__ import annotations
@@ -124,25 +130,28 @@ def _check_finite(vals: np.ndarray):
 def integrate_cells(rule: QuadRule, g, breakpoints) -> float:
     """Composite quadrature over the cells between consecutive breakpoints.
 
-    The breakpoints must be strictly increasing.  Summation order is fixed
-    (left to right), so results are reproducible.
+    The breakpoints must be strictly increasing.  Summation order is fixed,
+    so results are reproducible.
     """
     x, half = _cell_points(rule, breakpoints)
     vals = _sample(g, x)
-    return float(np.dot(vals @ rule.weights, half))
+    return float(np.einsum("i,i->", np.einsum("ij,j->i", vals, rule.weights), half))
 
 
-def graded_grid(mesh: Mesh1D, refine: int = 8, levels: int = 20) -> np.ndarray:
-    """Breakpoints for study quadrature: ``refine`` cells per element plus a
-    geometric subdivision of the first element at h*2^-j, j = 1..levels.
+# Study grid: cells per element, and the geometric levels grading element 0.
+_CELLS_PER_ELEMENT = 8
+_GRADED_LEVELS = 20
+
+
+def graded_grid(mesh: Mesh1D) -> np.ndarray:
+    """Breakpoints for study quadrature: 8 cells per element plus a geometric
+    subdivision of the first element at h*2^-j, j = 1..20.
 
     Every mesh node is a breakpoint bitwise, so kinks of piecewise-linear
     integrands never land inside a cell.
     """
-    if refine < 1 or levels < 0:
-        raise ValueError("refine must be >= 1 and levels >= 0")
-    seg = np.linspace(mesh.nodes[:-1], mesh.nodes[1:], refine + 1, axis=1)
-    geo = mesh.h * 0.5 ** np.arange(1, levels + 1)
+    seg = np.linspace(mesh.nodes[:-1], mesh.nodes[1:], _CELLS_PER_ELEMENT + 1, axis=1)
+    geo = mesh.h * 0.5 ** np.arange(1, _GRADED_LEVELS + 1)
     return np.unique(np.concatenate([seg.ravel(), geo]))
 
 
@@ -158,7 +167,8 @@ class StudyBlock:
 
     def __init__(self, grid: "StudyGrid", first: int, stop: int):
         self.mesh, self.elements = grid.mesh, slice(first, stop)
-        self.cells = slice(grid.head + 8 * (first - 1) if first else 0, grid.head + 8 * (stop - 1))
+        start = grid.head + _CELLS_PER_ELEMENT * (first - 1) if first else 0
+        self.cells = slice(start, grid.head + _CELLS_PER_ELEMENT * (stop - 1))
         # _cell_points' formula (bitwise its points), point-major: 2x faster
         t = np.multiply.outer(grid.rule.points, grid.half[self.cells])
         t += grid.mid[self.cells]
@@ -203,7 +213,7 @@ class StudyGrid:
         b = graded_grid(mesh)
         self.mesh, self.rule = mesh, gauss_rule(8)
         self.mid, self.half = 0.5 * (b[1:] + b[:-1]), np.diff(b) * 0.5
-        self.head = self.half.size - 8 * (mesh.n_elements - 1)
+        self.head = self.half.size - _CELLS_PER_ELEMENT * (mesh.n_elements - 1)
 
     def blocks(self):
         bounds = [0, *range(1, self.mesh.n_elements, _STUDY_BLOCK), self.mesh.n_elements]
@@ -211,16 +221,10 @@ class StudyGrid:
 
     def integrate(self, integrand) -> float:
         """Quadrature of ``integrand(block)``, the (cells, 8) values at each
-        block's points, with ``integrate_cells``' per-cell sums and dot.
-        OpenBLAS's gemv sums cells four at a time and a remainder by other
-        kernels; the grid has 1 mod 4 cells, so the 25-cell head is padded and
-        the last cell redone as a remainder of one, as in ``vals @ w``."""
+        block's points, with ``integrate_cells``' per-cell sums and total."""
         sums = np.empty(self.half.size)
         for block in self.blocks():
             vals = integrand(block)
             _check_finite(vals)
-            rows = len(vals)
-            vals = np.concatenate([vals, vals[:-rows % 4]]) if rows % 4 else vals
-            sums[block.cells] = (vals @ self.rule.weights)[:rows]
-        sums[-1] = (vals[rows - 5:rows] @ self.rule.weights)[-1]
-        return float(np.dot(sums, self.half))
+            np.einsum("ij,j->i", vals, self.rule.weights, out=sums[block.cells])
+        return float(np.einsum("i,i->", sums, self.half))

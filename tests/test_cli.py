@@ -64,6 +64,16 @@ def test_config_file_stays_shared_across_subcommands(tmp_path, capsys):
     assert (tmp_path / "out" / "solution_N8.csv").exists()
 
 
+@pytest.mark.parametrize("pair", ["grad_tol=inf", "grad_tol=nan", "max_iters=0"])
+def test_solver_config_that_disables_the_solver_is_rejected(tmp_path, capsys, pair):
+    # grad_tol=inf would pass the gates with the interpolants reported as minima
+    args = ["converge", "--set", pair, "--set", "mesh_sizes=8,16,32",
+            "--out", str(tmp_path / "conv")]
+    assert main(args) == 2
+    assert pair.split("=")[0] in capsys.readouterr().err
+    assert not (tmp_path / "conv").exists()
+
+
 def test_malformed_set_pair_rejected(capsys):
     assert main(["gap", "--set", "s0.3"]) == 2
     capsys.readouterr()

@@ -118,6 +118,16 @@ class TestDescentContracts:
         assert res.iters == 5
         assert np.isfinite(res.energy)
 
+    @pytest.mark.parametrize("bad", [
+        {"grad_tol": float("inf")}, {"grad_tol": float("nan")}, {"grad_tol": 0.0},
+        {"grad_tol": -1e-9}, {"max_iters": 2.5}, {"max_iters": True}, {"max_iters": 0},
+    ])
+    def test_config_that_disables_the_solver_is_rejected(self, bad):
+        # grad_tol = inf would stop every solve at 0 iterations as converged
+        with pytest.raises(ValueError):
+            SolveConfig(**bad)
+        assert SolveConfig(max_iters=np.int64(3)).max_iters == 3
+
     def test_converged_solve_names_grad_tol(self):
         mesh = Mesh1D(16)
         res = solve_from(mesh, "interp_root")

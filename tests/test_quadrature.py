@@ -6,7 +6,8 @@ import pytest
 
 from maniafem.errors import EvaluationError
 from maniafem.mesh import FeFunction, Mesh1D, interpolate
-from maniafem.quadrature import StudyGrid, gauss_rule, graded_grid, integrate_cells
+from maniafem.quadrature import (
+    _CELLS_PER_ELEMENT, _GRADED_LEVELS, StudyGrid, gauss_rule, graded_grid, integrate_cells)
 
 
 def test_one_point_rule_is_midpoint():
@@ -128,13 +129,19 @@ def test_integrate_cells_matches_element_sum():
 
 def test_graded_grid_structure():
     mesh = Mesh1D(8)
-    grid = graded_grid(mesh, refine=8, levels=20)
+    grid = graded_grid(mesh)
     assert np.all(np.diff(grid) > 0)
     for node in mesh.nodes:
         assert node in grid
-    for j in range(1, 21):
+    for j in range(1, _GRADED_LEVELS + 1):
         assert mesh.h * 0.5**j in grid
     assert grid[0] == 0.0 and grid[-1] == 1.0
+    last = np.linspace(mesh.nodes[-2], 1.0, _CELLS_PER_ELEMENT + 1)
+    assert np.array_equal(grid[-_CELLS_PER_ELEMENT - 1:], last)
+    # StudyGrid cuts the grid at _CELLS_PER_ELEMENT cells per element, so the
+    # count is not a parameter a caller could set to anything else
+    with pytest.raises(TypeError):
+        graded_grid(mesh, refine=4)
 
 
 def test_graded_grid_resolves_root_singularity():
@@ -214,15 +221,16 @@ class TestStudyGrid:
 
     @pytest.mark.parametrize("n", [1, 2, 600, 1025])
     def test_per_cell_sums_match_the_whole_array_product(self, n):
-        # nonzero values only in the head's last cell and the grid's last
-        # cell, the two whose per-cell sums depend on how the cells are cut
-        # into products, so any change of those sums shows in the integral
+        # a per-cell sum must not depend on where its block is cut: nonzero
+        # values only at the block edges (the head's last cell, the grid's
+        # last cell), so a sum that moved with its position would show
         grid = StudyGrid(Mesh1D(n))
         rng = np.random.default_rng(n)
         for _ in range(20):
             vals = np.zeros((grid.half.size, 8))
             vals[[grid.head - 1, -1]] = rng.standard_normal((2, 8)) ** 3
-            whole = float(np.dot(vals @ grid.rule.weights, grid.half))
+            sums = np.einsum("ij,j->i", vals, grid.rule.weights)
+            whole = float(np.einsum("i,i->", sums, grid.half))
             assert grid.integrate(lambda block: vals[block.cells]) == whole
 
     def test_rejects_non_finite_values_and_foreign_functions(self):
