@@ -10,10 +10,11 @@ Integrals of non-polynomial integrands (x^{1/3}-type profiles and their
 interpolation errors) use an 8-point rule on a study grid that subdivides
 every element and grades the first one geometrically toward x = 0, where the
 derivative singularity concentrates all the error mass.  ``StudyGrid`` keeps
-that grid's cells once per mesh and streams their points in element order
-through cache-sized blocks, so per-element data (finite element slopes,
-clamp factors) reach the points by broadcasting instead of a search per
-point, and no integrand is ever formed on the whole grid at once.
+that grid's cells once per mesh and hands their points to the integrand in
+element order, one cache-sized block at a time with one row per element, so
+per-element data (finite element slopes, clamp factors) reach the points by
+plain broadcasting instead of a search per point, and no integrand is ever
+formed on the whole grid at once.
 
 Summation rule: every sum whose length grows with N is an ``np.einsum``
 reduction in a fixed order, never BLAS.  OpenBLAS threads dot products above
@@ -155,59 +156,15 @@ def graded_grid(mesh: Mesh1D) -> np.ndarray:
     return np.unique(np.concatenate([seg.ravel(), geo]))
 
 
-# Elements per StudyGrid block: 256 KiB per (cells, 8) temporary, inside a 2 MiB L2.
+# Elements per StudyGrid block: 256 KiB per temporary, inside a 2 MiB L2.
 # 64-256 and 1024-8192 took 3-45 % longer on the study terms at N = 2^14, 2^16 (x86_64).
 _STUDY_BLOCK = 512
-
-
-class StudyBlock:
-    """Elements ``first..stop-1`` of a ``StudyGrid``: their points as one
-    read-only (cells, 8) array, 64 points per element (the graded element 0
-    is a block of its own), and per-element data broadcast to them."""
-
-    def __init__(self, grid: "StudyGrid", first: int, stop: int):
-        self.mesh, self.elements = grid.mesh, slice(first, stop)
-        start = grid.head + _CELLS_PER_ELEMENT * (first - 1) if first else 0
-        self.cells = slice(start, grid.head + _CELLS_PER_ELEMENT * (stop - 1))
-        # _cell_points' formula (bitwise its points), point-major: 2x faster
-        t = np.multiply.outer(grid.rule.points, grid.half[self.cells])
-        t += grid.mid[self.cells]
-        self.points = np.ascontiguousarray(t.T)
-        self.points.setflags(write=False)
-
-    def _each(self, op, a, block_data, out):
-        rows = (self.elements.stop - self.elements.start, -1)
-        op(a.reshape(rows), block_data[:, None], out=out.reshape(rows))
-        return out
-
-    def by_element(self, op, a: np.ndarray, per_element, out: np.ndarray) -> np.ndarray:
-        """``out = op(a, per_element[k])`` on the points of each element k:
-        ``a`` and ``out`` are (cells, 8) arrays of this block, ``out``
-        C-contiguous (it may be ``a``); ``per_element`` has one entry per
-        element of the mesh."""
-        return self._each(op, a, per_element[self.elements], out)
-
-    def fe_values(self, f) -> np.ndarray:
-        """A finite element function of this mesh at the points, in a new
-        array, as s_k (x - x_k) + v_k: ``np.interp``'s formula, so equal to
-        ``f.evaluate`` bitwise wherever the node spacing is h exactly
-        (power-of-two N) and within a few ulps otherwise."""
-        if f.mesh.n_elements != self.mesh.n_elements:
-            raise ValueError("the function lives on another mesh")
-        k = slice(self.elements.start, self.elements.stop + 1)
-        v = f.nodal_values[k]
-        out = self._each(np.subtract, self.points, self.mesh.nodes[k][:-1],
-                         np.empty_like(self.points))
-        # f.slopes() on this block only: all N slopes per block would cost O(N^2)
-        self._each(np.multiply, out, np.diff(v) / self.mesh.h, out)
-        return self._each(np.add, out, v[:-1], out)
 
 
 class StudyGrid:
     """``graded_grid(mesh)`` with the 8-point rule on every cell, kept as the
     cells' midpoints ``mid`` and half-widths ``half`` only: the first ``head``
-    cells are the graded element 0, elements 1..N-1 hold 8 cells each.
-    ``blocks`` yields element 0, then runs of ``_STUDY_BLOCK`` elements."""
+    cells are the graded element 0, elements 1..N-1 hold 8 cells each."""
 
     def __init__(self, mesh: Mesh1D):
         b = graded_grid(mesh)
@@ -215,16 +172,25 @@ class StudyGrid:
         self.mid, self.half = 0.5 * (b[1:] + b[:-1]), np.diff(b) * 0.5
         self.head = self.half.size - _CELLS_PER_ELEMENT * (mesh.n_elements - 1)
 
-    def blocks(self):
-        bounds = [0, *range(1, self.mesh.n_elements, _STUDY_BLOCK), self.mesh.n_elements]
-        return (StudyBlock(self, first, stop) for first, stop in zip(bounds, bounds[1:]))
-
     def integrate(self, integrand) -> float:
-        """Quadrature of ``integrand(block)``, the (cells, 8) values at each
-        block's points, with ``integrate_cells``' per-cell sums and total."""
+        """Quadrature of ``integrand(x, k)`` with ``integrate_cells``' per-cell
+        sums and total, walked in blocks of elements: element 0 alone, then
+        runs of ``_STUDY_BLOCK``.  ``k`` is the block's slice of elements and
+        ``x`` its read-only points, one row per element (1 x 200 for the
+        graded element 0, then 64 per row), so per-element data ``a`` reaches
+        them as ``a[k, None]``; the integrand returns values shaped like ``x``."""
+        n, head = self.mesh.n_elements, self.head
         sums = np.empty(self.half.size)
-        for block in self.blocks():
-            vals = integrand(block)
+        bounds = [0, *range(1, n, _STUDY_BLOCK), n]
+        for first, stop in zip(bounds, bounds[1:]):
+            cells = slice(head + _CELLS_PER_ELEMENT * (first - 1) if first else 0,
+                          head + _CELLS_PER_ELEMENT * (stop - 1))
+            # _cell_points' formula (bitwise its points), point-major: 2x faster
+            t = np.multiply.outer(self.rule.points, self.half[cells])
+            t += self.mid[cells]
+            x = np.ascontiguousarray(t.T).reshape(stop - first, -1)
+            x.setflags(write=False)
+            vals = integrand(x, slice(first, stop))
             _check_finite(vals)
-            np.einsum("ij,j->i", vals, self.rule.weights, out=sums[block.cells])
+            np.einsum("ij,j->i", vals.reshape(-1, 8), self.rule.weights, out=sums[cells])
         return float(np.einsum("i,i->", sums, self.half))

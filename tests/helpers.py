@@ -28,3 +28,30 @@ def batch_energies(mesh, interior_grid, clamp=None, rule=None):
     if clamp is not None:
         d = np.clip(d, -clamp, clamp)
     return np.sum(d**6 * s_k, axis=1)
+
+
+def study_blocks(grid):
+    """The (x, k) pairs ``grid.integrate`` hands its integrand, in order."""
+    seen = []
+    grid.integrate(lambda x, k: seen.append((x, k)) or np.zeros(x.shape))
+    return seen
+
+
+def on_blocks(grid, per_block):
+    """``per_block(x, k)`` on every block of ``grid``, as one (cells, 8) array
+    in grid order."""
+    return np.concatenate([np.reshape(per_block(x, k), (-1, 8))
+                           for x, k in study_blocks(grid)])
+
+
+def study_cells(grid, k):
+    """The cells of the study grid's elements ``k``: the graded head for
+    element 0, then 8 cells per element."""
+    start = grid.head + 8 * (k.start - 1) if k.start else 0
+    return slice(start, grid.head + 8 * (k.stop - 1))
+
+
+def whole_grid_integrand(grid, vals):
+    """An integrand that hands ``grid.integrate`` the (cells, 8) array
+    ``vals``, block by block."""
+    return lambda x, k: vals[study_cells(grid, k)].reshape(x.shape)

@@ -27,6 +27,7 @@ from maniafem.fractional import (
 )
 from maniafem.mesh import FeFunction, Mesh1D, interpolate
 from maniafem.quadrature import StudyGrid, gauss_rule, graded_grid, integrate_cells
+from maniafem.studies import _fe_at
 
 
 def tensor_kernel_quad(a, b, c, d, sp, m=8):
@@ -328,7 +329,7 @@ class TestNormWkp:
 
     def test_root_l1_norm_via_graded_quadrature(self):
         grid = StudyGrid(Mesh1D(16))
-        value = grid.integrate(lambda block: np.abs(block.points ** (1 / 3)))
+        value = grid.integrate(lambda x, k: np.abs(x ** (1 / 3)))
         assert value == pytest.approx(0.75, rel=1e-10)
 
     def test_fe_closed_form_matches_quadrature_positive_data(self):
@@ -339,15 +340,12 @@ class TestNormWkp:
             mesh = Mesh1D(n)
             f = FeFunction(mesh, rng.uniform(0.1, 1.1, n + 1))
             grid = StudyGrid(mesh)
-
-            def slopes(block):
-                return block.by_element(np.add, np.zeros(block.points.shape), f.slopes(),
-                                        np.empty(block.points.shape))
-
+            slopes = f.slopes()
             for p in (1.0, 1.1, 2.0, 2.7):
                 closed = norm_wkp(f, 1, p)
-                quad = (grid.integrate(lambda block: np.abs(block.fe_values(f)) ** p)
-                        + grid.integrate(lambda block: np.abs(slopes(block)) ** p)
+                quad = (grid.integrate(lambda x, k: np.abs(_fe_at(f, x, k)) ** p)
+                        + grid.integrate(lambda x, k: np.abs(
+                            np.broadcast_to(slopes[k, None], x.shape)) ** p)
                         ) ** (1.0 / p)
                 assert closed == pytest.approx(quad, rel=1e-12)
 

@@ -8,6 +8,9 @@ from maniafem.errors import EvaluationError
 from maniafem.mesh import FeFunction, Mesh1D, interpolate
 from maniafem.quadrature import (
     _CELLS_PER_ELEMENT, _GRADED_LEVELS, StudyGrid, gauss_rule, graded_grid, integrate_cells)
+from maniafem.studies import _fe_at
+
+from helpers import on_blocks, study_blocks, whole_grid_integrand
 
 
 def test_one_point_rule_is_midpoint():
@@ -159,19 +162,18 @@ class TestStudyGrid:
         mid = 0.5 * (b[1:] + b[:-1])
         return mid[:, None] + half[:, None] * gauss_rule(8).points[None, :], half
 
-    @staticmethod
-    def on_blocks(grid, per_block):
-        # per_block(block) over every block, concatenated in grid order
-        return np.concatenate([per_block(block) for block in grid.blocks()])
-
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 1024])
     def test_points_are_the_graded_cells_bitwise(self, n):
         mesh = Mesh1D(n)
         grid = StudyGrid(mesh)
         x, half = self.cell_points(mesh)
-        points = self.on_blocks(grid, lambda block: block.points)
+        points = on_blocks(grid, lambda x, k: x)
         assert np.array_equal(points, x) and np.array_equal(grid.half, half)
-        assert all(block.points.flags.c_contiguous for block in grid.blocks())
+        blocks = study_blocks(grid)
+        assert all(x.flags.c_contiguous and not x.flags.writeable for x, _ in blocks)
+        # one row per element: the graded element 0, then 64 points each
+        assert blocks[0][0].shape == (1, 8 * grid.head)
+        assert all(x.shape == (k.stop - k.start, 64) for x, k in blocks[1:])
         # the graded first element, then 8 cells per element (none for N = 1)
         assert grid.head == 25
         assert half.size == grid.head + 8 * (n - 1)
@@ -179,12 +181,12 @@ class TestStudyGrid:
         assert n == 1 or points[grid.head:].min() > mesh.nodes[1]
 
     def fe_reference(self, grid, f):
-        x = self.on_blocks(grid, lambda block: block.points)
+        x = on_blocks(grid, lambda x, k: x)
         return f.evaluate(x.ravel()).reshape(x.shape), f.slope_at(x.ravel()).reshape(x.shape)
 
     def slopes_on(self, grid, f):
-        return self.on_blocks(grid, lambda block: block.by_element(
-            np.add, np.zeros(block.points.shape), f.slopes(), np.empty(block.points.shape)))
+        # per-element data reach the points as a[k, None]
+        return on_blocks(grid, lambda x, k: np.broadcast_to(f.slopes()[k, None], x.shape))
 
     @pytest.mark.parametrize("n", [8, 1024, 16384])
     def test_fe_values_and_slopes_are_bitwise(self, n):
@@ -194,7 +196,7 @@ class TestStudyGrid:
         for f in (interpolate(mesh, lambda x: x ** (1 / 3)),
                   FeFunction(mesh, rng.uniform(-1, 1, n + 1))):
             values, slopes = self.fe_reference(grid, f)
-            got = self.on_blocks(grid, lambda block: block.fe_values(f))
+            got = on_blocks(grid, lambda x, k: _fe_at(f, x, k))
             assert got.tobytes() == values.tobytes()
             assert np.array_equal(self.slopes_on(grid, f), slopes)
 
@@ -208,7 +210,7 @@ class TestStudyGrid:
         for q in (1 / 3, 0.45):
             f = interpolate(mesh, lambda x: x**q)
             values, slopes = self.fe_reference(grid, f)
-            got = self.on_blocks(grid, lambda block: block.fe_values(f))
+            got = on_blocks(grid, lambda x, k: _fe_at(f, x, k))
             assert np.all(np.abs(got - values) <= 4 * np.spacing(values))
             assert np.array_equal(self.slopes_on(grid, f), slopes)
 
@@ -216,7 +218,7 @@ class TestStudyGrid:
         mesh = Mesh1D(64)
         grid = StudyGrid(mesh)
         g = lambda x: np.abs(x ** (1 / 3) - 0.5) ** 1.1
-        assert grid.integrate(lambda block: g(block.points)) == integrate_cells(
+        assert grid.integrate(lambda x, k: g(x)) == integrate_cells(
             gauss_rule(8), g, graded_grid(mesh))
 
     @pytest.mark.parametrize("n", [1, 2, 600, 1025])
@@ -231,22 +233,18 @@ class TestStudyGrid:
             vals[[grid.head - 1, -1]] = rng.standard_normal((2, 8)) ** 3
             sums = np.einsum("ij,j->i", vals, grid.rule.weights)
             whole = float(np.einsum("i,i->", sums, grid.half))
-            assert grid.integrate(lambda block: vals[block.cells]) == whole
+            assert grid.integrate(whole_grid_integrand(grid, vals)) == whole
 
-    def test_rejects_non_finite_values_and_foreign_functions(self):
+    def test_rejects_non_finite_values(self):
         grid = StudyGrid(Mesh1D(4))
         vals = np.ones((grid.half.size, 8))
         vals[3, 2] = np.nan
         with pytest.raises(EvaluationError):
-            grid.integrate(lambda block: vals[block.cells])
+            grid.integrate(whole_grid_integrand(grid, vals))
         vals[3, 2] = np.inf
         with pytest.raises(EvaluationError):
-            grid.integrate(lambda block: vals[block.cells])
+            grid.integrate(whole_grid_integrand(grid, vals))
         vals[3, 2] = 1.0
         vals[-1, 7] = np.nan  # in the last block, not the head
         with pytest.raises(EvaluationError):
-            grid.integrate(lambda block: vals[block.cells])
-        for block in grid.blocks():
-            with pytest.raises(ValueError, match="another mesh"):
-                block.fe_values(interpolate(Mesh1D(8), lambda x: x))
-            assert not block.points.flags.writeable
+            grid.integrate(whole_grid_integrand(grid, vals))

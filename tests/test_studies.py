@@ -20,6 +20,8 @@ from maniafem.studies import (
     value_mismatch_term,
 )
 
+from helpers import on_blocks, study_blocks, study_cells, whole_grid_integrand
+
 EIGHT_105 = 8.0 / 105.0
 
 
@@ -80,6 +82,11 @@ class TestInterpError:
         assert all(b < a for a, b in zip(l0, l0[1:]))
         assert all(b < a for a, b in zip(l1, l1[1:]))
 
+    def test_rejects_a_function_on_another_mesh(self):
+        fn, dfn = power_fn(1.0 / 3.0)
+        with pytest.raises(ValueError, match="another mesh"):
+            fe_error(fn, dfn, interpolate(Mesh1D(8), fn), StudyGrid(Mesh1D(4)), 1.1)
+
     def test_both_norms_match_separate_integrations_bitwise(self):
         # the shared integral of |v - I_h v|^p on the study grid gives the
         # values two separate integrate_cells passes over graded_grid give
@@ -133,12 +140,12 @@ class TestRecoveryTerms:
 
     @staticmethod
     def points(grid):
-        return np.concatenate([block.points for block in grid.blocks()])
+        return on_blocks(grid, lambda x, k: x)
 
     @staticmethod
     def whole_integral(grid, vals):
         # values at every point of the grid, handed to integrate block by block
-        return grid.integrate(lambda block: vals[block.cells])
+        return grid.integrate(whole_grid_integrand(grid, vals))
 
     @pytest.mark.parametrize("n", [8, 64])
     def test_slope_term_clips_at_the_mesh_level(self, n):
@@ -274,22 +281,27 @@ class TestStreamedBlockEdges:
     # N - 1 = B - 1, B and B + 1 blocked elements, then a last partial block
     @pytest.mark.parametrize("n", [_STUDY_BLOCK, _STUDY_BLOCK + 1, _STUDY_BLOCK + 2, _POW2_N])
     def test_blocks_tile_the_grid_once_in_order(self, n):
-        grid = StudyGrid(Mesh1D(n))
-        blocks = list(grid.blocks())
-        assert (blocks[0].elements, blocks[0].cells) == (slice(0, 1), slice(0, grid.head))
-        assert [b.elements.start for b in blocks[1:]] == list(range(1, n, _STUDY_BLOCK))
-        for prev, block in zip(blocks, blocks[1:]):
-            assert block.elements.start == prev.elements.stop
-            assert block.cells.start == prev.cells.stop
-            assert block.cells.stop - block.cells.start == 8 * (
-                block.elements.stop - block.elements.start)
-        assert (blocks[-1].elements.stop, blocks[-1].cells.stop) == (n, grid.half.size)
+        mesh = Mesh1D(n)
+        grid = StudyGrid(mesh)
+        blocks = study_blocks(grid)
+        ks = [k for _, k in blocks]
+        cells = [study_cells(grid, k) for k in ks]
+        assert (ks[0], cells[0]) == (slice(0, 1), slice(0, grid.head))
+        assert [k.start for k in ks[1:]] == list(range(1, n, _STUDY_BLOCK))
+        for prev, k, prev_cells, block_cells, (x, _) in zip(ks, ks[1:], cells, cells[1:],
+                                                            blocks[1:]):
+            assert k.start == prev.stop
+            assert block_cells.start == prev_cells.stop
+            assert x.shape == (k.stop - k.start, 64)  # 8 cells of 8 points per element
+        assert (ks[-1].stop, cells[-1].stop) == (n, grid.half.size)
+        # the rows handed to the integrand are those cells' points, in order
+        assert np.array_equal(on_blocks(grid, lambda x, k: x), WholeGrid(mesh).points)
 
     @pytest.mark.parametrize("n", [_STUDY_BLOCK, _STUDY_BLOCK + 1, _STUDY_BLOCK + 2, _POW2_N])
     def test_terms_equal_the_whole_array_formulas_bitwise(self, n):
         mesh = Mesh1D(n)
         grid, whole = StudyGrid(mesh), WholeGrid(mesh)
-        assert n < _POW2_N or len(list(grid.blocks())) >= 4
+        assert n < _POW2_N or len(study_blocks(grid)) >= 4
         f = FeFunction(mesh, np.random.default_rng(n).uniform(-1, 1, n + 1))
         root, d_root = power_fn(1.0 / 3.0)
         assert fe_error(root, d_root, f, grid, 1.3) == whole.fe_error(root, d_root, f, 1.3)
