@@ -307,7 +307,7 @@ def run_recovery(config: ExperimentConfig) -> RateStudy:
     rows = []
     for n in config.mesh_sizes:
         mesh = Mesh1D(n)
-        rows.append((mesh.h, recovery_gap(fn, mesh, config.params.alpha, reference=0.0)))
+        rows.append((mesh.h, recovery_gap(fn, mesh, config.params.alpha)))
     return make_rate_study(
         "recovery_gap", config.mesh_sizes, ("h", "value"), rows)
 

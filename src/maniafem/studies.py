@@ -206,6 +206,7 @@ def slope_mismatch_term(fn, dfn, grid: StudyGrid, alpha: float) -> float:
     return grid.integrate(integrand)
 
 
-def recovery_gap(fn, mesh: Mesh1D, alpha: float, reference: float) -> float:
-    """Clamped energy of the interpolant minus the limit value J(v)."""
-    return energy_clamped(interpolate(mesh, fn), alpha) - reference
+def recovery_gap(fn, mesh: Mesh1D, alpha: float) -> float:
+    """Clamped energy of the interpolant: its gap to the limit value
+    J(x^(1/3)) = 0."""
+    return energy_clamped(interpolate(mesh, fn), alpha)

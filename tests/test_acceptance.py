@@ -153,7 +153,7 @@ def test_criterion_6_recovery_limsup(config):
         assert clamp_level(mesh, config.params.alpha) >= 1.0
         # two exact quadratures of the same degree-6 density differ only in
         # float summation order, so "exactly zero" means machine zero here
-        zero_ok &= abs(recovery_gap(identity, mesh, config.params.alpha, EIGHT_105)) <= 1e-15
+        zero_ok &= abs(recovery_gap(identity, mesh, config.params.alpha) - EIGHT_105) <= 1e-15
     ok = decay_ok and zero_ok
     report(6, ok, (
         f"J_h(interp of x^(1/3)) decays {gaps[0]:.3e} -> {gaps[-1]:.3e} <= 1e-3; "

@@ -185,14 +185,14 @@ class TestRecoveryTerms:
         for n in (4, 16, 64):
             mesh = Mesh1D(n)
             assert clamp_level(mesh, 0.035) >= 1.0
-            gap = recovery_gap(lambda x: np.asarray(x, float), mesh, 0.035, EIGHT_105)
+            gap = recovery_gap(lambda x: np.asarray(x, float), mesh, 0.035) - EIGHT_105
             assert abs(gap) <= 1e-15
 
     def test_recovery_gap_decays_for_root(self):
         fn, _ = power_fn(1.0 / 3.0)
         gaps = []
         for n in (8, 16, 32, 64, 128):
-            gaps.append(recovery_gap(fn, Mesh1D(n), 0.035, 0.0))
+            gaps.append(recovery_gap(fn, Mesh1D(n), 0.035))
         assert all(g >= 0 for g in gaps)
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
