@@ -2,6 +2,7 @@
 
 import gc
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -104,11 +105,26 @@ class TestLadderSolves:
             assert result.energy == full[n].energy
             assert np.array_equal(result.minimizer.nodal_values, full[n].minimizer.nodal_values)
 
-    def test_keeps_the_lowest_candidate_per_mesh(self, monkeypatch):
+    def test_keeps_the_lowest_candidate_per_mesh_up_to_4_ulps(self, monkeypatch):
         solves = recorded_solves(monkeypatch)
         results = ex.solve_ladder((4, 8), SolveConfig())
         for n, result in zip((4, 8), results):
-            assert result.energy == min(r.energy for m, r in solves if m == n)
+            candidates = [r for m, r in solves if m == n]
+            kept = [r is result for r in candidates].index(True)
+            assert min(r.energy for r in candidates) >= (
+                result.energy - 4 * np.spacing(result.energy))
+            # the earliest such candidate: every one before it is higher
+            assert all(r.energy > result.energy for r in candidates[:kept])
+
+    @pytest.mark.parametrize("ulps, kept", [(0, 0), (1, 0), (4, 0), (5, 1), (400, 1)])
+    def test_later_start_must_win_by_more_than_4_ulps(self, monkeypatch, ulps, kept):
+        # N = 2 has no previous mesh, so its two raw seeds are the only starts
+        energy = 0.06639759382528483
+        energies = [energy, energy - ulps * np.spacing(energy)]
+        results = iter([SimpleNamespace(energy=e) for e in energies])
+        monkeypatch.setattr(ex, "minimize_from", lambda *args: next(results))
+        [result] = ex.solve_ladder((2,), SolveConfig())
+        assert result.energy == energies[kept]
 
     def test_rejects_sizes_off_the_halving_chain(self):
         with pytest.raises(ValueError, match="halving chain"):
