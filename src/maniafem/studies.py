@@ -207,6 +207,5 @@ def slope_mismatch_term(fn, dfn, grid: StudyGrid, alpha: float) -> float:
 
 
 def recovery_gap(fn, mesh: Mesh1D, alpha: float) -> float:
-    """Clamped energy of the interpolant: its gap to the limit value
-    J(x^(1/3)) = 0."""
+    """Clamped energy of the interpolant: the recovery gap of a v with J(v) = 0."""
     return energy_clamped(interpolate(mesh, fn), alpha)
