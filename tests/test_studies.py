@@ -288,10 +288,9 @@ class TestStreamedBlockEdges:
         cells = [study_cells(grid, k) for k in ks]
         assert (ks[0], cells[0]) == (slice(0, 1), slice(0, grid.head))
         assert [k.start for k in ks[1:]] == list(range(1, n, _STUDY_BLOCK))
-        for prev, k, prev_cells, block_cells, (x, _) in zip(ks, ks[1:], cells, cells[1:],
-                                                            blocks[1:]):
-            assert k.start == prev.stop
-            assert block_cells.start == prev_cells.stop
+        for i, (x, k) in enumerate(blocks[1:], 1):
+            assert k.start == ks[i - 1].stop
+            assert cells[i].start == cells[i - 1].stop
             assert x.shape == (k.stop - k.start, 64)  # 8 cells of 8 points per element
         assert (ks[-1].stop, cells[-1].stop) == (n, grid.half.size)
         # the rows handed to the integrand are those cells' points, in order
