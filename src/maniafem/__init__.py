@@ -10,24 +10,17 @@ machinery and the convergence studies that quantify why it works.
 
 from .errors import ConsistencyError, EvaluationError, RegimeError, StudyError
 from .mesh import FeFunction, Mesh1D, interpolate
-from .quadrature import QuadRule, StudyGrid, gauss_rule, integrate_cells
+from .quadrature import StudyGrid
 from .functionals import AdmissibleParams, energy_clamped
 from .fractional import (
     PiecewiseConstant,
     SeminormResult,
     gagliardo_oracle_mc,
     gagliardo_pc,
-    interval_kernel,
     norm_wkp,
     seminorm_w1sp,
 )
-from .optimize import (
-    SolveConfig,
-    SolveResult,
-    initial_values,
-    minimize_from,
-    prolongate,
-)
+from .optimize import SolveConfig, SolveResult, minimize_from
 from .studies import (
     RateStudy,
     interp_error,
@@ -38,7 +31,6 @@ from .studies import (
 )
 from .experiments import (
     ExperimentConfig,
-    default_params,
     run_all,
     run_gap_demo,
     run_interp_rates,

@@ -1,10 +1,13 @@
 """Command-line front end for solves and convergence studies.
 
 Configuration is a flat ``key = value`` file with ``#`` comments; recognized
-keys are s, p, alpha, mesh_sizes, grad_tol, max_iters, output_dir.
-Overrides apply after file parsing, last one wins.  A file is shared across
-subcommands, but ``--set`` of a key the subcommand does not read is a usage
-error (``solve`` reads no mesh_sizes; ``seminorm`` only s, p and alpha).
+keys are s, p, alpha, mesh_sizes, grad_tol, max_iters, output_dir.  Each
+``--set key=value`` is applied after the file, in order, so the last one
+wins, and ``--out`` sets output_dir last.  Every subcommand builds one
+``ExperimentConfig`` from the result, so the whole file is validated even
+where a key goes unread.  A file is shared across subcommands, but ``--set``
+of a key the subcommand does not read is a usage error (``solve`` reads no
+mesh_sizes; ``seminorm`` only s, p and alpha).
 
 Exit status: 0 pass, 1 study fail, 2 usage or parameter validation error,
 3 I/O failure.
@@ -34,7 +37,7 @@ _DEFAULTS = {
     "s": _LIBRARY.params.s,
     "p": _LIBRARY.params.p,
     "alpha": _LIBRARY.params.alpha,
-    "mesh_sizes": list(_LIBRARY.mesh_sizes),
+    "mesh_sizes": _LIBRARY.mesh_sizes,
     "grad_tol": _LIBRARY.solver.grad_tol,
     "max_iters": _LIBRARY.solver.max_iters,
     "output_dir": _LIBRARY.output_dir,
@@ -49,7 +52,7 @@ _UNREAD = {
 
 def _parse_sizes(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in str(text).replace(" ", "").split(",") if tok]
+        return [int(tok) for tok in text.replace(" ", "").split(",") if tok]
     except ValueError as exc:
         raise ValueError(f"mesh_sizes must be comma-separated integers, got {text!r}") from exc
 
@@ -65,49 +68,38 @@ _CONVERTERS = {
 }
 
 
-def parse_config_file(path: str) -> dict:
-    """Flat key = value lines; '#' starts a comment; blank lines ignored."""
-    settings = {}
-    text = Path(path).read_text()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONVERTERS:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        settings[key] = _CONVERTERS[key](value)
-    return settings
+def _apply(settings: dict, pair: str, where: str) -> str:
+    """Set the key of one ``key = value`` pair in ``settings`` and return it;
+    errors name ``where`` the pair came from."""
+    key, sep, value = (part.strip() for part in pair.partition("="))
+    if not sep:
+        raise ValueError(f"{where}: expected 'key = value', got {pair!r}")
+    if key not in _CONVERTERS:
+        raise ValueError(f"{where}: unknown config key {key!r}")
+    settings[key] = _CONVERTERS[key](value)
+    return key
 
 
-def _apply_overrides(settings: dict, args) -> dict:
+def _experiment_config(args) -> ex.ExperimentConfig:
+    """The library defaults, then the config file, then each ``--set`` and
+    ``--out``, validated as one ``ExperimentConfig``."""
+    settings = dict(_DEFAULTS)
+    if args.config:
+        text = Path(args.config).read_text()
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                _apply(settings, line, f"{args.config}:{lineno}")
     for pair in args.set or []:
-        if "=" not in pair:
-            raise ValueError(f"--set expects key=value, got {pair!r}")
-        key, value = (part.strip() for part in pair.split("=", 1))
-        if key not in _CONVERTERS:
-            raise ValueError(f"unknown config key {key!r}")
+        key = _apply(settings, pair, "--set")
         if key in _UNREAD.get(args.command, ()):
             raise ValueError(f"maniafem {args.command} does not read config key {key!r}")
-        settings[key] = _CONVERTERS[key](value)
-    for key in ("s", "p", "alpha"):
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
     if getattr(args, "out", None):
         settings["output_dir"] = args.out
-    return settings
-
-
-def _experiment_config(settings: dict) -> ex.ExperimentConfig:
-    params = AdmissibleParams(settings["s"], settings["p"], settings["alpha"])
-    solver = SolveConfig(grad_tol=settings["grad_tol"], max_iters=settings["max_iters"])
     return ex.ExperimentConfig(
-        params=params,
-        mesh_sizes=tuple(settings["mesh_sizes"]),
-        solver=solver,
+        params=AdmissibleParams(settings["s"], settings["p"], settings["alpha"]),
+        mesh_sizes=settings["mesh_sizes"],
+        solver=SolveConfig(grad_tol=settings["grad_tol"], max_iters=settings["max_iters"]),
         output_dir=settings["output_dir"],
     )
 
@@ -131,9 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--out", help="output directory for reports")
         cmd.add_argument("--set", action="append", metavar="KEY=VALUE",
                          help="override a config key (repeatable, last wins)")
-        cmd.add_argument("--alpha", type=float)
-        cmd.add_argument("--s", type=float)
-        cmd.add_argument("--p", type=float)
         if name in ("solve", "seminorm"):
             cmd.add_argument("--mesh", type=int, default=64 if name == "solve" else 16)
     return parser
@@ -145,24 +134,22 @@ def _print_rows(columns, rows):
         print("  ".join(f"{x:14.6e}" for x in row))
 
 
-def _cmd_solve(args, settings) -> int:
-    params = AdmissibleParams(settings["s"], settings["p"], settings["alpha"])
+def _cmd_solve(args, config) -> int:
     mesh = Mesh1D(args.mesh)
-    config = SolveConfig(grad_tol=settings["grad_tol"], max_iters=settings["max_iters"])
-    [result] = ex.solve_ladder((mesh.n_elements,), config, params.alpha)
+    [result] = ex.solve_ladder((mesh.n_elements,), config.solver, config.params.alpha)
     print(f"N = {mesh.n_elements}  h = {mesh.h:.6e}")
     print(f"energy    = {result.energy:.17g}")
     print(f"grad_norm = {result.grad_norm:.3e}")
     print(f"iters     = {result.iters}  stopped on {result.reason}")
-    out = Path(settings["output_dir"])
+    out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = list(zip(mesh.nodes, result.minimizer.nodal_values))
     ex.write_csv(out / f"solution_N{mesh.n_elements}.csv", ("x", "value"), rows)
     return EXIT_OK
 
 
-def _cmd_seminorm(args, settings) -> int:
-    params = AdmissibleParams(settings["s"], settings["p"], settings["alpha"])
+def _cmd_seminorm(args, config) -> int:
+    params = config.params
     mesh = Mesh1D(args.mesh)
     fn, _ = power_fn(1.0 / 3.0)
     result = seminorm_w1sp(interpolate(mesh, fn), params.s, params.p)
@@ -203,15 +190,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
 
     try:
-        settings = dict(_DEFAULTS)
-        if args.config:
-            settings.update(parse_config_file(args.config))
-        settings = _apply_overrides(settings, args)
+        config = _experiment_config(args)
         if args.command == "solve":
-            return _cmd_solve(args, settings)
+            return _cmd_solve(args, config)
         if args.command == "seminorm":
-            return _cmd_seminorm(args, settings)
-        config = _experiment_config(settings)
+            return _cmd_seminorm(args, config)
         if args.command == "all":
             return _cmd_all(config)
         return _cmd_study(_STUDIES[args.command], config)

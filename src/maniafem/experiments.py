@@ -172,7 +172,7 @@ def run_gap_demo(config: ExperimentConfig) -> dict:
     if any(b > a for a, b in zip(raw_e, raw_e[1:])):
         raise ConsistencyError(f"raw minima increased along the ladder: {raw_e}")
     trend = make_rate_study(
-        "gap_clamped_trend", config.mesh_sizes, ("h", "value"),
+        "gap_clamped_trend", ("h", "value"),
         [(1.0 / n, e) for n, e in zip(config.mesh_sizes, clamped_e)])
     raw_floor = min(raw_e)
     return {
@@ -204,8 +204,7 @@ def run_min_convergence(config: ExperimentConfig) -> RateStudy:
         _, dist = fe_error(fn, dfn, res.minimizer, StudyGrid(mesh), p)
         rows.append((mesh.h, res.energy, interp_energy, dist))
     return make_rate_study(
-        "min_convergence", config.mesh_sizes,
-        ("h", "value", "interp_energy", "w1p_distance"), rows)
+        "min_convergence", ("h", "value", "interp_energy", "w1p_distance"), rows)
 
 
 def min_convergence_passes(study: RateStudy) -> bool:
@@ -226,10 +225,8 @@ def run_interp_rates(config: ExperimentConfig) -> dict[str, RateStudy]:
         rows_lp.append((mesh.h, lp))
         rows_w1p.append((mesh.h, w1p))
     return {
-        "interp_lp": make_rate_study(
-            "interp_lp", config.mesh_sizes, ("h", "value"), rows_lp),
-        "interp_w1p": make_rate_study(
-            "interp_w1p", config.mesh_sizes, ("h", "value"), rows_w1p),
+        "interp_lp": make_rate_study("interp_lp", ("h", "value"), rows_lp),
+        "interp_w1p": make_rate_study("interp_w1p", ("h", "value"), rows_w1p),
     }
 
 
@@ -258,10 +255,10 @@ def run_inverse_study(config: ExperimentConfig) -> dict[str, RateStudy]:
     s, p = config.params.s, config.params.p
     return {
         "inverse_ratio": make_rate_study(
-            "inverse_ratio", config.mesh_sizes, ("h", "value"),
+            "inverse_ratio", ("h", "value"),
             _inverse_rows(config.mesh_sizes, s, p)),
         "inverse_ratio_h1": make_rate_study(
-            "inverse_ratio_h1", config.mesh_sizes, ("h", "value"),
+            "inverse_ratio_h1", ("h", "value"),
             _inverse_rows(config.mesh_sizes, HILBERT_VARIANT_BETA, 2.0)),
     }
 
@@ -288,10 +285,8 @@ def run_split_rates(config: ExperimentConfig) -> dict[str, RateStudy]:
         rows_value.append((mesh.h, value_mismatch_term(fn_q, grid, alpha)))
         rows_slope.append((mesh.h, slope_mismatch_term(fn_q, dfn_q, grid, alpha)))
     return {
-        "value_term": make_rate_study(
-            "value_term", config.mesh_sizes, ("h", "value"), rows_value),
-        "slope_term": make_rate_study(
-            "slope_term", config.mesh_sizes, ("h", "value"), rows_slope),
+        "value_term": make_rate_study("value_term", ("h", "value"), rows_value),
+        "slope_term": make_rate_study("slope_term", ("h", "value"), rows_slope),
     }
 
 
@@ -315,8 +310,7 @@ def run_recovery(config: ExperimentConfig) -> RateStudy:
     for n in config.mesh_sizes:
         mesh = Mesh1D(n)
         rows.append((mesh.h, recovery_gap(fn, mesh, config.params.alpha)))
-    return make_rate_study(
-        "recovery_gap", config.mesh_sizes, ("h", "value"), rows)
+    return make_rate_study("recovery_gap", ("h", "value"), rows)
 
 
 def recovery_passes(study: RateStudy) -> bool:

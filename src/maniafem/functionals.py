@@ -187,17 +187,15 @@ def fe_objective(mesh: Mesh1D, clamp: float | None = None):
     return energy, derivatives
 
 
-def _require_bc(f: FeFunction):
-    if not f.bc_flag:
-        raise ValueError("energy is defined on the boundary-pinned space: bc_flag required")
-
-
 def energy_clamped(f: FeFunction, alpha: float) -> float:
     """The clamped energy: J with slopes clipped at h^(-alpha), h the mesh
     size of ``f``.
 
     Always in [0, J(f)]; equals J(f) when no slope exceeds the clamp.
+    Raises ValueError unless f(0) = 0 and f(1) = 1 exactly.
     """
-    _require_bc(f)
+    v = f.nodal_values
+    if not (v[0] == 0.0 and v[-1] == 1.0):
+        raise ValueError(f"energy needs f(0) = 0 and f(1) = 1, got {v[0]} and {v[-1]}")
     energy, _ = fe_objective(f.mesh, clamp_level(f.mesh, alpha))
-    return _check_energy(energy(f.nodal_values[1:-1]))
+    return _check_energy(energy(v[1:-1]))

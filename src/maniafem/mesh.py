@@ -4,7 +4,10 @@ The finite element space used throughout is the set of continuous functions
 on [0, 1] that are linear on every mesh interval and satisfy v(0) = 0,
 v(1) = 1.  A function is represented by its nodal values, which for hat
 basis functions coincide with the basis coefficients, so the optimizer's
-variable vector is the function representation itself.
+variable vector is the function representation itself.  The boundary values
+are part of that vector, so membership in the space is read from it
+(``energy_clamped`` checks it) rather than carried alongside.  Functions are
+interpolated through numpy-vectorized callables, called once on the nodes.
 
 All types are immutable after construction and every operation is pure.
 """
@@ -77,15 +80,10 @@ class Mesh1D:
 
 @dataclass(frozen=True)
 class FeFunction:
-    """Continuous piecewise-linear function as a nodal-value vector.
-
-    ``bc_flag`` marks membership in the admissible finite element space,
-    i.e. nodal_values[0] == 0 and nodal_values[-1] == 1 exactly.
-    """
+    """Continuous piecewise-linear function as a nodal-value vector."""
 
     mesh: Mesh1D
     nodal_values: np.ndarray
-    bc_flag: bool = False
 
     def __post_init__(self):
         vals = np.array(self.nodal_values, dtype=float)
@@ -95,19 +93,17 @@ class FeFunction:
             )
         if not np.all(np.isfinite(vals)):
             raise EvaluationError("nodal values must be finite")
-        if self.bc_flag and not (vals[0] == 0.0 and vals[-1] == 1.0):
-            raise ValueError("bc_flag requires nodal values 0 and 1 at the endpoints")
         vals.setflags(write=False)
         object.__setattr__(self, "nodal_values", vals)
 
     @classmethod
-    def from_interior(cls, mesh: Mesh1D, interior, bc_flag: bool = True) -> "FeFunction":
+    def from_interior(cls, mesh: Mesh1D, interior) -> "FeFunction":
         """Build a boundary-pinned function from its interior nodal values."""
         interior = np.asarray(interior, dtype=float)
         vals = np.empty(mesh.n_elements + 1)
         vals[0], vals[-1] = 0.0, 1.0
         vals[1:-1] = interior
-        return cls(mesh, vals, bc_flag=bc_flag)
+        return cls(mesh, vals)
 
     def evaluate(self, y):
         """Value at y (scalar or array), exact at mesh nodes.
@@ -140,15 +136,7 @@ class FeFunction:
 def interpolate(mesh: Mesh1D, v: Callable) -> FeFunction:
     """Nodal interpolant of v: the piecewise-linear match at every node.
 
-    The output carries bc_flag when v(0) = 0 and v(1) = 1 exactly.
+    ``v`` is called once on the array of nodes and must return one value
+    per node; any other shape raises ``ValueError``.
     """
-    try:
-        vals = np.asarray(v(mesh.nodes), dtype=float)
-        if vals.shape != mesh.nodes.shape:
-            raise TypeError
-    except (TypeError, ValueError):  # non-vectorized callables
-        vals = np.array([float(v(x)) for x in mesh.nodes])
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError("interpolated function returned a non-finite nodal value")
-    bc = bool(vals[0] == 0.0 and vals[-1] == 1.0)
-    return FeFunction(mesh, vals, bc_flag=bc)
+    return FeFunction(mesh, v(mesh.nodes))

@@ -132,41 +132,39 @@ def prolongate(coarse: FeFunction, fine_mesh: Mesh1D) -> FeFunction:
         )
     vals = np.asarray(coarse.evaluate(fine_mesh.nodes), dtype=float)
     vals[::ratio] = coarse.nodal_values  # shared nodes reproduce bitwise
-    return FeFunction(fine_mesh, vals, bc_flag=coarse.bc_flag)
+    return FeFunction(fine_mesh, vals)
 
 
-def _ldl(diag, off):
-    """Pivots and multipliers of the LDL^T factorization of the tridiagonal
-    matrix with diagonal ``diag`` and off-diagonal ``off``.
+def _ldl_solve(diag, off, rhs):
+    """Solve the tridiagonal system with diagonal ``diag``, off-diagonal
+    ``off`` and right-hand side ``rhs`` in one LDL^T sweep.
 
-    Stops after the first pivot <= 0, so the matrix is positive definite
-    exactly when the last returned pivot is positive.
+    Returns (x, smallest pivot) when every pivot is positive, and
+    (None, the first pivot <= 0) otherwise, stopping there.  The forward
+    loop forms each pivot p_k with the forward-substituted y_k and keeps
+    y_k/p_k for the back substitution.
     """
-    pivot = diag[0]
-    pivots, mults = [pivot], []
-    for a, b in zip(diag[1:], off):
-        if pivot <= 0.0:
-            break
+    pivot, y = diag[0], rhs[0]
+    if pivot <= 0.0:
+        return None, pivot
+    lowest = pivot
+    zs, mults = [], []
+    for a, b, r in zip(diag[1:], off, rhs[1:]):
         m = b / pivot
-        pivot = a - m * b
+        zs.append(y / pivot)
         mults.append(m)
-        pivots.append(pivot)
-    return pivots, mults
-
-
-def _ldl_solve(pivots, mults, rhs):
-    """Solve L D L^T x = rhs for the factors from :func:`_ldl`."""
-    y = rhs[0]
-    ys = [y]
-    for m, r in zip(mults, rhs[1:]):
+        pivot = a - m * b
         y = r - m * y
-        ys.append(y)
-    x = y / pivots[-1]
+        if pivot < lowest:
+            if pivot <= 0.0:
+                return None, pivot
+            lowest = pivot
+    x = y / pivot
     xs = [x]
-    for m, yk, pk in zip(reversed(mults), reversed(ys[:-1]), reversed(pivots[:-1])):
-        x = yk / pk - m * x
+    for m, z in zip(reversed(mults), reversed(zs)):
+        x = z - m * x
         xs.append(x)
-    return np.array(xs[::-1])
+    return np.array(xs[::-1]), lowest
 
 
 def _newton_direction(diag, off, g, shift: float):
@@ -185,9 +183,9 @@ def _newton_direction(diag, off, g, shift: float):
     rhs = (-g).tolist()
     while True:
         k_off = shift * inv_h  # shift K = k_off * tridiag(-1, 2, -1)
-        pivots, mults = _ldl((diag + 2.0 * k_off).tolist(), (off - k_off).tolist())
-        if pivots[-1] > 0.0:
-            return _ldl_solve(pivots, mults, rhs), shift
+        p, _ = _ldl_solve((diag + 2.0 * k_off).tolist(), (off - k_off).tolist(), rhs)
+        if p is not None:
+            return p, shift
         shift = max(4.0 * shift, floor)
 
 
@@ -243,7 +241,9 @@ def _descend(energy, derivatives, v0: np.ndarray, config: SolveConfig, max_step=
         reason = "grad_tol"
     else:
         reason = "line_search" if stalled else "max_iters"
-    min_pivot = float(min(_ldl(diag.tolist(), off.tolist())[0])) if v.size else float("inf")
+    min_pivot = float("inf")
+    if v.size:
+        _, min_pivot = _ldl_solve(diag.tolist(), off.tolist(), g.tolist())
     return v, e, gnorm, iters, reason, min_pivot
 
 

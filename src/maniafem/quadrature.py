@@ -99,13 +99,10 @@ def gauss_rule(m: int) -> QuadRule:
 
 
 def _sample(g, x: np.ndarray) -> np.ndarray:
-    flat = x.ravel()
-    try:
-        vals = np.asarray(g(flat), dtype=float)
-        if vals.shape != flat.shape:
-            raise TypeError
-    except (TypeError, ValueError):  # non-vectorized callables
-        vals = np.array([float(g(xi)) for xi in flat])
+    """``g`` on the points ``x``, called once on them as a flat array."""
+    vals = np.asarray(g(x.ravel()), dtype=float)
+    if vals.shape != (x.size,):
+        raise ValueError(f"integrand returned shape {vals.shape} for {x.size} points")
     _check_finite(vals)
     return vals.reshape(x.shape)
 
@@ -131,8 +128,9 @@ def _check_finite(vals: np.ndarray):
 def integrate_cells(rule: QuadRule, g, breakpoints) -> float:
     """Composite quadrature over the cells between consecutive breakpoints.
 
-    The breakpoints must be strictly increasing.  Summation order is fixed,
-    so results are reproducible.
+    The breakpoints must be strictly increasing.  ``g`` is called once, on
+    all the points as one flat array, and must return one value per point.
+    Summation order is fixed, so results are reproducible.
     """
     x, half = _cell_points(rule, breakpoints)
     vals = _sample(g, x)

@@ -50,24 +50,21 @@ TAIL_DROP = 2  # coarsest meshes excluded from asymptotic fits
 class RateStudy:
     """One measured quantity over a mesh ladder plus its fitted order.
 
-    ``rows`` holds (h, value, *extras) per mesh; the fit uses the first two
-    columns on the ladder tail (the two coarsest meshes are dropped whenever
-    at least five meshes are present).
+    ``rows`` holds (h, value, *extras) per mesh, h strictly decreasing; the
+    fit uses the first two columns on the ladder tail (the two coarsest
+    meshes are dropped whenever at least five meshes are present).
     """
 
     target: str
-    mesh_sizes: tuple[int, ...]
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
     fitted_order: float
     fit_r2: float
 
     def __post_init__(self):
-        if list(self.mesh_sizes) != sorted(set(self.mesh_sizes)):
-            raise ValueError(f"mesh sizes must be strictly increasing: {self.mesh_sizes}")
-        if len(self.rows) != len(self.mesh_sizes):
-            raise ValueError(
-                f"{len(self.rows)} rows for {len(self.mesh_sizes)} mesh sizes")
+        hs = [row[0] for row in self.rows]
+        if any(not b < a for a, b in zip(hs, hs[1:])):
+            raise ValueError(f"h must strictly decrease along the rows: {hs}")
         if not (np.isnan(self.fit_r2) or 0.0 <= self.fit_r2 <= 1.0):
             raise ValueError(f"fit_r2 must lie in [0, 1], got {self.fit_r2}")
 
@@ -101,7 +98,7 @@ def ladder_tail(rows):
     return rows[TAIL_DROP:] if len(rows) >= 5 else rows
 
 
-def make_rate_study(target, mesh_sizes, columns, rows) -> RateStudy:
+def make_rate_study(target, columns, rows) -> RateStudy:
     """Assemble a RateStudy, fitting |value| on the ladder tail."""
     fit_rows = [(h, abs(v)) for h, v, *_ in ladder_tail(rows)]
     try:
@@ -110,7 +107,6 @@ def make_rate_study(target, mesh_sizes, columns, rows) -> RateStudy:
         order, r2 = float("nan"), 0.0
     return RateStudy(
         target=target,
-        mesh_sizes=tuple(int(n) for n in mesh_sizes),
         columns=tuple(columns),
         rows=tuple(tuple(row) for row in rows),
         fitted_order=order,

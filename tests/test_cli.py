@@ -81,7 +81,7 @@ def test_malformed_set_pair_rejected(capsys):
 
 def test_solve_writes_solution(tmp_path, capsys):
     out = tmp_path / "out"
-    code = main(["solve", "--mesh", "16", "--alpha", "0.035", "--out", str(out)])
+    code = main(["solve", "--mesh", "16", "--set", "alpha=0.035", "--out", str(out)])
     assert code == 0
     text = capsys.readouterr().out
     assert "energy" in text
@@ -198,13 +198,38 @@ def test_repro_runs_are_byte_identical(tmp_path, capsys):
 def test_overrides_last_wins(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("alpha = 0.01\nmesh_sizes = 8,16\nmax_iters = 2000\n")
-    out = tmp_path / "o"
-    code = main([
-        "recovery", "--config", str(cfg), "--set", "alpha=0.02",
-        "--alpha", "0.035", "--out", str(out),
-    ])
-    assert code == 0
+
+    def recovery_csv(name, *sets):
+        out = tmp_path / name
+        args = ["recovery", "--config", str(cfg), "--out", str(out)]
+        for pair in sets:
+            args += ["--set", pair]
+        assert main(args) == 0
+        return (out / "recovery_gap.csv").read_bytes()
+
+    both = recovery_csv("both", "alpha=0.02", "alpha=0.035")
     capsys.readouterr()
+    assert both == recovery_csv("last", "alpha=0.035")
+    assert both != recovery_csv("first", "alpha=0.02")
+
+
+def test_removed_parameter_shorthands_are_usage_errors(capsys):
+    assert main(["converge", "--alpha", "0.03"]) == 2
+    assert "--alpha" in capsys.readouterr().err
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    for name, cmd in sub.choices.items():
+        flags = {flag for action in cmd._actions for flag in action.option_strings}
+        assert not flags & {"--s", "--p", "--alpha"}, name
+
+
+def test_every_subcommand_validates_the_whole_config_file(tmp_path, capsys):
+    # solve reads no mesh_sizes, yet an invalid ladder in its file is rejected
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mesh_sizes = 8,12\n")
+    assert main(["solve", "--mesh", "8", "--config", str(cfg),
+                 "--out", str(tmp_path / "sol")]) == 2
+    assert "mesh sizes must be powers of 2" in capsys.readouterr().err
+    assert not (tmp_path / "sol").exists()
 
 
 def test_all_uses_the_library_solver_budget(tmp_path, capsys):

@@ -283,7 +283,7 @@ class TestStudyPassPredicates:
         rows = [(1 / 8, 1.0), (1 / 16, 1.0), (1 / 32, 3.0)]
         bad = {
             "inverse_ratio": make_rate_study(
-                "inverse_ratio", (8, 16, 32), ("h", "value"), rows),
+                "inverse_ratio", ("h", "value"), rows),
         }
         assert not ex.inverse_passes(bad)
 
@@ -298,7 +298,7 @@ class TestStudyPassPredicates:
             # fits that pass outright, so only the decay check can fail
             def study(target, values):
                 rows = tuple(zip((1 / n for n in sizes), values))
-                return RateStudy(target, sizes, ("h", "value"), rows, 2.0, 1.0)
+                return RateStudy(target, ("h", "value"), rows, 2.0, 1.0)
 
             return {"value_term": study("value_term", [1.0] * n_meshes),
                     "slope_term": study("slope_term", slope_values)}
@@ -318,12 +318,10 @@ class TestStudyPassPredicates:
         from maniafem.studies import make_rate_study
 
         good = make_rate_study(
-            "recovery_gap", (8, 16, 32),
-            ("h", "value"), [(1 / 8, 1e-4), (1 / 16, 1e-5), (1 / 32, 1e-6)])
+            "recovery_gap", ("h", "value"), [(1 / 8, 1e-4), (1 / 16, 1e-5), (1 / 32, 1e-6)])
         assert ex.recovery_passes(good)
         stuck = make_rate_study(
-            "recovery_gap", (8, 16, 32),
-            ("h", "value"), [(1 / 8, 1e-2), (1 / 16, 5e-3), (1 / 32, 4e-3)])
+            "recovery_gap", ("h", "value"), [(1 / 8, 1e-2), (1 / 16, 5e-3), (1 / 32, 4e-3)])
         assert not ex.recovery_passes(stuck)
 
 

@@ -105,7 +105,7 @@ class TestAdmissibleParams:
 
 class TestEnergyMania:
     def test_identity_on_single_element(self):
-        f = FeFunction(Mesh1D(1), [0.0, 1.0], bc_flag=True)
+        f = FeFunction(Mesh1D(1), [0.0, 1.0])
         assert raw_energy(f) == pytest.approx(EIGHT_105, rel=1e-15)
 
     @pytest.mark.parametrize("n", [2, 5, 16, 100])
@@ -118,9 +118,11 @@ class TestEnergyMania:
         for _ in range(20):
             assert raw_energy(random_bc_function(rng, 8)) >= 0.0
 
-    def test_requires_boundary_flag(self):
-        f = FeFunction(Mesh1D(2), [0.0, 0.5, 1.0], bc_flag=False)
-        with pytest.raises(ValueError, match="bc_flag"):
+    @pytest.mark.parametrize("values", [[0.1, 0.5, 1.0], [0.0, 0.5, 0.9]])
+    def test_requires_the_boundary_values(self, values):
+        # v(0) != 0 and v(1) != 1 are rejected separately
+        f = FeFunction(Mesh1D(2), values)
+        with pytest.raises(ValueError, match=r"f\(0\) = 0 and f\(1\) = 1"):
             energy_clamped(f, 0.035)
 
     def test_default_rule_is_exact(self):

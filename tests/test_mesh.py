@@ -43,7 +43,7 @@ def test_mesh_rejects_bad_sizes(bad):
 
 
 def test_evaluate_linear_interpolation():
-    f = FeFunction(Mesh1D(2), [0.0, 0.5, 1.0], bc_flag=True)
+    f = FeFunction(Mesh1D(2), [0.0, 0.5, 1.0])
     assert f.evaluate(0.25) == pytest.approx(0.25, abs=1e-16)
     with pytest.raises(ValueError):
         f.evaluate(1.5)
@@ -120,7 +120,7 @@ def test_evaluate_is_continuous_at_nodes():
 
 
 def test_slopes():
-    f = FeFunction(Mesh1D(2), [0.0, 0.5, 1.0], bc_flag=True)
+    f = FeFunction(Mesh1D(2), [0.0, 0.5, 1.0])
     assert f.slopes().tolist() == [1.0, 1.0]
     const = FeFunction(Mesh1D(4), np.full(5, 0.3))
     assert const.slopes().tolist() == [0.0] * 4
@@ -142,14 +142,15 @@ def test_slope_telescoping_sum():
 def test_interpolate_examples():
     ramp = interpolate(Mesh1D(2), lambda x: x)
     assert ramp.nodal_values.tolist() == [0.0, 0.5, 1.0]
-    assert ramp.bc_flag
 
     const = interpolate(Mesh1D(4), lambda x: np.ones_like(np.asarray(x, dtype=float)))
     assert const.nodal_values.tolist() == [1.0] * 5
-    assert not const.bc_flag
 
-    scalar_only = interpolate(Mesh1D(2), lambda x: float(x) ** 2)
-    assert scalar_only.nodal_values.tolist() == [0.0, 0.25, 1.0]
+
+@pytest.mark.parametrize("v", [lambda x: 1.0, lambda x: x[1:], lambda x: np.stack([x, x])])
+def test_interpolate_rejects_a_wrong_shaped_callable(v):
+    with pytest.raises(ValueError, match=r"expected 5 nodal values, got \("):
+        interpolate(Mesh1D(4), v)
 
 
 def test_interpolate_rejects_non_finite():
@@ -170,12 +171,9 @@ def test_fefunction_validation():
     mesh = Mesh1D(3)
     with pytest.raises(ValueError):
         FeFunction(mesh, [0.0, 1.0])  # wrong length
-    with pytest.raises(ValueError):
-        FeFunction(mesh, [0.1, 0.5, 0.7, 1.0], bc_flag=True)  # bad left bc
     with pytest.raises(EvaluationError):
         FeFunction(mesh, [0.0, np.inf, 0.5, 1.0])
     f = FeFunction.from_interior(mesh, [0.2, 0.9])
-    assert f.bc_flag
     assert f.nodal_values.tolist() == [0.0, 0.2, 0.9, 1.0]
 
 

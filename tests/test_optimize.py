@@ -103,7 +103,6 @@ class TestDescentContracts:
         res = solve_from(mesh, "interp_root", max_iters=50)
         assert res.minimizer.nodal_values[0] == 0.0
         assert res.minimizer.nodal_values[-1] == 1.0
-        assert res.minimizer.bc_flag
 
     def test_converged_implies_grad_tolerance(self):
         mesh = Mesh1D(4)
@@ -330,7 +329,6 @@ class TestProlongate:
         coarse = interpolate(Mesh1D(2), lambda x: x)
         fine = prolongate(coarse, Mesh1D(4))
         assert np.allclose(fine.nodal_values, Mesh1D(4).nodes, atol=0)
-        assert fine.bc_flag
 
     def test_shared_nodes_exact_and_midpoints_average(self):
         rng = np.random.default_rng(23)

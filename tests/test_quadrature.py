@@ -88,6 +88,13 @@ def test_integrate_element_errors():
         integrate_cells(rule, lambda x: np.full_like(x, np.nan), [0.0, 1.0])
 
 
+@pytest.mark.parametrize("g", [lambda x: 1.0, lambda x: x[1:], lambda x: np.stack([x, x])])
+def test_integrate_rejects_a_wrong_shaped_integrand(g):
+    # the integrand is called once on all 6 points of 3 cells
+    with pytest.raises(ValueError, match=r"integrand returned shape \(.*\) for 6 points"):
+        integrate_cells(gauss_rule(2), g, [0.0, 0.25, 0.5, 1.0])
+
+
 def test_composite_examples():
     assert integrate_cells(gauss_rule(2), lambda x: x**2, Mesh1D(8).nodes) == pytest.approx(
         1 / 3, abs=1e-14)

@@ -201,12 +201,19 @@ class TestRateStudyInvariants:
     def test_rejects_misaligned_rows(self):
         from maniafem.studies import make_rate_study
 
-        with pytest.raises(ValueError):
-            make_rate_study("x", (8, 16), ("h", "value"),
-                            [(1 / 8, 1.0), (1 / 16, 0.5), (1 / 32, 0.25)])
-        with pytest.raises(ValueError):
-            make_rate_study("x", (16, 8, 4), ("h", "value"),
+        with pytest.raises(ValueError, match="strictly decrease"):
+            make_rate_study("x", ("h", "value"),
                             [(1 / 16, 1.0), (1 / 8, 0.5), (1 / 4, 0.25)])
+
+    @pytest.mark.parametrize("hs", [(1 / 8, 1 / 16, 1 / 16), (1 / 8, 1 / 32, 1 / 16)])
+    def test_rejects_rows_whose_h_does_not_strictly_decrease(self, hs):
+        from maniafem.studies import RateStudy, make_rate_study
+
+        rows = tuple((h, 1.0) for h in hs)
+        with pytest.raises(ValueError, match="strictly decrease"):
+            RateStudy("x", ("h", "value"), rows, 1.0, 1.0)
+        with pytest.raises(ValueError, match="strictly decrease"):
+            make_rate_study("x", ("h", "value"), rows)
 
 
 class WholeGrid:
