@@ -108,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maniafem",
         description="Derivative-clamped finite elements for Mania's problem.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     descriptions = {
@@ -117,7 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
         "all": "run every study and write the summary report",
     }
     for name, help_text in descriptions.items():
-        cmd = sub.add_parser(name, help=help_text)
+        # no prefix matching: --s must not run as --set
+        cmd = sub.add_parser(name, help=help_text, allow_abbrev=False)
         cmd.add_argument("--config", help="flat key=value configuration file")
         if name != "seminorm":  # it only prints
             cmd.add_argument("--out", help="output directory for reports")

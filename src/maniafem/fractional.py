@@ -28,11 +28,17 @@ elements share a node, so the sum telescopes to sum_i W[k, i] d_i^{-sp} and
 a sample costs n+1 powers.  A sample that lands exactly on node k takes
 d_k := h, so the element ending there contributes nothing.  Each chunk of
 65 536 samples is evaluated in blocks of about 65 536/(n+1) samples, so the
-(n+1) x block arrays stay in cache.
+(n+1) x block arrays stay in cache.  The chunks run on one thread per
+available core, each over its own contiguous run of chunks with its own
+sampler and about 1.5 MiB of buffers.  A thread draws from the seeded PCG64
+stream advanced to its first chunk, and the chunk sums are added in chunk
+order, so the estimate is bitwise independent of the number of cores.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,27 +206,76 @@ def norm_wkp(f: FeFunction, k: int, p: float) -> float:
     return total ** (1.0 / p)
 
 
-# Samples per chunk, the unit _mc_accumulate sums; the draws do not depend
-# on it.
+# Samples per chunk, the unit _mc_accumulate sums and hands to its workers;
+# the draws do not depend on it.
 _PC_CHUNK = 65_536
 # Elements per (n+1) x block buffer of the piecewise-constant sampler, so the
 # block is _PC_BLOCK // (n+1) samples and the two buffers take 1 MiB, inside a
-# 2 MiB L2.  A whole (n+1) x chunk array takes 4.7 MB at n = 8; blocks cut
-# the 10^7-sample trials at n = 2...16 by 16-37 % (x86_64).
+# 2 MiB L2.  The L2 is per core, so this is a per-worker budget: each worker
+# owns its two block buffers and its 0.5 MiB chunk of draws.  A whole (n+1) x
+# chunk array takes 4.7 MB at n = 8; blocks cut the 10^7-sample trials at
+# n = 2...16 by 16-37 % (x86_64).
 _PC_BLOCK = 65_536
+# Workers per oracle call (at most one per chunk): the CPUs this process may
+# run on.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
-def _mc_accumulate(rng, n_samples: int, sampler) -> tuple[float, float]:
-    """Chunked mean and standard error of ``sampler(x)`` over uniform x."""
-    total = 0.0
-    total_sq = 0.0
-    remaining = int(n_samples)
-    while remaining > 0:
-        size = min(remaining, _PC_CHUNK)
-        f = sampler(rng.random(size))
-        total += float(np.sum(f))
-        total_sq += float(np.sum(f * f))
-        remaining -= size
+def _mc_accumulate(rng, n_samples: int, make_sampler) -> tuple[float, float]:
+    """Mean and standard error of ``sampler(x)`` over ``n_samples`` uniform x
+    from ``rng``, in chunks of _PC_CHUNK run on up to _WORKERS threads.
+
+    Each worker takes a contiguous run of chunks, builds its own sampler with
+    ``make_sampler()`` and draws from a PCG64 copy of ``rng`` advanced past
+    the earlier chunks (one 64-bit output per double), so every chunk gets
+    the samples one thread would draw.  A chunk is drawn into one reused
+    buffer and evaluated over it in place: about 1.5 MiB per worker with the
+    sampler's buffers.  The per-chunk sums are added in chunk order after
+    the join, so the result is bitwise the same for any number of workers.
+    Worker 0 runs in the calling thread.  The first error is re-raised after
+    the join; the other workers stop at their next chunk.
+    """
+    n_samples = int(n_samples)  # PCG64.advance rejects numpy integers
+    n_chunks = -(-n_samples // _PC_CHUNK)
+    sums = [None] * n_chunks
+    errors = []
+    state = rng.bit_generator.state
+
+    def work(first, stop):
+        try:
+            bits = np.random.PCG64()
+            bits.state = state
+            draw = np.random.Generator(bits.advance(first * _PC_CHUNK)).random
+            sampler = make_sampler()
+            buf = np.empty(min(n_samples, _PC_CHUNK))
+            for chunk in range(first, stop):
+                if errors:
+                    return
+                x = buf[:min(_PC_CHUNK, n_samples - chunk * _PC_CHUNK)]
+                f = sampler(draw(out=x), out=x)
+                total = float(np.sum(f))
+                np.multiply(f, f, out=f)
+                sums[chunk] = total, float(np.sum(f))
+        except BaseException as exc:  # re-raised by the caller after the join
+            errors.append(exc)
+
+    workers = min(_WORKERS, n_chunks)
+    bounds = [n_chunks * w // workers for w in range(workers + 1)]
+    threads = [threading.Thread(target=work, args=bounds[w:w + 2])
+               for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(*bounds[:2])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    # a plain loop, in chunk order: sum() compensates floats on Python >= 3.12
+    total = total_sq = 0.0
+    for chunk_sum, chunk_sq in sums:
+        total += chunk_sum
+        total_sq += chunk_sq
     mean = total / n_samples
     var = max(total_sq / n_samples - mean * mean, 0.0) * n_samples / (n_samples - 1)
     return mean, float(np.sqrt(var / n_samples))
@@ -260,8 +315,10 @@ def _pc_inner_integral(g: PiecewiseConstant, sp: float, p: float):
     out-of-range and same-element numerators are 0): n+1 powers per sample.
     x is evaluated in blocks of _PC_BLOCK // (n+1) samples through two reused
     buffers, one for the distances and one for the gathered weights.  The
-    closure never refers to itself, so the buffers and the weight table are
-    freed by reference counting as soon as the caller drops it.
+    values go to ``out`` if given (it may be x itself: each block is written
+    after it is read) and to a new array otherwise.  The closure never refers
+    to itself, so the buffers and the weight table are freed by reference
+    counting as soon as the caller drops it.
 
     On a node hit (x == x_k bitwise) d_k := h makes phi_k = phi_{k-1}, so
     element k-1 contributes 0 instead of its divergent integral; at x = 0,
@@ -273,15 +330,7 @@ def _pc_inner_integral(g: PiecewiseConstant, sp: float, p: float):
     block = max(_PC_BLOCK // (n + 1), 3)
     gathered, dist = np.empty((n + 1) * block), np.empty((n + 1) * block)
 
-    def inner(x):
-        lone = x.size == 1
-        if lone:
-            # einsum sums a lone column in another order; a repeated column
-            # keeps every value independent of how the samples are split.
-            # Repeated here, not by calling inner again: a self-reference
-            # would tie the closure into a cycle that keeps the buffers alive
-            x = np.repeat(x, 2)
-        out = np.empty(x.size)
+    def fill(x, out):
         n_blocks = -(-x.size // block)
         for b in range(n_blocks):
             # equal blocks, none narrower than 2 since block >= 3
@@ -296,8 +345,21 @@ def _pc_inner_integral(g: PiecewiseConstant, sp: float, p: float):
             # mode="clip" skips the index check: _element_index keeps k in [0, n-1]
             w = np.take(weights, k, axis=1, mode="clip",
                         out=gathered[:used].reshape(n + 1, -1))
+            # written last, so out may be x itself
             np.einsum("ij,ij->j", w, d, out=out[lo:hi])
-        return out[:1] if lone else out
+
+    def inner(x, out=None):
+        if out is None:
+            out = np.empty(x.size)
+        if x.size == 1:
+            # einsum sums a lone column in another order; a repeated column
+            # keeps every value independent of how the samples are split
+            pair = np.repeat(x, 2)
+            fill(pair, pair)
+            out[0] = pair[0]
+        else:
+            fill(x, out)
+        return out
 
     return inner
 
@@ -320,7 +382,11 @@ def gagliardo_oracle_mc(g: PiecewiseConstant, s: float, p: float, n_samples: int
     closed form it is used to check.
 
     Samples are summed in chunks of 65 536 and evaluated in cache-sized
-    blocks; the block size changes no sample's value.  ``n_samples`` must be
+    blocks.  The chunks run on one thread per available core, each over its
+    own run of chunks with the seeded PCG64 stream advanced to its first
+    chunk and about 1.5 MiB of buffers (see ``_mc_accumulate``).  Neither the
+    block size nor the number of cores changes any sample or sum, so the
+    result is bitwise the same on any number of cores.  ``n_samples`` must be
     an integer (a float such as 1e6 raises).
 
     ``est_error`` is the standard error of the mean, transported to the
@@ -334,7 +400,7 @@ def gagliardo_oracle_mc(g: PiecewiseConstant, s: float, p: float, n_samples: int
     if n_samples < 10_000:
         raise ValueError(f"need at least 1e4 samples, got {n_samples}")
     rng = np.random.default_rng(seed)
-    mean, se_mean = _mc_accumulate(rng, n_samples, _pc_inner_integral(g, s * p, p))
+    mean, se_mean = _mc_accumulate(rng, n_samples, lambda: _pc_inner_integral(g, s * p, p))
     if mean <= 0.0:
         return SeminormResult(0.0, s, p, "monte_carlo", 0.0)
     value = mean ** (1.0 / p)

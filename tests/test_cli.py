@@ -216,6 +216,10 @@ def test_overrides_last_wins(tmp_path, capsys):
 def test_removed_parameter_shorthands_are_usage_errors(capsys):
     assert main(["converge", "--alpha", "0.03"]) == 2
     assert "--alpha" in capsys.readouterr().err
+    # prefixes of --set are not matched either
+    for prefix in ("--s", "--se"):
+        assert main(["seminorm", prefix, "s=0.25"]) == 2
+        assert prefix in capsys.readouterr().err
     sub = next(a for a in build_parser()._actions if a.dest == "command")
     for name, cmd in sub.choices.items():
         flags = {flag for action in cmd._actions for flag in action.option_strings}

@@ -8,6 +8,8 @@ singular but integrable.
 
 import functools
 import gc
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -428,21 +430,59 @@ class TestMonteCarloOracle:
             mc = gagliardo_oracle_mc(g, 0.2, 1.1, 10**6, seed=100 + trial)
             assert abs(closed.value - mc.value) <= 3.0 * mc.est_error
 
-    def test_calls_retain_no_memory(self):
+    def test_calls_retain_no_memory(self, monkeypatch):
         # a sampler caught in a reference cycle keeps its 1 MiB of block
-        # buffers and its weight table until a full collection
+        # buffers and its weight table until a full collection; 10^5 samples
+        # are two chunks, so with two workers each builds its own sampler
         g = PiecewiseConstant(Mesh1D(8), np.random.default_rng(15).uniform(-1, 1, 8))
-        gc.collect()
-        gc.disable()
-        tracemalloc.start()
+        for workers in (1, 2):
+            monkeypatch.setattr(fractional, "_WORKERS", workers)
+            gc.collect()
+            gc.disable()
+            tracemalloc.start()
+            try:
+                for seed in range(5):
+                    gagliardo_oracle_mc(g, 0.2, 1.1, 10**5, seed=seed)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+                gc.enable()
+            assert held <= 64 * 1024, workers
+
+    # the last count ends in a one-sample chunk, which takes the lone path
+    @pytest.mark.parametrize("n_samples", [
+        10_000, 3 * fractional._PC_CHUNK + 7, 7 * fractional._PC_CHUNK + 1])
+    def test_worker_count_changes_no_bit(self, monkeypatch, n_samples):
+        g = PiecewiseConstant(Mesh1D(5), [0.3, -1.0, 0.8, 0.1, -0.4])
+        results = set()
+        # more workers than cores, switching often: a lost chunk sum would
+        # show as a missing or moved value
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            for seed in range(5):
-                gagliardo_oracle_mc(g, 0.2, 1.1, 10**5, seed=seed)
-            held = tracemalloc.get_traced_memory()[0]
+            for workers in (1, 2, 3, 5):
+                monkeypatch.setattr(fractional, "_WORKERS", workers)
+                mc = gagliardo_oracle_mc(g, 0.2, 1.1, n_samples, seed=8)
+                results.add((mc.value, mc.est_error))
         finally:
-            tracemalloc.stop()
-            gc.enable()
-        assert held <= 64 * 1024
+            sys.setswitchinterval(interval)
+        assert len(results) == 1
+
+    def test_worker_error_is_raised_after_the_join(self, monkeypatch):
+        monkeypatch.setattr(fractional, "_WORKERS", 2)
+        g = PiecewiseConstant(Mesh1D(5), [0.3, -1.0, 0.8, 0.1, -0.4])
+        inner = fractional._pc_inner_integral(g, 0.22, 1.1)
+
+        def sampler(x, out=None):
+            if threading.current_thread() is not threading.main_thread():
+                raise EvaluationError("worker 1 failed")
+            return inner(x, out=out)
+
+        threads = threading.active_count()
+        with pytest.raises(EvaluationError, match="worker 1 failed"):
+            fractional._mc_accumulate(np.random.default_rng(3), 4 * fractional._PC_CHUNK,
+                                      lambda: sampler)
+        assert threading.active_count() == threads
 
 
 class TestTelescopedInnerIntegral:
