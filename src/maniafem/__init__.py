@@ -8,7 +8,7 @@ derivative clamped at h^(-alpha) -- together with the fractional-Sobolev
 machinery and the convergence studies that quantify why it works.
 """
 
-from .errors import ConsistencyError, EvaluationError, RegimeError, StudyError
+from .errors import ConsistencyError, EvaluationError, RegimeError
 from .mesh import FeFunction, Mesh1D, interpolate
 from .quadrature import StudyGrid
 from .functionals import AdmissibleParams, energy_clamped

@@ -19,7 +19,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import RegimeError, StudyError, ConsistencyError
+from .errors import ConsistencyError, RegimeError
 from .fractional import seminorm_w1sp
 from .functionals import AdmissibleParams
 from .mesh import Mesh1D, interpolate
@@ -206,7 +206,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (StudyError, ConsistencyError) as exc:
+    except ConsistencyError as exc:
         print(f"study failed: {exc}", file=sys.stderr)
         return EXIT_STUDY_FAIL
     except OSError as exc:

@@ -10,8 +10,4 @@ class EvaluationError(ValueError):
 
 
 class ConsistencyError(RuntimeError):
-    """An internal sanity check failed (e.g. a negative energy)."""
-
-
-class StudyError(RuntimeError):
-    """A convergence study could not be carried out as configured."""
+    """An internal sanity check failed (e.g. a non-finite energy)."""

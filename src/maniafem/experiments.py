@@ -163,8 +163,6 @@ def run_gap_demo(config: ExperimentConfig) -> dict:
     raw_e = [r.energy for r in raw]
     clamped_e = [r.energy for r in clamped]
     for n, er, ee in zip(config.mesh_sizes, raw_e, clamped_e):
-        if not (np.isfinite(er) and np.isfinite(ee) and er >= 0 and ee >= 0):
-            raise ConsistencyError(f"non-finite or negative energy at N={n}")
         if ee > er:
             raise ConsistencyError(
                 f"clamped minimum {ee} exceeds raw minimum {er} at N={n}"

@@ -50,7 +50,6 @@ from .quadrature import integrate_cells  # noqa: F401  (kept for perfbench/trace
 __all__ = [
     "PiecewiseConstant",
     "SeminormResult",
-    "interval_kernel",
     "gagliardo_pc",
     "seminorm_w1sp",
     "norm_wkp",
@@ -101,19 +100,6 @@ def _check_regime(s: float, p: float):
         raise RegimeError(f"p >= 1 violated: p = {p}")
     if not s * p < 1.0:
         raise RegimeError(f"sp < 1 violated: {s}*{p} = {s * p}")
-
-
-def interval_kernel(a: float, b: float, c: float, d: float, sp: float) -> float:
-    """K(I_1, I_2) = int_a^b int_c^d |x-y|^(-(1+sp)) dy dx for a < b <= c < d."""
-    if not sp < 1.0:
-        raise RegimeError(f"sp < 1 violated: sp = {sp}")
-    if not (a < b <= c < d):
-        raise ValueError("intervals must be ordered: a < b <= c < d")
-    e = 1.0 - sp
-    val = ((c - a) ** e + (d - b) ** e - (d - a) ** e - (c - b) ** e) / (sp * e)
-    if val < 0:
-        raise ConsistencyError(f"kernel integral came out negative: {val}")
-    return val
 
 
 def gagliardo_pc(g: PiecewiseConstant, s: float, p: float) -> SeminormResult:

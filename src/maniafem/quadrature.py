@@ -50,7 +50,6 @@ class QuadRule:
 
     points: np.ndarray
     weights: np.ndarray
-    degree_exact: int
 
     def __post_init__(self):
         self.points.setflags(write=False)
@@ -69,8 +68,6 @@ def _legendre(m: int, x: np.ndarray):
 
 @lru_cache(maxsize=None)
 def _gauss_rule_cached(m: int) -> QuadRule:
-    if m == 1:
-        return QuadRule(np.zeros(1), np.full(1, 2.0), 1)
     # Newton iteration on P_m from the Chebyshev-like initial guess; the
     # roots are simple and well separated, so this converges to ~1e-16.
     k = np.arange(m)
@@ -88,7 +85,7 @@ def _gauss_rule_cached(m: int) -> QuadRule:
     # symmetrize so odd integrands cancel exactly
     x = 0.5 * (x - x[::-1])
     w = 0.5 * (w + w[::-1])
-    return QuadRule(x, w, 2 * m - 1)
+    return QuadRule(x, w)
 
 
 def gauss_rule(m: int) -> QuadRule:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StudyError
 from .functionals import clamp_level, energy_clamped
 from .mesh import FeFunction, Mesh1D, interpolate
 from .quadrature import StudyGrid
@@ -73,13 +72,11 @@ def fit_order(rows) -> tuple[float, float]:
     """Least-squares slope of log(value) against log(h), with its r^2.
 
     Rows with value below 1e-14 are treated as converged to zero and
-    dropped; at least three usable rows are required.
+    dropped; below three usable rows there is no fit: (nan, 0.0).
     """
     usable = [(h, v) for h, v, *_ in rows if v >= CONVERGED_FLOOR]
     if len(usable) < 3:
-        raise StudyError(
-            f"order fit needs at least 3 rows with positive values, got {len(usable)}"
-        )
+        return float("nan"), 0.0
     log_h = np.log([h for h, _ in usable])
     log_v = np.log([v for _, v in usable])
     coeffs, residuals, *_ = np.polyfit(log_h, log_v, 1, full=True)
@@ -101,10 +98,7 @@ def ladder_tail(rows):
 def make_rate_study(target, columns, rows) -> RateStudy:
     """Assemble a RateStudy, fitting |value| on the ladder tail."""
     fit_rows = [(h, abs(v)) for h, v, *_ in ladder_tail(rows)]
-    try:
-        order, r2 = fit_order(fit_rows)
-    except StudyError:
-        order, r2 = float("nan"), 0.0
+    order, r2 = fit_order(fit_rows)
     return RateStudy(
         target=target,
         columns=tuple(columns),
@@ -132,8 +126,11 @@ def _fe_at(f: FeFunction, x: np.ndarray, k: slice) -> np.ndarray:
     bitwise wherever the node spacing is h exactly (power-of-two N) and
     within a few ulps otherwise."""
     v = f.nodal_values[k.start:k.stop + 1]
+    out = np.subtract(x, f.mesh.nodes[k, None])
     # f.slopes() on these elements only: all N slopes per block would cost O(N^2)
-    return (x - f.mesh.nodes[k, None]) * (np.diff(v) / f.mesh.h)[:, None] + v[:-1, None]
+    out *= (np.diff(v) / f.mesh.h)[:, None]
+    out += v[:-1, None]
+    return out
 
 
 def fe_error(fn, dfn, f: FeFunction, grid: StudyGrid, p: float) -> tuple[float, float]:

@@ -2,7 +2,21 @@
 
 import numpy as np
 
+from maniafem.errors import ConsistencyError, RegimeError
 from maniafem.quadrature import gauss_rule
+
+
+def interval_kernel(a: float, b: float, c: float, d: float, sp: float) -> float:
+    """K(I_1, I_2) = int_a^b int_c^d |x-y|^(-(1+sp)) dy dx for a < b <= c < d."""
+    if not sp < 1.0:
+        raise RegimeError(f"sp < 1 violated: sp = {sp}")
+    if not (a < b <= c < d):
+        raise ValueError("intervals must be ordered: a < b <= c < d")
+    e = 1.0 - sp
+    val = ((c - a) ** e + (d - b) ** e - (d - a) ** e - (c - b) ** e) / (sp * e)
+    if val < 0:
+        raise ConsistencyError(f"kernel integral came out negative: {val}")
+    return val
 
 
 def batch_energies(mesh, interior_grid, clamp=None, rule=None):

@@ -10,7 +10,7 @@ everything is deterministic.
 import numpy as np
 import pytest
 
-from helpers import batch_energies
+from helpers import batch_energies, interval_kernel
 from maniafem import experiments as ex
 from maniafem.cli import main
 from maniafem.errors import RegimeError
@@ -18,7 +18,6 @@ from maniafem.fractional import (
     PiecewiseConstant,
     gagliardo_oracle_mc,
     gagliardo_pc,
-    interval_kernel,
 )
 from maniafem.functionals import AdmissibleParams, clamp_level, fe_objective
 from maniafem.mesh import Mesh1D

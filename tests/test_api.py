@@ -10,7 +10,7 @@ import maniafem
 ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC = {
-    "ConsistencyError", "EvaluationError", "RegimeError", "StudyError",
+    "ConsistencyError", "EvaluationError", "RegimeError",
     "FeFunction", "Mesh1D", "interpolate",
     "StudyGrid",
     "AdmissibleParams", "energy_clamped",
@@ -42,6 +42,6 @@ def test_package_root_imports_exactly_the_public_names():
     tree = ast.parse((ROOT / "src" / "maniafem" / "__init__.py").read_text())
     names = [alias.asname or alias.name for node in tree.body
              if isinstance(node, ast.ImportFrom) for alias in node.names]
-    assert len(names) == len(PUBLIC) == 33
+    assert len(names) == len(PUBLIC) == 32
     assert set(names) == PUBLIC
     assert all(hasattr(maniafem, name) for name in PUBLIC)

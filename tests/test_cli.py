@@ -1,6 +1,7 @@
 """Command-line interface tests: parsing, exit statuses, outputs."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -37,6 +38,21 @@ def test_regime_violation_names_inequality(capsys):
 def test_unknown_set_key_rejected(capsys):
     assert main(["gap", "--set", "bogus=1"]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+def test_non_integer_mesh_size_is_usage_error(capsys):
+    assert main(["converge", "--set", "mesh_sizes=8,x"]) == 2
+    assert "mesh_sizes" in capsys.readouterr().err
+
+
+def test_inconsistent_study_is_study_failure(tmp_path, capsys, monkeypatch):
+    # raw minima that increase along the ladder trip run_gap_demo's check
+    def fake_ladder(mesh_sizes, solver, alpha=None):
+        return [SimpleNamespace(energy=float(n)) for n in mesh_sizes]
+
+    monkeypatch.setattr(ex, "solve_ladder", fake_ladder)
+    assert main(["gap", *FAST, "--out", str(tmp_path / "gap")]) == 1
+    assert "study failed: raw minima increased" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, pair", [

@@ -9,6 +9,7 @@ import pytest
 
 from maniafem import experiments as ex
 from maniafem.cli import main
+from maniafem.errors import ConsistencyError
 from maniafem.fractional import (
     PiecewiseConstant,
     gagliardo_oracle_mc,
@@ -60,6 +61,18 @@ class TestGapDemo:
         assert all(e <= r for e, r in zip(clamped, raw))
         assert report["raw_floor"] == min(raw)
         assert report["pass"]
+
+    @pytest.mark.parametrize("raw, clamped, needle", [
+        ((0.03, 0.02), (0.01, 0.025), "clamped minimum 0.025 exceeds raw minimum 0.02 at N=16"),
+        ((0.02, 0.03), (0.01, 0.01), "raw minima increased"),
+    ])
+    def test_inconsistent_minima_raise(self, tmp_path, monkeypatch, raw, clamped, needle):
+        def fake_ladder(mesh_sizes, solver, alpha=None):
+            return [SimpleNamespace(energy=e) for e in (raw if alpha is None else clamped)]
+
+        monkeypatch.setattr(ex, "solve_ladder", fake_ladder)
+        with pytest.raises(ConsistencyError, match=needle):
+            ex.run_gap_demo(small_config(tmp_path, sizes=(8, 16)))
 
 
 def recorded_solves(monkeypatch):

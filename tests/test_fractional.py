@@ -16,6 +16,7 @@ import weakref
 import numpy as np
 import pytest
 
+from helpers import interval_kernel
 from maniafem import fractional
 from maniafem.errors import ConsistencyError, EvaluationError, RegimeError
 from maniafem.fractional import (
@@ -23,7 +24,6 @@ from maniafem.fractional import (
     SeminormResult,
     gagliardo_oracle_mc,
     gagliardo_pc,
-    interval_kernel,
     norm_wkp,
     seminorm_w1sp,
 )
@@ -300,6 +300,8 @@ class TestGagliardoClosedForm:
             gagliardo_pc(g, 0.6, 2.0)  # sp >= 1
         with pytest.raises(RegimeError):
             gagliardo_pc(g, 1.2, 0.5)
+        with pytest.raises(RegimeError, match="p >= 1 violated"):
+            gagliardo_pc(g, 0.2, 0.9)
 
 
 class TestSeminormW1sp:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import batch_energies
-from maniafem.errors import RegimeError
+from maniafem.errors import ConsistencyError, RegimeError
 from maniafem.functionals import (
     AdmissibleParams,
     clamp_level,
@@ -173,6 +173,12 @@ class TestEnergyClamped:
             energy_clamped(FeFunction.from_interior(mesh, [v]), 0.035) for v in vs
         ]
         assert min(energies) > 0.0
+
+    def test_overflowing_energy_raises(self):
+        # v^3 overflows at a nodal value of 1e110, so the energy is inf
+        f = FeFunction.from_interior(Mesh1D(2), [1e110])
+        with pytest.raises(ConsistencyError, match="non-finite"):
+            energy_clamped(f, 0.035)
 
 
 def fd_gradient(energy_fn, interior, eps=1e-6):

@@ -156,6 +156,24 @@ class TestDescentContracts:
         assert min_pivot == 2.0
         assert np.array_equal(v, np.zeros(3))
 
+    def test_overflowing_newton_step_falls_back_to_steepest_descent(self):
+        # a pivot of 1e-320 sends the Newton step to -inf, so its slope is
+        # not finite and the first trial must be v0 - g
+        trials = []
+
+        def energy(v):
+            trials.append(float(v[0]))
+            return float((v[0] - 1.0) ** 2)
+
+        def derivatives(v):
+            return 2.0 * (v - 1.0), np.array([1e-320]), np.zeros(0)
+
+        v, e, gnorm, iters, reason, _ = _descend(
+            energy, derivatives, np.zeros(1), SolveConfig(max_iters=50))
+        assert trials == [0.0, 2.0, 1.0]  # the start, then the trials along -g = 2
+        assert reason == "grad_tol" and iters == 1
+        assert v.tolist() == [1.0] and e == 0.0 and gnorm == 0.0
+
     @pytest.mark.parametrize("curvature, rise_ulps, reason", [
         (2.0, 1, "grad_tol"),
         (2.0, 4, "grad_tol"),

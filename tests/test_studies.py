@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from maniafem.errors import StudyError
 from maniafem.functionals import clamp_level, energy_clamped
 from maniafem.mesh import FeFunction, Mesh1D, interpolate
 from maniafem.quadrature import (
@@ -46,11 +45,11 @@ class TestFitOrder:
         assert r2 > 0.99
 
     def test_requires_three_usable_rows(self):
-        with pytest.raises(StudyError):
-            fit_order([(0.5, 1.0), (0.25, 0.5)])
+        order, r2 = fit_order([(0.5, 1.0), (0.25, 0.5)])
+        assert np.isnan(order) and r2 == 0.0
         # rows below the converged floor are dropped before counting
-        with pytest.raises(StudyError):
-            fit_order([(0.5, 1.0), (0.25, 0.5), (0.125, 1e-16)])
+        order, r2 = fit_order([(0.5, 1.0), (0.25, 0.5), (0.125, 1e-16)])
+        assert np.isnan(order) and r2 == 0.0
 
     def test_drops_converged_to_zero_rows(self):
         rows = [(1 / 2, 1 / 4), (1 / 4, 1 / 16), (1 / 8, 1 / 64), (1 / 16, 0.0)]
@@ -214,6 +213,13 @@ class TestRateStudyInvariants:
             RateStudy("x", ("h", "value"), rows, 1.0, 1.0)
         with pytest.raises(ValueError, match="strictly decrease"):
             make_rate_study("x", ("h", "value"), rows)
+
+    def test_rejects_r2_outside_the_unit_interval(self):
+        from maniafem.studies import RateStudy
+
+        rows = ((1 / 8, 1.0), (1 / 16, 0.5))
+        with pytest.raises(ValueError, match="fit_r2"):
+            RateStudy("x", ("h", "value"), rows, 1.0, 1.5)
 
 
 class WholeGrid:
