@@ -15,8 +15,8 @@ yields
 Phi(0) = 0, so adjacent elements (b = c), where the kernel is singular but
 integrable for sp < 1, need no special casing.  On a uniform mesh K depends
 only on the index gap m, so the pair sum is a sum over gaps: O(N^2) for
-general p, and for p = 2 an autocorrelation that one FFT evaluates in
-O(N log N).
+general p, taken in cache-sized blocks of gaps, and for p = 2 an
+autocorrelation that one FFT evaluates in O(N log N).
 
 The closed form is cross-checked by two independent oracles: tensor Gauss
 quadrature of the kernel on separated pairs, and a Monte-Carlo estimate of
@@ -28,11 +28,11 @@ elements share a node, so the sum telescopes to sum_i W[k, i] d_i^{-sp} and
 a sample costs n+1 powers.  A sample that lands exactly on node k takes
 d_k := h, so the element ending there contributes nothing.  Each chunk of
 65 536 samples is evaluated in blocks of about 65 536/(n+1) samples, so the
-(n+1) x block arrays stay in cache.  The chunks run on one thread per
-available core, each over its own contiguous run of chunks with its own
-sampler and about 1.5 MiB of buffers.  A thread draws from the seeded PCG64
-stream advanced to its first chunk, and the chunk sums are added in chunk
-order, so the estimate is bitwise independent of the number of cores.
+(n+1) x block arrays stay in cache.
+
+The closed form's blocks of gaps and the oracle's chunks run on every core,
+and their partial sums are added in a fixed order, so no value depends on
+the number of cores.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConsistencyError, EvaluationError, RegimeError
 from .mesh import FeFunction, Mesh1D, _element_index
@@ -106,14 +107,18 @@ def gagliardo_pc(g: PiecewiseConstant, s: float, p: float) -> SeminormResult:
     """Closed-form Gagliardo seminorm of piecewise-constant data.
 
     [g]^p = sum_m 2 K_m S_m with S_m = sum_i |c_{i+m} - c_i|^p over index
-    gaps m.  General p makes one O(N) pass per gap into a reused buffer:
-    0.9-1.0 s at N = 16384 for p = 1.1 (about 7 ns per pair; x86_64,
-    numpy 2.4).  For p = 2, with c shifted by its median (constant data
-    becomes exactly 0), S_m = (2T - P_m - Q_m) - 2 R_m, where T = sum c_i^2,
-    P_m and Q_m are the sums of c_i^2 over the first and last m elements,
-    and R_m = sum_i c_i c_{i+m} comes from one rfft/irfft pair of length 2N:
-    about 3 ms at N = 16384.  Each S_m is clipped at 0.  The weighted sum is
-    an einsum, by the summation rule in ``quadrature``.
+    gaps m.  For general p, gaps m0...m0+r-1 with r = min(_PC_BLOCK // w, w)
+    (at least 1) and w = N - m0 form one (r, w) block, three numpy calls per
+    block; row j's first w - j entries sum to S_{m0+j}, bitwise as one pass
+    per gap would.  The blocks run on every core (``_on_workers``) and the
+    S_m are weighted in gap order: 0.45-0.7 s at N = 16384 for p = 1.1 on 2
+    cores, 0.9-1.0 s on one (x86_64, numpy 2.4).  For p = 2, with c shifted
+    by its median (constant data becomes exactly 0),
+    S_m = (2T - P_m - Q_m) - 2 R_m, where T = sum c_i^2, P_m and Q_m are the
+    sums of c_i^2 over the first and last m elements, and R_m =
+    sum_i c_i c_{i+m} comes from one rfft/irfft pair of length 2N: about 3 ms
+    at N = 16384.  Each S_m is clipped at 0.  The weighted sum is an einsum,
+    by the summation rule in ``quadrature``.
 
     Rounding for p = 2: each S_m is off by at most about
     eps (log2(2N) + 2m) T (the FFT's normwise bound and two sequential
@@ -143,13 +148,31 @@ def gagliardo_pc(g: PiecewiseConstant, s: float, p: float) -> SeminormResult:
         k = gap_kernel(np.arange(1.0, n))
         acc = 2.0 * float(np.einsum("i,i->", k, np.maximum(sums, 0.0)))
     else:
+        blocks, m0 = [], 1  # (first gap, rows) of every block
+        while m0 < n:
+            blocks.append((m0, max(1, min(_PC_BLOCK // (n - m0), n - m0))))
+            m0 += blocks[-1][1]
+        size = max((r * (n - m0) for m0, r in blocks), default=0)
+        # row m is c_m...c_{m+n-1}, past the end c_{n-1}: what a row holds
+        # beyond its gap, never summed, overflows only where a summed entry does
+        windows = sliding_window_view(np.concatenate([vals, np.full(n, vals[-1])]), n)
+        sums = np.zeros(n)
+
+        def work(_, items):  # one run of blocks, through its own buffer
+            buf = np.empty(size)
+            for m0, r in (blocks[b] for b in items):
+                w = n - m0
+                d = np.subtract(windows[m0:m0 + r, :w], vals[:w], out=buf[:r * w].reshape(r, w))
+                np.abs(d, out=d)
+                np.power(d, p, out=d)
+                for j in range(r):
+                    sums[m0 + j] = d[j, :w - j].sum()
+
+        if blocks:  # n = 1 has no gaps
+            _on_workers(len(blocks), work)
         acc = 0.0
-        buf = np.empty(n - 1)
         for m in range(1, n):
-            diff = np.subtract(vals[m:], vals[:-m], out=buf[: n - m])
-            np.abs(diff, out=diff)
-            np.power(diff, p, out=diff)
-            acc += 2.0 * gap_kernel(m) * float(np.sum(diff))
+            acc += 2.0 * gap_kernel(m) * float(sums[m])
     if acc < 0:
         raise ConsistencyError(f"seminorm accumulation came out negative: {acc}")
     return SeminormResult(acc ** (1.0 / p), s, p, "closed_form", 0.0)
@@ -200,12 +223,40 @@ _PC_CHUNK = 65_536
 # 2 MiB L2.  The L2 is per core, so this is a per-worker budget: each worker
 # owns its two block buffers and its 0.5 MiB chunk of draws.  A whole (n+1) x
 # chunk array takes 4.7 MB at n = 8; blocks cut the 10^7-sample trials at
-# n = 2...16 by 16-37 % (x86_64).
+# n = 2...16 by 16-37 % (x86_64).  A block of closed-form gaps holds at most
+# max(_PC_BLOCK, n - 1) elements, and each worker owns a buffer for one.
 _PC_BLOCK = 65_536
-# Workers per oracle call (at most one per chunk): the CPUs this process may
-# run on.
+# Workers per oracle or closed-form call (at most one per chunk or block of
+# gaps): the CPUs this process may run on.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+
+
+def _on_workers(n_items: int, work) -> None:
+    """Call ``work(first, items)`` once per contiguous run of the items
+    0...n_items-1, in min(_WORKERS, n_items) runs of about equal length: the
+    first run in the calling thread, each other on a thread of its own.
+    ``items`` yields the run's indices in order, and none after any run has
+    failed; the first error is re-raised after the join."""
+    errors = []
+
+    def run(first, stop):
+        try:
+            work(first, (i for i in range(first, stop) if not errors))
+        except BaseException as exc:  # re-raised by the caller after the join
+            errors.append(exc)
+
+    workers = min(_WORKERS, n_items)
+    bounds = [n_items * w // workers for w in range(workers + 1)]
+    threads = [threading.Thread(target=run, args=bounds[w:w + 2])
+               for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(*bounds[:2])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _mc_accumulate(rng, n_samples: int, make_sampler) -> tuple[float, float]:
@@ -219,44 +270,26 @@ def _mc_accumulate(rng, n_samples: int, make_sampler) -> tuple[float, float]:
     buffer and evaluated over it in place: about 1.5 MiB per worker with the
     sampler's buffers.  The per-chunk sums are added in chunk order after
     the join, so the result is bitwise the same for any number of workers.
-    Worker 0 runs in the calling thread.  The first error is re-raised after
-    the join; the other workers stop at their next chunk.
     """
     n_samples = int(n_samples)  # PCG64.advance rejects numpy integers
     n_chunks = -(-n_samples // _PC_CHUNK)
     sums = [None] * n_chunks
-    errors = []
     state = rng.bit_generator.state
 
-    def work(first, stop):
-        try:
-            bits = np.random.PCG64()
-            bits.state = state
-            draw = np.random.Generator(bits.advance(first * _PC_CHUNK)).random
-            sampler = make_sampler()
-            buf = np.empty(min(n_samples, _PC_CHUNK))
-            for chunk in range(first, stop):
-                if errors:
-                    return
-                x = buf[:min(_PC_CHUNK, n_samples - chunk * _PC_CHUNK)]
-                f = sampler(draw(out=x), out=x)
-                total = float(np.sum(f))
-                np.multiply(f, f, out=f)
-                sums[chunk] = total, float(np.sum(f))
-        except BaseException as exc:  # re-raised by the caller after the join
-            errors.append(exc)
+    def work(first, chunks):
+        bits = np.random.PCG64()
+        bits.state = state
+        draw = np.random.Generator(bits.advance(first * _PC_CHUNK)).random
+        sampler = make_sampler()
+        buf = np.empty(min(n_samples, _PC_CHUNK))
+        for chunk in chunks:
+            x = buf[:min(_PC_CHUNK, n_samples - chunk * _PC_CHUNK)]
+            f = sampler(draw(out=x), out=x)
+            total = float(np.sum(f))
+            np.multiply(f, f, out=f)
+            sums[chunk] = total, float(np.sum(f))
 
-    workers = min(_WORKERS, n_chunks)
-    bounds = [n_chunks * w // workers for w in range(workers + 1)]
-    threads = [threading.Thread(target=work, args=bounds[w:w + 2])
-               for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    work(*bounds[:2])
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    _on_workers(n_chunks, work)
     # a plain loop, in chunk order: sum() compensates floats on Python >= 3.12
     total = total_sq = 0.0
     for chunk_sum, chunk_sq in sums:
@@ -367,13 +400,9 @@ def gagliardo_oracle_mc(g: PiecewiseConstant, s: float, p: float, n_samples: int
     unreliable.  This path shares no algebra with the twice-integrated
     closed form it is used to check.
 
-    Samples are summed in chunks of 65 536 and evaluated in cache-sized
-    blocks.  The chunks run on one thread per available core, each over its
-    own run of chunks with the seeded PCG64 stream advanced to its first
-    chunk and about 1.5 MiB of buffers (see ``_mc_accumulate``).  Neither the
-    block size nor the number of cores changes any sample or sum, so the
-    result is bitwise the same on any number of cores.  ``n_samples`` must be
-    an integer (a float such as 1e6 raises).
+    Samples are summed in chunks of 65 536, evaluated in cache-sized blocks
+    and spread over every core (see ``_mc_accumulate``); neither changes any
+    sample or sum.  ``n_samples`` must be an integer (1e6 raises).
 
     ``est_error`` is the standard error of the mean, transported to the
     seminorm scale by the delta method.

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from maniafem import experiments as ex
+from maniafem import fractional
 from maniafem.cli import main
 from maniafem.errors import ConsistencyError
 from maniafem.fractional import (
@@ -343,6 +344,8 @@ def _no_cycle_cases():
     alpha = ex.default_params().alpha
     root, droot = power_fn(1.0 / 3.0)
     g = PiecewiseConstant(Mesh1D(16), np.random.default_rng(5).uniform(-1, 1, 16))
+    # N = 1024 takes several blocks of gaps, so a worker thread starts
+    wide = PiecewiseConstant(Mesh1D(1024), np.random.default_rng(6).uniform(-1, 1, 1024))
 
     def fe():
         return interpolate(Mesh1D(64), root)
@@ -356,6 +359,7 @@ def _no_cycle_cases():
         ("minimize_from_clamped", lambda _: minimize(alpha)),
         ("solve_ladder", lambda _: ex.solve_ladder((8, 16, 32), SolveConfig())),
         ("gagliardo_pc_p1.1", lambda _: gagliardo_pc(g, 0.2, 1.1)),
+        ("gagliardo_pc_p1.1_blocks", lambda _: gagliardo_pc(wide, 0.2, 1.1)),
         ("gagliardo_pc_p2", lambda _: gagliardo_pc(g, 0.2, 2.0)),
         ("seminorm_w1sp", lambda _: seminorm_w1sp(fe(), 0.2, 1.1)),
         ("norm_wkp", lambda _: norm_wkp(fe(), 1, 1.1)),
@@ -376,10 +380,12 @@ def _no_cycle_cases():
 
 
 @pytest.mark.parametrize("call", _no_cycle_cases())
-def test_entry_point_leaves_no_reference_cycles(call, tmp_path):
+def test_entry_point_leaves_no_reference_cycles(call, tmp_path, monkeypatch):
     # memory held in a cycle outlives the call until a full collection.  The
     # first call is a warm-up: numpy's lazy imports (np.fft's on first use)
-    # leave one-off stdlib garbage that holds no arrays
+    # leave one-off stdlib garbage that holds no arrays.  Two workers, so the
+    # threaded paths run on a one-CPU host too
+    monkeypatch.setattr(fractional, "_WORKERS", 2)
     call(tmp_path)
     gc.collect()
     gc.disable()

@@ -154,6 +154,22 @@ def per_gap_reference(vals, h, s):
     return acc**0.5
 
 
+def per_gap_loop(g, s, p):
+    """[g]_{W^{s,p}} by the loop the gap blocks replaced: one O(N) pass per
+    gap into a reused buffer, with gagliardo_pc's kernel and accumulation."""
+    sp, n, h, vals = s * p, g.mesh.n_elements, g.mesh.h, g.values
+    e = 1.0 - sp
+    acc = 0.0
+    buf = np.empty(n - 1)
+    for m in range(1, n):
+        k = (h**e / (sp * e)) * (2.0 * m**e - (m - 1.0) ** e - (m + 1.0) ** e)
+        diff = np.subtract(vals[m:], vals[:-m], out=buf[: n - m])
+        np.abs(diff, out=diff)
+        np.power(diff, p, out=diff)
+        acc += 2.0 * k * float(np.sum(diff))
+    return acc ** (1.0 / p)
+
+
 @functools.lru_cache(maxsize=None)
 def pair_kernel_table(n, sp):
     """interval_kernel for every ordered element pair i < j, row by row."""
@@ -260,6 +276,41 @@ class TestGagliardoClosedForm:
         f = interpolate(Mesh1D(1024), lambda x: x ** (1 / 3))
         g = PiecewiseConstant(f.mesh, f.slopes())
         assert gagliardo_pc(g, 0.2, 1.1).value == 9.799187601477843
+
+    def test_gap_blocks_and_worker_count_change_no_bit(self, monkeypatch):
+        # blocks of one gap (1), of a few short rows (7) and the default;
+        # more workers than cores, switching often: a lost or misplaced row
+        # sum would show as a second value.  n = 1 has no gaps at all
+        blocks = (1, 7, fractional._PC_BLOCK)
+        rng = np.random.default_rng(23)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for n in (1, 2, 3, 5, 17, 1024):
+                mesh = Mesh1D(n)
+                slopes = interpolate(mesh, lambda x: x ** (1 / 3)).slopes()
+                for vals in (rng.uniform(-1, 1, n), slopes):
+                    g = PiecewiseConstant(mesh, vals)
+                    results = set()
+                    for block in blocks:
+                        for workers in (1, 2, 3, 5):
+                            monkeypatch.setattr(fractional, "_PC_BLOCK", block)
+                            monkeypatch.setattr(fractional, "_WORKERS", workers)
+                            results.add(gagliardo_pc(g, 0.2, 1.1).value)
+                    assert results == {per_gap_loop(g, 0.2, 1.1)}, n
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflowing_gap_differences_raise(self, monkeypatch, workers):
+        # N = 1024 spans several blocks, so two workers start a thread; a
+        # worker thread does not inherit the caller's np.errstate, so the
+        # guard is SeminormResult's finiteness check
+        monkeypatch.setattr(fractional, "_WORKERS", workers)
+        g = PiecewiseConstant(Mesh1D(1024), np.resize([1e308, -1e308], 1024))
+        with pytest.raises(ConsistencyError, match="finite"):
+            gagliardo_pc(g, 0.2, 1.1)
 
     def test_two_element_jump_matches_monte_carlo(self):
         g = PiecewiseConstant(Mesh1D(2), [1.0, 0.0])
@@ -470,20 +521,33 @@ class TestMonteCarloOracle:
             sys.setswitchinterval(interval)
         assert len(results) == 1
 
-    def test_worker_error_is_raised_after_the_join(self, monkeypatch):
+    # both callers of the shared worker helper: the oracle's chunks and the
+    # closed form's blocks of gaps (N = 1024 spans several blocks)
+    @pytest.mark.parametrize("call", [
+        lambda: gagliardo_oracle_mc(PiecewiseConstant(Mesh1D(5), [0.3, -1.0, 0.8, 0.1, -0.4]),
+                                    0.2, 1.1, 4 * fractional._PC_CHUNK, seed=3),
+        lambda: gagliardo_pc(PiecewiseConstant(
+            Mesh1D(1024), np.random.default_rng(3).uniform(-1, 1, 1024)), 0.2, 1.1),
+    ], ids=["oracle_chunks", "gap_blocks"])
+    def test_worker_error_is_raised_after_the_join(self, monkeypatch, call):
         monkeypatch.setattr(fractional, "_WORKERS", 2)
-        g = PiecewiseConstant(Mesh1D(5), [0.3, -1.0, 0.8, 0.1, -0.4])
-        inner = fractional._pc_inner_integral(g, 0.22, 1.1)
+        on_workers = fractional._on_workers
+        done = []
 
-        def sampler(x, out=None):
-            if threading.current_thread() is not threading.main_thread():
-                raise EvaluationError("worker 1 failed")
-            return inner(x, out=out)
+        def failing(n_items, work):
+            def run(first, items):
+                if threading.current_thread() is not threading.main_thread():
+                    raise EvaluationError("worker 1 failed")
+                work(first, items)
+                done.append(first)
+            on_workers(n_items, run)
 
+        monkeypatch.setattr(fractional, "_on_workers", failing)
         threads = threading.active_count()
         with pytest.raises(EvaluationError, match="worker 1 failed"):
-            fractional._mc_accumulate(np.random.default_rng(3), 4 * fractional._PC_CHUNK,
-                                      lambda: sampler)
+            call()
+        # the calling thread's run has finished and no worker thread is left
+        assert done == [0]
         assert threading.active_count() == threads
 
 
