@@ -110,15 +110,15 @@ def gagliardo_pc(g: PiecewiseConstant, s: float, p: float) -> SeminormResult:
     gaps m.  For general p, gaps m0...m0+r-1 with r = min(_PC_BLOCK // w, w)
     (at least 1) and w = N - m0 form one (r, w) block, three numpy calls per
     block; row j's first w - j entries sum to S_{m0+j}, bitwise as one pass
-    per gap would.  The blocks run on every core (``_on_workers``) and the
-    S_m are weighted in gap order: 0.45-0.7 s at N = 16384 for p = 1.1 on 2
-    cores, 0.9-1.0 s on one (x86_64, numpy 2.4).  For p = 2, with c shifted
+    per gap would.  The blocks run on every core (``_on_workers``), each S_m
+    into its own slot: 0.45-0.7 s at N = 16384 for p = 1.1 on 2 cores,
+    0.9-1.0 s on one (x86_64, numpy 2.4).  For p = 2, with c shifted
     by its median (constant data becomes exactly 0),
     S_m = (2T - P_m - Q_m) - 2 R_m, where T = sum c_i^2, P_m and Q_m are the
     sums of c_i^2 over the first and last m elements, and R_m =
     sum_i c_i c_{i+m} comes from one rfft/irfft pair of length 2N: about 3 ms
-    at N = 16384.  Each S_m is clipped at 0.  The weighted sum is an einsum,
-    by the summation rule in ``quadrature``.
+    at N = 16384.  Each S_m is clipped at 0.  Both branches weight the S_m
+    with one array of K_m and one einsum (the summation rule in ``quadrature``).
 
     Rounding for p = 2: each S_m is off by at most about
     eps (log2(2N) + 2m) T (the FFT's normwise bound and two sequential
@@ -135,18 +135,13 @@ def gagliardo_pc(g: PiecewiseConstant, s: float, p: float) -> SeminormResult:
     h = g.mesh.h
     e = 1.0 - sp
 
-    def gap_kernel(m):  # K_m for one gap (int) or an array of gaps
-        return (h**e / (sp * e)) * (2.0 * m**e - (m - 1.0) ** e - (m + 1.0) ** e)
-
-    if p == 2.0:
+    if p == 2.0:  # sums[m - 1] = S_m in both branches
         c = vals - np.median(vals)
         sq = c * c
         spec = np.fft.rfft(c, 2 * n)
         r = np.fft.irfft(spec.real**2 + spec.imag**2, 2 * n)[1:n]
         ends = np.cumsum(sq)[:-1] + np.cumsum(sq[::-1])[:-1]
-        sums = 2.0 * np.sum(sq) - ends - 2.0 * r
-        k = gap_kernel(np.arange(1.0, n))
-        acc = 2.0 * float(np.einsum("i,i->", k, np.maximum(sums, 0.0)))
+        sums = np.maximum(2.0 * np.sum(sq) - ends - 2.0 * r, 0.0)
     else:
         blocks, m0 = [], 1  # (first gap, rows) of every block
         while m0 < n:
@@ -156,7 +151,7 @@ def gagliardo_pc(g: PiecewiseConstant, s: float, p: float) -> SeminormResult:
         # row m is c_m...c_{m+n-1}, past the end c_{n-1}: what a row holds
         # beyond its gap, never summed, overflows only where a summed entry does
         windows = sliding_window_view(np.concatenate([vals, np.full(n, vals[-1])]), n)
-        sums = np.zeros(n)
+        sums = np.zeros(n - 1)
 
         def work(_, items):  # one run of blocks, through its own buffer
             buf = np.empty(size)
@@ -166,13 +161,13 @@ def gagliardo_pc(g: PiecewiseConstant, s: float, p: float) -> SeminormResult:
                 np.abs(d, out=d)
                 np.power(d, p, out=d)
                 for j in range(r):
-                    sums[m0 + j] = d[j, :w - j].sum()
+                    sums[m0 + j - 1] = d[j, :w - j].sum()
 
         if blocks:  # n = 1 has no gaps
             _on_workers(len(blocks), work)
-        acc = 0.0
-        for m in range(1, n):
-            acc += 2.0 * gap_kernel(m) * float(sums[m])
+    m = np.arange(1.0, n)
+    k = (h**e / (sp * e)) * (2.0 * m**e - (m - 1.0) ** e - (m + 1.0) ** e)
+    acc = 2.0 * float(np.einsum("i,i->", k, sums))
     if acc < 0:
         raise ConsistencyError(f"seminorm accumulation came out negative: {acc}")
     return SeminormResult(acc ** (1.0 / p), s, p, "closed_form", 0.0)

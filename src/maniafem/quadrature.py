@@ -1,10 +1,12 @@
 """Gauss-Legendre rules and composite element-wise integration.
 
-The default 4-point rule integrates polynomials up to degree 7 exactly.  On
-each element the Mania density is c^6 (v^3 - x)^2 with c a constant slope and
-v linear, i.e. a degree-6 polynomial in x, so every functional evaluation on
-the finite element space is quadrature-exact and convergence studies measure
-only the method's error.
+The rules are numpy's ``leggauss``, loaded on first use (numpy.polynomial
+takes about 5 ms to import) and symmetric bitwise, x_i = -x_{m-1-i} and
+w_i = w_{m-1-i}, so the mirrored terms of an odd integrand cancel exactly.
+The default 4-point rule is exact through degree 7, and on each element the
+Mania density c^6 (v^3 - x)^2 (c a constant slope, v linear) has degree 6,
+so every functional evaluation on the finite element space is
+quadrature-exact and convergence studies measure only the method's error.
 
 Integrals of non-polynomial integrands (x^{1/3}-type profiles and their
 interpolation errors) use an 8-point rule on a study grid that subdivides
@@ -16,11 +18,11 @@ per-element data (finite element slopes, clamp factors) reach the points by
 plain broadcasting instead of a search per point, and no integrand is ever
 formed on the whole grid at once.
 
-Summation rule: every sum whose length grows with N is an ``np.einsum``
-reduction in a fixed order, never BLAS.  OpenBLAS threads dot products above
-length 1e4 and its gemv rounds a row by its position in the array, so its
-sums would depend on the thread count and on where blocks are cut.  Only
-the per-element products of fixed width 4 in ``functionals`` stay BLAS.
+Summation rule: no sum whose length grows with N goes through BLAS, whose
+threaded dot products (above length 1e4) and position-dependent gemv rows
+would tie it to the thread count and to where blocks are cut.  numpy's own
+reductions (``np.einsum``, ``np.sum``, ``np.cumsum``) add in a fixed order.
+Only the per-element products of fixed width 4 in ``functionals`` stay BLAS.
 """
 
 from __future__ import annotations
@@ -56,36 +58,9 @@ class QuadRule:
         self.weights.setflags(write=False)
 
 
-def _legendre(m: int, x: np.ndarray):
-    """P_m(x) and P_m'(x) by the three-term recurrence."""
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for k in range(1, m):
-        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-    dp = m * (x * p - p_prev) / (x * x - 1.0)
-    return p, dp
-
-
 @lru_cache(maxsize=None)
 def _gauss_rule_cached(m: int) -> QuadRule:
-    # Newton iteration on P_m from the Chebyshev-like initial guess; the
-    # roots are simple and well separated, so this converges to ~1e-16.
-    k = np.arange(m)
-    x = np.cos(np.pi * (4 * k + 3) / (4 * m + 2))
-    for _ in range(100):
-        p, dp = _legendre(m, x)
-        dx = p / dp
-        x -= dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    _, dp = _legendre(m, x)
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    order = np.argsort(x)
-    x, w = x[order], w[order]
-    # symmetrize so odd integrands cancel exactly
-    x = 0.5 * (x - x[::-1])
-    w = 0.5 * (w + w[::-1])
-    return QuadRule(x, w)
+    return QuadRule(*np.polynomial.legendre.leggauss(m))
 
 
 def gauss_rule(m: int) -> QuadRule:

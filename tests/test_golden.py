@@ -8,23 +8,21 @@ golden copy byte for byte.  Another numpy, BLAS build or machine may round
 differently, so when ``env.json`` does not match the recorded environment
 the test skips and names the field that differs; within the recorded
 environment any moved byte fails.  A change that moves bits reruns
-``regenerate.py`` and lists the moved files.
+``regenerate.py``, which prints the moved files.
 """
 
 import json
-import math
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from golden.regenerate import moved, reports
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
-SETS = ("default", "deep")
-NUMBER = re.compile(rb"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|-?inf")
 
 
 def regenerate(out: Path, threads: int):
@@ -36,32 +34,10 @@ def regenerate(out: Path, threads: int):
     assert proc.returncode == 0, proc.stderr
 
 
-def report_files(root: Path) -> list[str]:
-    return sorted(f"{name}/{p.name}" for name in SETS for p in (root / name).iterdir())
-
-
-def largest_move(old: bytes, new: bytes) -> str:
-    """The largest relative change between the numbers of two reports."""
-    a, b = NUMBER.findall(old), NUMBER.findall(new)
-    if len(a) != len(b) or NUMBER.sub(b"#", old) != NUMBER.sub(b"#", new):
-        return "layout or text differs"
-    worst = 0.0
-    for x, y in zip(map(float, a), map(float, b)):
-        if x != y and not (math.isnan(x) and math.isnan(y)):
-            rel = abs(x - y) / max(abs(x), abs(y))
-            worst = max(worst, math.inf if math.isnan(rel) else rel)
-    return f"largest relative move {worst:.3g}"
-
-
 def moved_files(got: Path) -> list[str]:
-    names = report_files(GOLDEN)
-    assert report_files(got) == names
-    moved = []
-    for name in names:
-        old, new = (GOLDEN / name).read_bytes(), (got / name).read_bytes()
-        if old != new:
-            moved.append(f"{name}: {largest_move(old, new)}")
-    return moved
+    old, new = reports(GOLDEN), reports(got)
+    assert new.keys() == old.keys()
+    return moved(old, new)
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -1,9 +1,16 @@
-"""Quadrature tests: rule construction against independent polynomial
-oracles, mapped integration against analytic antiderivatives."""
+"""Quadrature tests: the rules against independent polynomial oracles and
+the properties the package relies on, mapped integration against analytic
+antiderivatives."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import maniafem
 from maniafem.errors import EvaluationError
 from maniafem.mesh import FeFunction, Mesh1D, interpolate
 from maniafem.quadrature import (
@@ -53,14 +60,45 @@ def test_three_point_weights_by_lagrange_integration():
 
 
 @pytest.mark.parametrize("m", list(range(1, 33)))
-def test_rules_match_numpy_leggauss(m):
+def test_rules_are_numpy_leggauss_cached_and_read_only(m):
     ref_x, ref_w = np.polynomial.legendre.leggauss(m)
     rule = gauss_rule(m)
-    assert np.allclose(rule.points, ref_x, atol=5e-15)
-    assert np.allclose(rule.weights, ref_w, atol=5e-15)
+    assert rule.points.tobytes() == ref_x.tobytes()
+    assert rule.weights.tobytes() == ref_w.tobytes()
+    assert gauss_rule(m) is rule
+    assert not rule.points.flags.writeable and not rule.weights.flags.writeable
 
 
-@pytest.mark.parametrize("m", [1, 2, 4, 8, 16, 32])
+@pytest.mark.parametrize("m", list(range(1, 33)))
+def test_rules_are_symmetric_bitwise(m):
+    # mirrored terms of an odd integrand cancel exactly, so every odd
+    # monomial integrates to 0.0 when the terms are added in mirrored pairs;
+    # x^k is formed by products, which are odd bitwise (np.power is not)
+    rule = gauss_rule(m)
+    x, w = rule.points, rule.weights
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    odd = x.copy()
+    for k in range(1, 2 * m, 2):
+        terms = w * odd
+        pairs = terms[: (m + 1) // 2] + terms[::-1][: (m + 1) // 2]
+        assert np.all(pairs == 0.0), k
+        odd *= x * x
+
+
+def test_import_does_not_load_numpy_polynomial():
+    # the rules reach numpy.polynomial on first use, not at import (numpy < 2
+    # loads it with numpy itself)
+    code = ("import sys, numpy; print('numpy.polynomial' in sys.modules); "
+            "import maniafem; print('numpy.polynomial' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(maniafem.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    with_numpy, with_maniafem = proc.stdout.split()
+    assert with_maniafem == with_numpy
+
+
+@pytest.mark.parametrize("m", list(range(1, 33)))
 def test_rule_invariants(m):
     rule = gauss_rule(m)
     assert abs(rule.weights.sum() - 2.0) <= 1e-14
