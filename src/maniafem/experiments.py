@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConsistencyError
 from .fractional import norm_wkp, seminorm_w1sp
-from .functionals import AdmissibleParams, energy_clamped
+from .functionals import AdmissibleParams
 from .mesh import Mesh1D, interpolate
 from .optimize import SolveConfig, SolveResult, initial_values, minimize_from, prolongate
 from .quadrature import StudyGrid
@@ -44,7 +44,6 @@ __all__ = [
     "ExperimentConfig",
     "StudySpec",
     "STUDIES",
-    "default_params",
     "solve_ladder",
     "run_gap_demo",
     "run_min_convergence",
@@ -84,19 +83,18 @@ SPLIT_PROBE_EXPONENT = 0.45
 _solved_ladders: ContextVar[dict | None] = ContextVar("solved_ladders", default=None)
 
 
-def default_params() -> AdmissibleParams:
-    return AdmissibleParams(s=0.2, p=1.1, alpha=0.035)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    params: AdmissibleParams = field(default_factory=default_params)
+    params: AdmissibleParams = AdmissibleParams(s=0.2, p=1.1, alpha=0.035)
     mesh_sizes: tuple[int, ...] = DEFAULT_MESH_SIZES
     solver: SolveConfig = field(default_factory=SolveConfig)
     output_dir: str = "reports"
 
     def __post_init__(self):
-        sizes = tuple(int(n) for n in self.mesh_sizes)
+        sizes = tuple(self.mesh_sizes)
+        if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in sizes):
+            raise ValueError(f"mesh sizes must be integers, got {sizes}")
+        sizes = tuple(int(n) for n in sizes)
         if not sizes:
             raise ValueError("mesh_sizes must be nonempty")
         if any(n < 2 or n & (n - 1) for n in sizes):
@@ -198,9 +196,8 @@ def run_min_convergence(config: ExperimentConfig) -> RateStudy:
     rows = []
     for n, res in zip(config.mesh_sizes, results):
         mesh = Mesh1D(n)
-        interp_energy = energy_clamped(interpolate(mesh, fn), config.params.alpha)
         _, dist = fe_error(fn, dfn, res.minimizer, StudyGrid(mesh), p)
-        rows.append((mesh.h, res.energy, interp_energy, dist))
+        rows.append((mesh.h, res.energy, recovery_gap(fn, mesh, config.params.alpha), dist))
     return make_rate_study(
         "min_convergence", ("h", "value", "interp_energy", "w1p_distance"), rows)
 
@@ -212,20 +209,22 @@ def min_convergence_passes(study: RateStudy) -> bool:
     return sandwich and nonincreasing and values[-1] <= MIN_CONV_FINAL_FACTOR * values[0]
 
 
+def _ladder_studies(config: ExperimentConfig, targets, row: Callable) -> dict[str, RateStudy]:
+    """One (h, value) RateStudy per target over the ladder, by target;
+    ``row(mesh)`` returns each mesh's values in target order."""
+    rows = [[] for _ in targets]
+    for n in config.mesh_sizes:
+        mesh = Mesh1D(n)
+        for table, value in zip(rows, row(mesh), strict=True):
+            table.append((mesh.h, value))
+    return {t: make_rate_study(t, ("h", "value"), r) for t, r in zip(targets, rows)}
+
+
 def run_interp_rates(config: ExperimentConfig) -> dict[str, RateStudy]:
     """Nodal-interpolation error rates for x^(1/3) in L^p and W^{1,p}."""
     fn, dfn = power_fn(1.0 / 3.0)
-    p = config.params.p
-    rows_lp, rows_w1p = [], []
-    for n in config.mesh_sizes:
-        mesh = Mesh1D(n)
-        lp, w1p = interp_error(fn, dfn, StudyGrid(mesh), p)
-        rows_lp.append((mesh.h, lp))
-        rows_w1p.append((mesh.h, w1p))
-    return {
-        "interp_lp": make_rate_study("interp_lp", ("h", "value"), rows_lp),
-        "interp_w1p": make_rate_study("interp_w1p", ("h", "value"), rows_w1p),
-    }
+    return _ladder_studies(config, ("interp_lp", "interp_w1p"),
+                           lambda mesh: interp_error(fn, dfn, StudyGrid(mesh), config.params.p))
 
 
 def interp_passes(studies: dict[str, RateStudy]) -> bool:
@@ -236,29 +235,18 @@ def interp_passes(studies: dict[str, RateStudy]) -> bool:
     )
 
 
-def _inverse_rows(mesh_sizes, s: float, p: float):
-    fn, _ = power_fn(1.0 / 3.0)
-    rows = []
-    for n in mesh_sizes:
-        mesh = Mesh1D(n)
-        f_h = interpolate(mesh, fn)
-        ratio = seminorm_w1sp(f_h, s, p).value / (mesh.h**-s * norm_wkp(f_h, 1, p))
-        rows.append((mesh.h, ratio))
-    return rows
-
-
 def run_inverse_study(config: ExperimentConfig) -> dict[str, RateStudy]:
     """Boundedness of [v_h]_{W^{1+s,p}} / (h^-s ||v_h||_{W^{1,p}}) for the
     interpolant of x^(1/3), plus the p = 2, beta = 0.4 Hilbert-space variant."""
-    s, p = config.params.s, config.params.p
-    return {
-        "inverse_ratio": make_rate_study(
-            "inverse_ratio", ("h", "value"),
-            _inverse_rows(config.mesh_sizes, s, p)),
-        "inverse_ratio_h1": make_rate_study(
-            "inverse_ratio_h1", ("h", "value"),
-            _inverse_rows(config.mesh_sizes, HILBERT_VARIANT_BETA, 2.0)),
-    }
+    fn, _ = power_fn(1.0 / 3.0)
+    variants = ((config.params.s, config.params.p), (HILBERT_VARIANT_BETA, 2.0))
+
+    def row(mesh):
+        f_h = interpolate(mesh, fn)
+        return [seminorm_w1sp(f_h, s, p).value / (mesh.h**-s * norm_wkp(f_h, 1, p))
+                for s, p in variants]
+
+    return _ladder_studies(config, ("inverse_ratio", "inverse_ratio_h1"), row)
 
 
 def inverse_passes(studies: dict[str, RateStudy]) -> bool:
@@ -275,17 +263,14 @@ def run_split_rates(config: ExperimentConfig) -> dict[str, RateStudy]:
     would degenerate into the clamped interpolant energy, since v^3 - x
     vanishes there."""
     alpha = config.params.alpha
-    rows_value, rows_slope = [], []
     fn_q, dfn_q = power_fn(SPLIT_PROBE_EXPONENT)
-    for n in config.mesh_sizes:
-        mesh = Mesh1D(n)
+
+    def row(mesh):
         grid = StudyGrid(mesh)
-        rows_value.append((mesh.h, value_mismatch_term(fn_q, grid, alpha)))
-        rows_slope.append((mesh.h, slope_mismatch_term(fn_q, dfn_q, grid, alpha)))
-    return {
-        "value_term": make_rate_study("value_term", ("h", "value"), rows_value),
-        "slope_term": make_rate_study("slope_term", ("h", "value"), rows_slope),
-    }
+        return (value_mismatch_term(fn_q, grid, alpha),
+                slope_mismatch_term(fn_q, dfn_q, grid, alpha))
+
+    return _ladder_studies(config, ("value_term", "slope_term"), row)
 
 
 def split_rates_passes(studies: dict[str, RateStudy], params: AdmissibleParams) -> bool:
@@ -304,11 +289,9 @@ def split_rates_passes(studies: dict[str, RateStudy], params: AdmissibleParams) 
 def run_recovery(config: ExperimentConfig) -> RateStudy:
     """Clamped energy of the interpolated minimizer against its limit 0."""
     fn, _ = power_fn(1.0 / 3.0)
-    rows = []
-    for n in config.mesh_sizes:
-        mesh = Mesh1D(n)
-        rows.append((mesh.h, recovery_gap(fn, mesh, config.params.alpha)))
-    return make_rate_study("recovery_gap", ("h", "value"), rows)
+    studies = _ladder_studies(config, ("recovery_gap",),
+                              lambda mesh: [recovery_gap(fn, mesh, config.params.alpha)])
+    return studies["recovery_gap"]
 
 
 def recovery_passes(study: RateStudy) -> bool:

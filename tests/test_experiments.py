@@ -44,10 +44,25 @@ class TestExperimentConfig:
         assert config.mesh_sizes == ex.DEFAULT_MESH_SIZES
         assert (2 / 3 + config.params.s) * config.params.p < 1
 
-    @pytest.mark.parametrize("sizes", [(8, 12), (6,), (16, 8), (8, 8, 16), ()])
+    @pytest.mark.parametrize("sizes", [
+        (8, 12), (6,), (16, 8), (8, 8, 16), (),
+        # sizes that int() would truncate or parse into a valid ladder
+        (8.9, 16.2), (8.0, 16), (8, np.float64(16)), ("8", 16), (True, 16),
+    ])
     def test_rejects_bad_ladders(self, sizes):
         with pytest.raises(ValueError):
             ex.ExperimentConfig(mesh_sizes=sizes)
+
+    @pytest.mark.parametrize("sizes", [(8.9, 16.2), ("8", 16), (True, 16)])
+    def test_non_integer_sizes_are_named(self, sizes):
+        with pytest.raises(ValueError, match=r"must be integers, got \(") as info:
+            ex.ExperimentConfig(mesh_sizes=sizes)
+        assert repr(sizes[0]) in str(info.value)
+
+    def test_accepts_numpy_integer_sizes(self):
+        config = ex.ExperimentConfig(mesh_sizes=np.array([8, 16, 32], dtype=np.int32))
+        assert config.mesh_sizes == (8, 16, 32)
+        assert all(type(n) is int for n in config.mesh_sizes)
 
 
 class TestGapDemo:
@@ -157,11 +172,70 @@ class TestLadderSharing:
         gap = summary["studies"]["gap_demo"]
         conv = summary["studies"]["min_convergence"]
         assert [row[2] for row in gap["rows"]] == [row[1] for row in conv["rows"]]
+        # recovery_gap reports min_convergence's interpolant energies, bitwise
+        recovery = summary["studies"]["recovery_gap"]
+        assert [row[1] for row in recovery["rows"]] == [row[2] for row in conv["rows"]]
         # nothing is kept between calls
         ex.run_all(config)
         assert len(solves) == 96
         ex.run_min_convergence(config)
         assert len(solves) == 115
+
+
+# (h, value) runners with their tables in target order
+LADDER_RUNNERS = {
+    "run_interp_rates": ("interp_lp", "interp_w1p"),
+    "run_inverse_study": ("inverse_ratio", "inverse_ratio_h1"),
+    "run_split_rates": ("value_term", "slope_term"),
+    "run_recovery": ("recovery_gap",),
+}
+
+
+class TestLadderStudies:
+    # names perfbench/tracer.py wraps in experiments' namespace
+    TRACED = ("minimize_from", "seminorm_w1sp", "norm_wkp", "graded_grid", "interp_error",
+              "value_mismatch_term", "slope_mismatch_term", "recovery_gap")
+
+    def test_runners_reach_study_terms_through_module_globals(self, tmp_path, monkeypatch):
+        calls = {}
+        for name in self.TRACED:
+            def counting(*args, _name=name, _fn=getattr(ex, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(ex, name, counting)
+        config = small_config(tmp_path, sizes=(8, 16))
+        # each term once per mesh and variant
+        expected = {
+            "run_min_convergence": {"recovery_gap": 2},
+            "run_interp_rates": {"interp_error": 2},
+            "run_inverse_study": {"seminorm_w1sp": 4, "norm_wkp": 4},
+            "run_split_rates": {"value_mismatch_term": 2, "slope_mismatch_term": 2},
+            "run_recovery": {"recovery_gap": 2},
+        }
+        for runner, counts in expected.items():
+            calls.clear()
+            getattr(ex, runner)(config)
+            solves = calls.pop("minimize_from", 0)
+            assert calls == counts, runner
+            assert (solves > 0) == (runner == "run_min_convergence"), runner
+
+    @pytest.mark.parametrize("runner", sorted(LADDER_RUNNERS))
+    def test_rows_depend_only_on_their_mesh(self, tmp_path, runner):
+        def tables(sizes):
+            result = getattr(ex, runner)(small_config(tmp_path, sizes=sizes))
+            return result if isinstance(result, dict) else {result.target: result}
+
+        sparse = tables((8, 32, 128))
+        full = tables((8, 16, 32, 64, 128))
+        assert list(sparse) == list(full) == list(LADDER_RUNNERS[runner])
+        for target, study in sparse.items():
+            assert study.target == target
+            assert study.columns == ("h", "value")
+            by_h = dict(full[target].rows)
+            assert [h for h, _ in study.rows] == [1 / 8, 1 / 32, 1 / 128]
+            for h, value in study.rows:
+                assert value == by_h[h]
 
 
 class TestMinConvergence:
@@ -341,7 +415,7 @@ class TestStudyPassPredicates:
 
 def _no_cycle_cases():
     """One ``call(tmp_path)`` param per numeric entry point the sweep checks."""
-    alpha = ex.default_params().alpha
+    alpha = ex.ExperimentConfig().params.alpha
     root, droot = power_fn(1.0 / 3.0)
     g = PiecewiseConstant(Mesh1D(16), np.random.default_rng(5).uniform(-1, 1, 16))
     # N = 1024 takes several blocks of gaps, so a worker thread starts
