@@ -1,13 +1,15 @@
 """Command-line front end for solves and convergence studies.
 
-Configuration is a flat ``key = value`` file with ``#`` comments; recognized
-keys are s, p, alpha, mesh_sizes, grad_tol, max_iters, output_dir.  Each
-``--set key=value`` is applied after the file, in order, so the last one
-wins, and ``--out`` sets output_dir last.  Every subcommand builds one
-``ExperimentConfig`` from the result, so the whole file is validated even
-where a key goes unread.  A file is shared across subcommands, but ``--set``
-of a key the subcommand does not read is a usage error (``solve`` reads no
-mesh_sizes; ``seminorm`` only s, p and alpha).
+Configuration is a flat ``key = value`` file with ``#`` comments.  Its keys
+are ``ExperimentConfig``'s fields s, p, alpha, mesh_sizes, grad_tol,
+max_iters and output_dir, and ``ExperimentConfig(**summary["config"])``
+rebuilds an ``all`` run but its output_dir.  Each ``--set key=value`` is
+applied after the file, in order, so the last one wins, and ``--out`` sets
+output_dir last.  Every subcommand builds one ``ExperimentConfig`` from the
+keys set, so an unset key keeps its default and the whole file is validated
+even where a key goes unread.  A file is shared across subcommands, but
+``--set`` of a key the subcommand does not read is a usage error (``solve``
+reads no mesh_sizes; ``seminorm`` only s, p and alpha).
 
 Exit status: 0 pass, 1 study fail, 2 usage or parameter validation error,
 3 I/O failure.
@@ -21,9 +23,7 @@ from pathlib import Path
 
 from .errors import ConsistencyError, RegimeError
 from .fractional import seminorm_w1sp
-from .functionals import AdmissibleParams
 from .mesh import Mesh1D, interpolate
-from .optimize import SolveConfig
 from .studies import power_fn
 from . import experiments as ex
 
@@ -32,16 +32,6 @@ EXIT_STUDY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-_LIBRARY = ex.ExperimentConfig()
-_DEFAULTS = {
-    "s": _LIBRARY.params.s,
-    "p": _LIBRARY.params.p,
-    "alpha": _LIBRARY.params.alpha,
-    "mesh_sizes": _LIBRARY.mesh_sizes,
-    "grad_tol": _LIBRARY.solver.grad_tol,
-    "max_iters": _LIBRARY.solver.max_iters,
-    "output_dir": _LIBRARY.output_dir,
-}
 _STUDIES = {spec.command: spec for spec in ex.STUDIES}
 # Keys a subcommand never reads: overriding one would have no effect.
 _UNREAD = {
@@ -52,7 +42,7 @@ _UNREAD = {
 
 def _parse_sizes(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.replace(" ", "").split(",") if tok]
+        return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValueError(f"mesh_sizes must be comma-separated integers, got {text!r}") from exc
 
@@ -81,9 +71,9 @@ def _apply(settings: dict, pair: str, where: str) -> str:
 
 
 def _experiment_config(args) -> ex.ExperimentConfig:
-    """The library defaults, then the config file, then each ``--set`` and
-    ``--out``, validated as one ``ExperimentConfig``."""
-    settings = dict(_DEFAULTS)
+    """The config file, then each ``--set`` and ``--out``, over the library
+    defaults, validated as one ``ExperimentConfig``."""
+    settings = {}
     if args.config:
         text = Path(args.config).read_text()
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -96,12 +86,7 @@ def _experiment_config(args) -> ex.ExperimentConfig:
             raise ValueError(f"maniafem {args.command} does not read config key {key!r}")
     if getattr(args, "out", None):
         settings["output_dir"] = args.out
-    return ex.ExperimentConfig(
-        params=AdmissibleParams(settings["s"], settings["p"], settings["alpha"]),
-        mesh_sizes=settings["mesh_sizes"],
-        solver=SolveConfig(grad_tol=settings["grad_tol"], max_iters=settings["max_iters"]),
-        output_dir=settings["output_dir"],
-    )
+    return ex.ExperimentConfig(**settings)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -85,12 +85,22 @@ _solved_ladders: ContextVar[dict | None] = ContextVar("solved_ladders", default=
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    params: AdmissibleParams = AdmissibleParams(s=0.2, p=1.1, alpha=0.035)
+    """One run's seven settings, named as the CLI's config keys.  ``params``
+    and ``solver`` are built from them, so an invalid value raises here."""
+
+    s: float = 0.2
+    p: float = 1.1
+    alpha: float = 0.035
     mesh_sizes: tuple[int, ...] = DEFAULT_MESH_SIZES
-    solver: SolveConfig = field(default_factory=SolveConfig)
+    grad_tol: float = SolveConfig.grad_tol
+    max_iters: int = SolveConfig.max_iters
     output_dir: str = "reports"
+    params: AdmissibleParams = field(init=False, repr=False, compare=False)
+    solver: SolveConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "params", AdmissibleParams(self.s, self.p, self.alpha))
+        object.__setattr__(self, "solver", SolveConfig(self.grad_tol, self.max_iters))
         sizes = tuple(self.mesh_sizes)
         if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in sizes):
             raise ValueError(f"mesh sizes must be integers, got {sizes}")
@@ -385,14 +395,10 @@ def run_all(config: ExperimentConfig) -> dict:
                                                  "pass": False}
     finally:
         _solved_ladders.reset(token)
-    summary["config"] = {
-        "s": config.params.s,
-        "p": config.params.p,
-        "alpha": config.params.alpha,
-        "mesh_sizes": list(config.mesh_sizes),
-        "grad_tol": config.solver.grad_tol,
-        "max_iters": config.solver.max_iters,
-    }
+    # the init fields but output_dir, so ExperimentConfig(**config) reruns it
+    summary["config"] = {f.name: getattr(config, f.name) for f in fields(config)
+                         if f.init and f.name != "output_dir"}
+    summary["config"]["mesh_sizes"] = list(config.mesh_sizes)
     summary["all_pass"] = all(
         entry.get("pass", False) for entry in summary["studies"].values()
     ) and not summary["partial"]

@@ -1,10 +1,12 @@
 """Command-line interface tests: parsing, exit statuses, outputs."""
 
+import dataclasses
 import json
 from types import SimpleNamespace
 
 import pytest
 
+from maniafem import cli
 from maniafem import experiments as ex
 from maniafem.cli import build_parser, main
 from maniafem.experiments import ExperimentConfig
@@ -40,9 +42,17 @@ def test_unknown_set_key_rejected(capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-def test_non_integer_mesh_size_is_usage_error(capsys):
-    assert main(["converge", "--set", "mesh_sizes=8,x"]) == 2
+@pytest.mark.parametrize("sizes", ["8,x", "8,3 2"])
+def test_non_integer_mesh_size_is_usage_error(capsys, sizes):
+    # digit groups are not merged: "3 2" is not 32
+    assert main(["converge", "--set", f"mesh_sizes={sizes}"]) == 2
     assert "mesh_sizes" in capsys.readouterr().err
+
+
+def test_config_keys_are_the_experiment_config_fields():
+    names = {f.name for f in dataclasses.fields(ExperimentConfig) if f.init}
+    assert set(cli._CONVERTERS) == names
+    assert all(set(keys) <= names for keys in cli._UNREAD.values())
 
 
 def test_inconsistent_study_is_study_failure(tmp_path, capsys, monkeypatch):

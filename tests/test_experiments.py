@@ -10,7 +10,7 @@ import pytest
 from maniafem import experiments as ex
 from maniafem import fractional
 from maniafem.cli import main
-from maniafem.errors import ConsistencyError
+from maniafem.errors import ConsistencyError, RegimeError
 from maniafem.fractional import (
     PiecewiseConstant,
     gagliardo_oracle_mc,
@@ -33,7 +33,7 @@ from maniafem.studies import (
 def small_config(tmp_path, sizes=(8, 16, 32, 64)) -> ex.ExperimentConfig:
     return ex.ExperimentConfig(
         mesh_sizes=sizes,
-        solver=SolveConfig(max_iters=5000),
+        max_iters=5000,
         output_dir=str(tmp_path / "reports"),
     )
 
@@ -58,6 +58,18 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=r"must be integers, got \(") as info:
             ex.ExperimentConfig(mesh_sizes=sizes)
         assert repr(sizes[0]) in str(info.value)
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("s", 0.5, RegimeError),
+        ("grad_tol", float("inf"), ValueError),
+        ("max_iters", 0, ValueError),
+    ])
+    def test_invalid_settings_raise_at_construction(self, field, value, error):
+        with pytest.raises(error, match=field):
+            ex.ExperimentConfig(**{field: value})
+
+    def test_solver_defaults_are_the_solve_config_defaults(self):
+        assert ex.ExperimentConfig().solver == SolveConfig()
 
     def test_accepts_numpy_integer_sizes(self):
         config = ex.ExperimentConfig(mesh_sizes=np.array([8, 16, 32], dtype=np.int32))
@@ -285,12 +297,8 @@ class TestRunAll:
         assert loaded["all_pass"]
         assert loaded["config"]["mesh_sizes"] == [8, 16, 32]
 
-        # byte-identical rerun into a second directory
-        config2 = ex.ExperimentConfig(
-            mesh_sizes=(8, 16, 32),
-            solver=SolveConfig(max_iters=5000),
-            output_dir=str(tmp_path / "again"),
-        )
+        # byte-identical rerun into a second directory, from the summary alone
+        config2 = ex.ExperimentConfig(**loaded["config"], output_dir=str(tmp_path / "again"))
         ex.run_all(config2)
         # output_dir is not part of the summary, so every file must agree
         for name in sorted(f"{n}.csv" for n in expected) + ["summary.json"]:
