@@ -28,16 +28,20 @@ def _element_index(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The k with nodes[k] <= x < nodes[k + 1] for each x of the 1-D array
     ``x`` in [0, 1], and n - 1 for x = 1, without range checks.
 
-    floor(x n) is the exact answer for power-of-two n; otherwise the stored
-    nodes (from linspace) can sit one ulp off k/n, and the guess is one
-    element off at most, so one step each way against them corrects it.
+    For power-of-two n it returns min(floor(x n), n - 1) at once: linspace
+    stores those nodes as exactly i/n, and x n is exact (a power-of-two
+    scaling), so the floor already is the answer.  Otherwise the stored
+    nodes can sit one ulp off k/n, and the guess is one element off at most,
+    so one step each way against them corrects it.
     """
     n = nodes.size - 1
     k = np.minimum((x * n).astype(np.intp), n - 1)
+    if n & (n - 1) == 0:
+        return k
     k -= nodes[k] > x
     k += nodes[k + 1] <= x
-    # in place: a fresh index array per Monte-Carlo chunk slowed the oracle
-    # by about a third (x86_64, numpy 2.4)
+    # in place, on the corrected path: a fresh index array per Monte-Carlo
+    # chunk slowed the oracle by about a third (x86_64, numpy 2.4)
     np.minimum(k, n - 1, out=k)
     return k
 

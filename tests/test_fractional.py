@@ -467,10 +467,15 @@ class TestMonteCarloOracle:
         ([0.3, -1.0, 0.8, 0.1, -0.4], 3 * fractional._PC_CHUNK + 7, 8,
          (4.3519843120754755, 0.006946506827280667)),
         (np.linspace(-1, 1, 16) ** 3, 10**6, 9, (2.021247391979403, 0.0009982015197497983)),
+        ([0.3, -1.0, 0.8, 0.1], 3 * fractional._PC_CHUNK + 7, 8,
+         (4.2490557955139945, 0.007036763608158311)),
     ])
     def test_pc_path_is_pinned_bitwise(self, values, n_samples, seed, pinned):
         # recorded from the sampler that evaluated each chunk whole; blocking
-        # the chunk must leave every sample, and so every sum, unchanged
+        # the chunk must leave every sample, and so every sum, unchanged.
+        # The n = 4 case was recorded with the corrected element lookup, before
+        # power-of-two meshes skipped its correction steps: the floor alone
+        # must find the same elements.  n = 5 still takes the corrected path.
         g = PiecewiseConstant(Mesh1D(len(values)), values)
         mc = gagliardo_oracle_mc(g, 0.2, 1.1, n_samples, seed=seed)
         assert (mc.value, mc.est_error) == pinned
