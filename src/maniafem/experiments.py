@@ -14,7 +14,6 @@ ceiling so the clamp is as active as the theory allows.
 from __future__ import annotations
 
 import json
-from contextvars import ContextVar
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
@@ -78,11 +77,6 @@ SPLIT_MIN_R2 = 0.9
 RECOVERY_TOL = 1e-3
 SPLIT_PROBE_EXPONENT = 0.45
 
-# Ladders solved during the current run_all call, by solve_ladder's
-# arguments; None outside run_all, so no result outlives the call.
-_solved_ladders: ContextVar[dict | None] = ContextVar("solved_ladders", default=None)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One run's seven settings, named as the CLI's config keys.  ``params``
@@ -123,13 +117,9 @@ def solve_ladder(mesh_sizes, solver: SolveConfig, alpha: float | None = None) ->
     solves from the fixed seeds, then from the prolongated previous best,
     and keeps the earliest result unless a later one is lower by more than
     4 spacings (ulps) of the best energy so far.  Every requested size
-    must lie on the chain.  Inside ``run_all`` a ladder already solved with
-    the same arguments is returned again instead of being solved twice.
+    must lie on the chain.  Nothing is kept between calls, so a caller that
+    reports one ladder twice passes the results on instead of solving again.
     """
-    solved = _solved_ladders.get()
-    key = (tuple(mesh_sizes), solver, alpha)
-    if solved is not None and key in solved:
-        return list(solved[key])
     chain = [max(mesh_sizes)]
     while chain[-1] > 2 and chain[-1] % 2 == 0:
         chain.append(chain[-1] // 2)
@@ -152,19 +142,18 @@ def solve_ladder(mesh_sizes, solver: SolveConfig, alpha: float | None = None) ->
             if kept is None or r.energy < kept.energy - 4 * np.spacing(kept.energy):
                 kept = r
         best[n] = prev = kept
-    results = [best[n] for n in mesh_sizes]
-    if solved is not None:
-        solved[key] = results
-    return list(results)
+    return [best[n] for n in mesh_sizes]
 
 
-def run_gap_demo(config: ExperimentConfig) -> dict:
+def run_gap_demo(config: ExperimentConfig) -> tuple[dict, RateStudy]:
     """Raw minima stay bounded away from zero while clamped minima decay.
 
-    Returns the study's summary entry: rows (h, raw minimum, clamped
-    minimum, raw min_pivot), the raw floor, the clamped trend order, the
-    verdict, and per mesh the chosen raw solve's stop reason, iterations
-    and smallest Hessian pivot (> 0 certifies a strict local minimizer).
+    Solves the raw and the clamped ladder once each and returns the gap
+    entry and ``run_min_convergence``'s study of the same clamped minima.
+    The entry has rows (h, raw minimum, clamped minimum, raw min_pivot),
+    the raw floor, the clamped trend order, the verdict, and per mesh the
+    chosen raw solve's stop reason, iterations and smallest Hessian pivot
+    (> 0 certifies a strict local minimizer).
     """
     raw = solve_ladder(config.mesh_sizes, config.solver)
     clamped = solve_ladder(config.mesh_sizes, config.solver, config.params.alpha)
@@ -181,7 +170,7 @@ def run_gap_demo(config: ExperimentConfig) -> dict:
         "gap_clamped_trend", ("h", "value"),
         [(1.0 / n, e) for n, e in zip(config.mesh_sizes, clamped_e)])
     raw_floor = min(raw_e)
-    return {
+    entry = {
         "raw_floor": raw_floor,
         "clamped_trend_order": trend.fitted_order,
         "pass": raw_floor >= RAW_FLOOR_MIN and clamped_e[-1] < raw_floor,
@@ -191,6 +180,7 @@ def run_gap_demo(config: ExperimentConfig) -> dict:
         "raw_solves": [{"n": n, "reason": r.reason, "iters": r.iters, "min_pivot": r.min_pivot}
                        for n, r in zip(config.mesh_sizes, raw)],
     }
+    return entry, _min_convergence(config.params, clamped)
 
 
 def run_min_convergence(config: ExperimentConfig) -> RateStudy:
@@ -200,14 +190,18 @@ def run_min_convergence(config: ExperimentConfig) -> RateStudy:
     The distance column is reported, never asserted: the theory guarantees
     convergence of the minimum values, not of the minimizers.
     """
-    results = solve_ladder(config.mesh_sizes, config.solver, config.params.alpha)
+    return _min_convergence(
+        config.params, solve_ladder(config.mesh_sizes, config.solver, config.params.alpha))
+
+
+def _min_convergence(params: AdmissibleParams, results: list[SolveResult]) -> RateStudy:
+    """The min_convergence study of the clamped ladder ``results``."""
     fn, dfn = power_fn(1.0 / 3.0)
-    p = config.params.p
     rows = []
-    for n, res in zip(config.mesh_sizes, results):
-        mesh = Mesh1D(n)
-        _, dist = fe_error(fn, dfn, res.minimizer, StudyGrid(mesh), p)
-        rows.append((mesh.h, res.energy, recovery_gap(fn, mesh, config.params.alpha), dist))
+    for res in results:
+        mesh = res.minimizer.mesh
+        _, dist = fe_error(fn, dfn, res.minimizer, StudyGrid(mesh), params.p)
+        rows.append((mesh.h, res.energy, recovery_gap(fn, mesh, params.alpha), dist))
     return make_rate_study(
         "min_convergence", ("h", "value", "interp_energy", "w1p_distance"), rows)
 
@@ -343,12 +337,12 @@ class StudySpec:
 
 # The runners are looked up when a study runs, not when this table is built,
 # so wrapping a module attribute such as ``run_gap_demo`` reaches every study.
+# The gap study solves the clamped ladder once for both of its tables.
+_min_convergence_entries = _rate_entries(lambda r, c: min_convergence_passes(r))
 STUDIES = (
-    StudySpec("gap_demo", "gap", "Lavrentiev gap demonstration (raw vs clamped minima)",
-              lambda c: run_gap_demo(c), lambda entry, c: {"gap_demo": entry}),
-    StudySpec("min_convergence", "converge", "convergence of the clamped minimum values",
-              lambda c: run_min_convergence(c),
-              _rate_entries(lambda r, c: min_convergence_passes(r))),
+    StudySpec("gap_demo", "gap", "Lavrentiev gap (raw vs clamped minima), convergence of minima",
+              lambda c: run_gap_demo(c),
+              lambda r, c: {"gap_demo": r[0], **_min_convergence_entries(r[1], c)}),
     StudySpec("interp_rates", "interp", "nodal interpolation error rates",
               lambda c: run_interp_rates(c), _rate_entries(lambda r, c: interp_passes(r))),
     StudySpec("inverse_study", "inverse", "fractional inverse-inequality ratio study",
@@ -384,17 +378,13 @@ def run_all(config: ExperimentConfig) -> dict:
     return the bundle.  A study that raises is recorded under its name and
     marks the bundle partial instead of aborting the rest."""
     summary: dict = {"partial": False, "studies": {}}
-    token = _solved_ladders.set({})
-    try:
-        for spec in STUDIES:
-            try:
-                summary["studies"].update(run_study(spec, config))
-            except Exception as exc:  # noqa: BLE001 - studies are independent
-                summary["partial"] = True
-                summary["studies"][spec.name] = {"error": f"{type(exc).__name__}: {exc}",
-                                                 "pass": False}
-    finally:
-        _solved_ladders.reset(token)
+    for spec in STUDIES:
+        try:
+            summary["studies"].update(run_study(spec, config))
+        except Exception as exc:  # noqa: BLE001 - studies are independent
+            summary["partial"] = True
+            summary["studies"][spec.name] = {"error": f"{type(exc).__name__}: {exc}",
+                                             "pass": False}
     # the init fields but output_dir, so ExperimentConfig(**config) reruns it
     summary["config"] = {f.name: getattr(config, f.name) for f in fields(config)
                          if f.init and f.name != "output_dir"}

@@ -62,7 +62,7 @@ class Mesh1D:
 
     def __post_init__(self):
         n = self.n_elements
-        if not isinstance(n, (int, np.integer)) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError(f"n_elements must be a positive integer, got {n!r}")
         nodes = np.linspace(0.0, 1.0, n + 1)
         nodes.setflags(write=False)

@@ -65,7 +65,7 @@ def _gauss_rule_cached(m: int) -> QuadRule:
 
 def gauss_rule(m: int) -> QuadRule:
     """The m-point Gauss-Legendre rule on [-1, 1]; exact through degree 2m-1."""
-    if not (isinstance(m, (int, np.integer)) and 1 <= m <= MAX_POINTS):
+    if isinstance(m, bool) or not (isinstance(m, (int, np.integer)) and 1 <= m <= MAX_POINTS):
         raise ValueError(f"point count must be an integer in 1..{MAX_POINTS}, got {m!r}")
     return _gauss_rule_cached(int(m))
 

@@ -6,7 +6,8 @@ OUT_DIR defaults to this script's directory.  It receives:
 
 - ``default/``: the nine CSVs and ``summary.json`` of ``run_all`` on the
   default ladder N = 8 ... 1024;
-- ``deep/``: the CSVs of every study but the gap demo on N = 8 ... 16384;
+- ``deep/``: the CSVs of every study on N = 8 ... 16384 but the gap
+  study's raw-ladder table ``gap_demo.csv``;
 - ``env.json``: the numpy version, the BLAS library and the machine the
   reports were written with.
 
@@ -25,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from maniafem.experiments import STUDIES, ExperimentConfig, run_all, run_study
+from maniafem.experiments import (
+    STUDIES, ExperimentConfig, run_all, run_min_convergence, run_study, write_csv)
 
 DEEP_LADDER = tuple(2**k for k in range(3, 15))
 SETS = ("default", "deep")
@@ -70,6 +72,10 @@ def main(out: Path):
     for spec in STUDIES:
         if spec.name != "gap_demo":
             run_study(spec, deep)
+    # the gap study's convergence table alone, without the deep raw ladder
+    gap = next(spec for spec in STUDIES if spec.name == "gap_demo")
+    entry = gap.entries((None, run_min_convergence(deep)), deep)["min_convergence"]
+    write_csv(out / "deep" / "min_convergence.csv", entry["columns"], entry["rows"])
     (out / "env.json").write_text(json.dumps(environment(), indent=2, sort_keys=True) + "\n")
     for line in moved(before, reports(out)):
         print(line)

@@ -40,7 +40,8 @@ def config():
 
 @pytest.fixture(scope="module")
 def gap_report(config):
-    return ex.run_gap_demo(config)
+    entry, _ = ex.run_gap_demo(config)
+    return entry
 
 
 @pytest.fixture(scope="module")
@@ -271,7 +272,7 @@ def test_criterion_10_regime_validation(capsys):
             ok = False
         except RegimeError as err:
             ok &= needle in str(err)
-    code = main(["converge", "--set", "s=0.3", "--set", "p=1.4"])
+    code = main(["gap", "--set", "s=0.3", "--set", "p=1.4"])
     err_text = capsys.readouterr().err
     cli_ok = code == 2 and "(2/3+s)p < 1 violated" in err_text
     ok &= cli_ok

@@ -31,7 +31,7 @@ def test_missing_config_file_is_io_error(capsys):
 
 
 def test_regime_violation_names_inequality(capsys):
-    code = main(["converge", "--set", "s=0.3", "--set", "p=1.4"])
+    code = main(["gap", "--set", "s=0.3", "--set", "p=1.4"])
     assert code == 2
     err = capsys.readouterr().err
     assert "(2/3+s)p < 1 violated" in err
@@ -45,7 +45,7 @@ def test_unknown_set_key_rejected(capsys):
 @pytest.mark.parametrize("sizes", ["8,x", "8,3 2"])
 def test_non_integer_mesh_size_is_usage_error(capsys, sizes):
     # digit groups are not merged: "3 2" is not 32
-    assert main(["converge", "--set", f"mesh_sizes={sizes}"]) == 2
+    assert main(["gap", "--set", f"mesh_sizes={sizes}"]) == 2
     assert "mesh_sizes" in capsys.readouterr().err
 
 
@@ -93,11 +93,11 @@ def test_config_file_stays_shared_across_subcommands(tmp_path, capsys):
 @pytest.mark.parametrize("pair", ["grad_tol=inf", "grad_tol=nan", "max_iters=0"])
 def test_solver_config_that_disables_the_solver_is_rejected(tmp_path, capsys, pair):
     # grad_tol=inf would pass the gates with the interpolants reported as minima
-    args = ["converge", "--set", pair, "--set", "mesh_sizes=8,16,32",
-            "--out", str(tmp_path / "conv")]
+    args = ["gap", "--set", pair, "--set", "mesh_sizes=8,16,32",
+            "--out", str(tmp_path / "gap")]
     assert main(args) == 2
     assert pair.split("=")[0] in capsys.readouterr().err
-    assert not (tmp_path / "conv").exists()
+    assert not (tmp_path / "gap").exists()
 
 
 def test_malformed_set_pair_rejected(capsys):
@@ -122,9 +122,10 @@ def test_solve_on_a_single_element_is_usage_error(tmp_path, capsys):
 
 
 def test_solve_prints_the_converge_study_value(tmp_path, capsys):
-    # solve and the study share one continuation ladder, so the clamped
-    # minimum at N = 64 is the same number to the last digit
-    assert main(["converge", "--set", "mesh_sizes=8,16,32,64", "--out", str(tmp_path)]) == 0
+    # solve and the gap study's convergence table share one continuation
+    # ladder, so the clamped minimum at N = 64 is the same number to the
+    # last digit
+    assert main(["gap", "--set", "mesh_sizes=8,16,32,64", "--out", str(tmp_path)]) == 0
     last_row = (tmp_path / "min_convergence.csv").read_text().splitlines()[-1]
     capsys.readouterr()
     assert main(["solve", "--mesh", "64", "--out", str(tmp_path)]) == 0
@@ -153,9 +154,11 @@ def test_out_is_offered_only_where_something_is_written(tmp_path, capsys):
 
 def test_gap_with_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
+    # gap also checks the convergence table, whose minima fall by less than
+    # MIN_CONV_FINAL_FACTOR on 8,16
     cfg.write_text(
         "# reduced ladder\n"
-        "mesh_sizes = 8,16\n"
+        "mesh_sizes = 8,16,32\n"
         "max_iters = 4000   # keep the run quick\n"
         f"output_dir = {tmp_path / 'reports'}\n"
     )
@@ -173,11 +176,20 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
 
 
 def test_converge_study_passes(tmp_path, capsys):
-    out = tmp_path / "conv"
-    code = main(["converge", *FAST, "--out", str(out)])
+    # the gap study writes the convergence table and counts its verdict
+    out = tmp_path / "gap"
+    code = main(["gap", *FAST, "--out", str(out)])
     assert code == 0
-    assert (out / "min_convergence.csv").exists()
-    assert "pass" in capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == ["gap_demo.csv", "min_convergence.csv"]
+    text = capsys.readouterr().out
+    assert "-- gap_demo" in text and "-- min_convergence" in text
+    assert text.splitlines()[-1] == "pass"
+
+
+def test_convergence_has_no_subcommand_of_its_own(capsys):
+    assert main(["converge"]) == 2
+    assert "converge" in capsys.readouterr().err
+    assert [s.command for s in ex.STUDIES] == ["gap", "interp", "inverse", "lemmas", "recovery"]
 
 
 def test_all_writes_summary_and_passes(tmp_path, capsys):
@@ -196,7 +208,7 @@ def test_all_writes_summary_and_passes(tmp_path, capsys):
     ("inverse", "inverse_ratio.csv"),
     ("lemmas", "slope_term.csv"),
     ("gap", "gap_demo.csv"),
-    ("converge", "min_convergence.csv"),
+    ("gap", "min_convergence.csv"),
     ("recovery", "recovery_gap.csv"),
 ])
 def test_remaining_studies_run_and_emit(tmp_path, capsys, command, csv_name):
@@ -240,7 +252,7 @@ def test_overrides_last_wins(tmp_path, capsys):
 
 
 def test_removed_parameter_shorthands_are_usage_errors(capsys):
-    assert main(["converge", "--alpha", "0.03"]) == 2
+    assert main(["gap", "--alpha", "0.03"]) == 2
     assert "--alpha" in capsys.readouterr().err
     # prefixes of --set are not matched either
     for prefix in ("--s", "--se"):

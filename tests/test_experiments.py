@@ -80,7 +80,10 @@ class TestExperimentConfig:
 class TestGapDemo:
     def test_small_ladder_report(self, tmp_path):
         config = small_config(tmp_path)
-        report = ex.run_gap_demo(config)
+        report, study = ex.run_gap_demo(config)
+        # the convergence table of the same clamped minima, bitwise
+        assert study == ex.run_min_convergence(config)
+        assert [row[2] for row in report["rows"]] == [row[1] for row in study.rows]
         raw = [row[1] for row in report["rows"]]
         clamped = [row[2] for row in report["rows"]]
         assert all(np.isfinite(raw)) and all(np.isfinite(clamped))
@@ -176,8 +179,9 @@ class TestLadderSharing:
     def test_run_all_solves_each_ladder_once_per_call(self, tmp_path, monkeypatch):
         solves = recorded_solves(monkeypatch)
         config = ex.ExperimentConfig(output_dir=str(tmp_path / "reports"))
-        # the raw ladder makes 29 solves and the clamped one 19; gap_demo and
-        # min_convergence share the clamped one (67 solves when each solved it)
+        # the raw ladder makes 29 solves and the clamped one 19; the gap study
+        # builds min_convergence from its clamped results (67 solves if the
+        # clamped ladder were solved again)
         summary = ex.run_all(config)
         assert len(solves) == 48
         assert summary["all_pass"]
@@ -360,6 +364,23 @@ class TestRunAll:
         assert main(["all", "--set", "mesh_sizes=8,16,32", "--out", str(cli_out)]) == 1
         assert "interp_rates: FAIL" in capsys.readouterr().out
 
+    def test_inconsistent_gap_study_writes_neither_table(self, tmp_path, monkeypatch):
+        # raw minima that increase along the ladder: both tables come from
+        # the gap study's ladders, so neither is reported
+        def fake_ladder(mesh_sizes, solver, alpha=None):
+            return [SimpleNamespace(energy=float(n)) for n in mesh_sizes]
+
+        monkeypatch.setattr(ex, "solve_ladder", fake_ladder)
+        summary = ex.run_all(small_config(tmp_path, sizes=(8, 16, 32)))
+        assert summary["partial"] and not summary["all_pass"]
+        gap = summary["studies"]["gap_demo"]
+        assert gap["error"].startswith("ConsistencyError: raw minima increased")
+        assert "min_convergence" not in summary["studies"]
+        out = tmp_path / "reports"
+        assert not (out / "gap_demo.csv").exists()
+        assert not (out / "min_convergence.csv").exists()
+        assert (out / "recovery_gap.csv").exists()
+
     def test_csv_round_trip(self, tmp_path):
         config = small_config(tmp_path, sizes=(8, 16, 32))
         ex.run_all(config)
@@ -440,6 +461,8 @@ def _no_cycle_cases():
         ("minimize_from_raw", lambda _: minimize(None)),
         ("minimize_from_clamped", lambda _: minimize(alpha)),
         ("solve_ladder", lambda _: ex.solve_ladder((8, 16, 32), SolveConfig())),
+        ("run_min_convergence",
+         lambda tmp_path: ex.run_min_convergence(small_config(tmp_path, sizes=(8, 16, 32)))),
         ("gagliardo_pc_p1.1", lambda _: gagliardo_pc(g, 0.2, 1.1)),
         ("gagliardo_pc_p1.1_blocks", lambda _: gagliardo_pc(wide, 0.2, 1.1)),
         ("gagliardo_pc_p2", lambda _: gagliardo_pc(g, 0.2, 2.0)),

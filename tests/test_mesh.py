@@ -36,9 +36,10 @@ def test_mesh_invariants():
         assert mesh.nodes.shape == (n + 1,)
 
 
-@pytest.mark.parametrize("bad", [0, -3, 2.5])
+@pytest.mark.parametrize("bad", [0, -3, 2.5, True])
 def test_mesh_rejects_bad_sizes(bad):
-    with pytest.raises(ValueError):
+    # a bool is no size, though True == 1
+    with pytest.raises(ValueError, match="must be a positive integer"):
         Mesh1D(bad)
 
 

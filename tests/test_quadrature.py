@@ -108,9 +108,10 @@ def test_rule_invariants(m):
     assert_exact_through(rule, 2 * m - 1)
 
 
-@pytest.mark.parametrize("m", [0, 33, 2.5])
+@pytest.mark.parametrize("m", [0, 33, 2.5, True])
 def test_rule_rejects_bad_point_counts(m):
-    with pytest.raises(ValueError):
+    # a bool is no point count, though True == 1
+    with pytest.raises(ValueError, match="point count must be an integer"):
         gauss_rule(m)
 
 
