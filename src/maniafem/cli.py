@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import ConsistencyError, RegimeError
@@ -47,15 +48,9 @@ def _parse_sizes(text: str) -> list[int]:
         raise ValueError(f"mesh_sizes must be comma-separated integers, got {text!r}") from exc
 
 
-_CONVERTERS = {
-    "s": float,
-    "p": float,
-    "alpha": float,
-    "mesh_sizes": _parse_sizes,
-    "grad_tol": float,
-    "max_iters": int,
-    "output_dir": str,
-}
+# each key is parsed as the type of its default
+_CONVERTERS = {**{f.name: type(f.default) for f in fields(ex.ExperimentConfig) if f.init},
+               "mesh_sizes": _parse_sizes}
 
 
 def _apply(settings: dict, pair: str, where: str) -> str:

@@ -93,6 +93,12 @@ class ExperimentConfig:
     solver: SolveConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # validate the values as given, then keep Python numbers for summary.json
+        AdmissibleParams(self.s, self.p, self.alpha)
+        SolveConfig(self.grad_tol, self.max_iters)
+        for name in ("s", "p", "alpha", "grad_tol"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "max_iters", int(self.max_iters))
         object.__setattr__(self, "params", AdmissibleParams(self.s, self.p, self.alpha))
         object.__setattr__(self, "solver", SolveConfig(self.grad_tol, self.max_iters))
         sizes = tuple(self.mesh_sizes)
@@ -151,9 +157,9 @@ def run_gap_demo(config: ExperimentConfig) -> tuple[dict, RateStudy]:
     Solves the raw and the clamped ladder once each and returns the gap
     entry and ``run_min_convergence``'s study of the same clamped minima.
     The entry has rows (h, raw minimum, clamped minimum, raw min_pivot),
-    the raw floor, the clamped trend order, the verdict, and per mesh the
-    chosen raw solve's stop reason, iterations and smallest Hessian pivot
-    (> 0 certifies a strict local minimizer).
+    the raw floor, the clamped trend order (the study's fitted order), the
+    verdict, and per mesh the chosen raw solve's stop reason, iterations and
+    smallest Hessian pivot (> 0 certifies a strict local minimizer).
     """
     raw = solve_ladder(config.mesh_sizes, config.solver)
     clamped = solve_ladder(config.mesh_sizes, config.solver, config.params.alpha)
@@ -166,13 +172,11 @@ def run_gap_demo(config: ExperimentConfig) -> tuple[dict, RateStudy]:
             )
     if any(b > a for a, b in zip(raw_e, raw_e[1:])):
         raise ConsistencyError(f"raw minima increased along the ladder: {raw_e}")
-    trend = make_rate_study(
-        "gap_clamped_trend", ("h", "value"),
-        [(1.0 / n, e) for n, e in zip(config.mesh_sizes, clamped_e)])
+    study = _min_convergence(config.params, clamped)
     raw_floor = min(raw_e)
     entry = {
         "raw_floor": raw_floor,
-        "clamped_trend_order": trend.fitted_order,
+        "clamped_trend_order": study.fitted_order,
         "pass": raw_floor >= RAW_FLOOR_MIN and clamped_e[-1] < raw_floor,
         "columns": ["h", "value", "clamped_value", "raw_min_pivot"],
         "rows": [[1.0 / n, r.energy, c.energy, r.min_pivot]
@@ -180,7 +184,7 @@ def run_gap_demo(config: ExperimentConfig) -> tuple[dict, RateStudy]:
         "raw_solves": [{"n": n, "reason": r.reason, "iters": r.iters, "min_pivot": r.min_pivot}
                        for n, r in zip(config.mesh_sizes, raw)],
     }
-    return entry, _min_convergence(config.params, clamped)
+    return entry, study
 
 
 def run_min_convergence(config: ExperimentConfig) -> RateStudy:
@@ -303,55 +307,48 @@ def recovery_passes(study: RateStudy) -> bool:
     return all(b < a for a, b in zip(values, values[1:])) and values[-1] <= RECOVERY_TOL
 
 
-def _rate_entries(passes: Callable) -> Callable:
-    """``entries`` for a runner returning one RateStudy or a dict of them by
-    target; every table shares the verdict ``passes(result, config)``."""
+def _tables(result, passes: Callable, *args) -> dict[str, dict]:
+    """The summary entries of one RateStudy or a dict of them by target;
+    every table shares the verdict ``passes(result, *args)``."""
+    studies = result if isinstance(result, dict) else {result.target: result}
+    passed = passes(result, *args)
+    return {name: {"fitted_order": study.fitted_order, "r2": study.fit_r2, "pass": passed,
+                   "columns": list(study.columns), "rows": [list(row) for row in study.rows]}
+            for name, study in studies.items()}
 
-    def entries(result, config: ExperimentConfig) -> dict[str, dict]:
-        studies = result if isinstance(result, dict) else {result.target: result}
-        passed = passes(result, config)
-        return {name: {
-            "fitted_order": study.fitted_order,
-            "r2": study.fit_r2,
-            "pass": passed,
-            "columns": list(study.columns),
-            "rows": [list(row) for row in study.rows],
-        } for name, study in studies.items()}
 
-    return entries
+def _gap_tables(entry: dict, study: RateStudy) -> dict[str, dict]:
+    """The gap ``entry``, the min_convergence ``study`` of its clamped ladder
+    and the recovery gap read from that study's (h, interp_energy) columns."""
+    recovery = make_rate_study("recovery_gap", ("h", "value"), [(r[0], r[2]) for r in study.rows])
+    return {"gap_demo": entry, **_tables(study, min_convergence_passes),
+            **_tables(recovery, recovery_passes)}
 
 
 @dataclass(frozen=True)
 class StudySpec:
     """One study: its key in the summary, its CLI subcommand and help text,
-    ``run(config)`` and ``entries(result, config)``.  The entries map each
-    table the study writes (one CSV each) to its summary entry: ``columns``,
-    ``rows``, ``pass`` and the study's scalar fields."""
+    and ``tables(config)``, which runs it and maps each table it writes (one
+    CSV each) to its summary entry: ``columns``, ``rows``, ``pass`` and the
+    study's scalar fields."""
 
     name: str
     command: str
     description: str
-    run: Callable
-    entries: Callable
+    tables: Callable
 
 
 # The runners are looked up when a study runs, not when this table is built,
 # so wrapping a module attribute such as ``run_gap_demo`` reaches every study.
-# The gap study solves the clamped ladder once for both of its tables.
-_min_convergence_entries = _rate_entries(lambda r, c: min_convergence_passes(r))
 STUDIES = (
-    StudySpec("gap_demo", "gap", "Lavrentiev gap (raw vs clamped minima), convergence of minima",
-              lambda c: run_gap_demo(c),
-              lambda r, c: {"gap_demo": r[0], **_min_convergence_entries(r[1], c)}),
+    StudySpec("gap_demo", "gap", "Lavrentiev gap, convergence of minima, recovery-sequence gap",
+              lambda c: _gap_tables(*run_gap_demo(c))),
     StudySpec("interp_rates", "interp", "nodal interpolation error rates",
-              lambda c: run_interp_rates(c), _rate_entries(lambda r, c: interp_passes(r))),
+              lambda c: _tables(run_interp_rates(c), interp_passes)),
     StudySpec("inverse_study", "inverse", "fractional inverse-inequality ratio study",
-              lambda c: run_inverse_study(c), _rate_entries(lambda r, c: inverse_passes(r))),
+              lambda c: _tables(run_inverse_study(c), inverse_passes)),
     StudySpec("split_rates", "lemmas", "decay rates of the recovery-split terms",
-              lambda c: run_split_rates(c),
-              _rate_entries(lambda r, c: split_rates_passes(r, c.params))),
-    StudySpec("recovery_gap", "recovery", "recovery-sequence energy gap",
-              lambda c: run_recovery(c), _rate_entries(lambda r, c: recovery_passes(r))),
+              lambda c: _tables(run_split_rates(c), split_rates_passes, c.params)),
 )
 
 
@@ -365,7 +362,7 @@ def write_csv(path: Path, columns, rows):
 def run_study(spec: StudySpec, config: ExperimentConfig) -> dict[str, dict]:
     """Run one study, write one CSV per entry into the output directory and
     return the entries by name."""
-    entries = spec.entries(spec.run(config), config)
+    entries = spec.tables(config)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, entry in entries.items():

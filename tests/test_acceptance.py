@@ -2,9 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
 per criterion.  The full mesh ladder (N = 8..1024) and the 10^7-sample
-Monte-Carlo oracle make this the slow part of the test suite (the whole
-suite ran in 49.7 s on x86_64 with 2 vCPUs, 39 s of it criterion 7);
-everything is deterministic.
+Monte-Carlo oracle make this the slow part of the test suite (four runs of
+the whole suite took 21–30 s on x86_64 with 2 vCPUs, 11–16 s of each
+criterion 7); everything is deterministic.
 """
 
 import numpy as np

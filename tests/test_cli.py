@@ -175,21 +175,44 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     capsys.readouterr()
 
 
+GAP_CSVS = ["gap_demo.csv", "min_convergence.csv", "recovery_gap.csv"]
+
+
 def test_converge_study_passes(tmp_path, capsys):
-    # the gap study writes the convergence table and counts its verdict
+    # the gap study writes the convergence and recovery tables and counts
+    # their verdicts
     out = tmp_path / "gap"
     code = main(["gap", *FAST, "--out", str(out)])
     assert code == 0
-    assert sorted(p.name for p in out.iterdir()) == ["gap_demo.csv", "min_convergence.csv"]
+    assert sorted(p.name for p in out.iterdir()) == GAP_CSVS
     text = capsys.readouterr().out
-    assert "-- gap_demo" in text and "-- min_convergence" in text
+    assert "-- gap_demo" in text and "-- min_convergence" in text and "-- recovery_gap" in text
     assert text.splitlines()[-1] == "pass"
+
+
+def test_gap_fails_on_the_recovery_verdict_alone(tmp_path, capsys, monkeypatch):
+    # a floor no interpolant energy meets fails recovery_gap, and only it
+    monkeypatch.setattr(ex, "RECOVERY_TOL", 0.0)
+    out = tmp_path / "gap"
+    assert main(["gap", *FAST, "--out", str(out)]) == 1
+    assert sorted(p.name for p in out.iterdir()) == GAP_CSVS
+    assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
+    gap = next(spec for spec in ex.STUDIES if spec.command == "gap")
+    config = ExperimentConfig(mesh_sizes=(8, 16, 32), max_iters=5000)
+    verdicts = {name: entry["pass"] for name, entry in gap.tables(config).items()}
+    assert verdicts == {"gap_demo": True, "min_convergence": True, "recovery_gap": False}
 
 
 def test_convergence_has_no_subcommand_of_its_own(capsys):
     assert main(["converge"]) == 2
     assert "converge" in capsys.readouterr().err
-    assert [s.command for s in ex.STUDIES] == ["gap", "interp", "inverse", "lemmas", "recovery"]
+    assert [s.command for s in ex.STUDIES] == ["gap", "interp", "inverse", "lemmas"]
+
+
+def test_recovery_has_no_subcommand_of_its_own(capsys):
+    # the gap study writes recovery_gap.csv
+    assert main(["recovery"]) == 2
+    assert "recovery" in capsys.readouterr().err
 
 
 def test_all_writes_summary_and_passes(tmp_path, capsys):
@@ -209,7 +232,7 @@ def test_all_writes_summary_and_passes(tmp_path, capsys):
     ("lemmas", "slope_term.csv"),
     ("gap", "gap_demo.csv"),
     ("gap", "min_convergence.csv"),
-    ("recovery", "recovery_gap.csv"),
+    ("gap", "recovery_gap.csv"),
 ])
 def test_remaining_studies_run_and_emit(tmp_path, capsys, command, csv_name):
     out = tmp_path / command
@@ -225,21 +248,23 @@ def test_subcommands_come_from_the_study_table():
 
 
 def test_repro_runs_are_byte_identical(tmp_path, capsys):
-    fast = ["--set", "mesh_sizes=8,16", "--set", "max_iters=2000"]
+    fast = ["--set", "mesh_sizes=8,16,32", "--set", "max_iters=2000"]
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["recovery", *fast, "--out", str(a)]) == 0
-    assert main(["recovery", *fast, "--out", str(b)]) == 0
+    assert main(["gap", *fast, "--out", str(a)]) == 0
+    assert main(["gap", *fast, "--out", str(b)]) == 0
     capsys.readouterr()
-    assert (a / "recovery_gap.csv").read_bytes() == (b / "recovery_gap.csv").read_bytes()
+    for name in GAP_CSVS:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_overrides_last_wins(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("alpha = 0.01\nmesh_sizes = 8,16\nmax_iters = 2000\n")
+    # the gap study passes on 8,16,32, not on 8,16
+    cfg.write_text("alpha = 0.01\nmesh_sizes = 8,16,32\nmax_iters = 2000\n")
 
     def recovery_csv(name, *sets):
         out = tmp_path / name
-        args = ["recovery", "--config", str(cfg), "--out", str(out)]
+        args = ["gap", "--config", str(cfg), "--out", str(out)]
         for pair in sets:
             args += ["--set", pair]
         assert main(args) == 0

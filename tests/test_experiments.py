@@ -63,10 +63,30 @@ class TestExperimentConfig:
         ("s", 0.5, RegimeError),
         ("grad_tol", float("inf"), ValueError),
         ("max_iters", 0, ValueError),
+        # validated before they are stored as Python numbers, so int() and
+        # float() cannot turn them into valid settings
+        ("max_iters", 2.5, ValueError),
+        ("max_iters", np.float64(200.0), ValueError),
+        ("max_iters", True, ValueError),
+        ("s", True, RegimeError),
     ])
     def test_invalid_settings_raise_at_construction(self, field, value, error):
         with pytest.raises(error, match=field):
             ex.ExperimentConfig(**{field: value})
+
+    def test_numeric_strings_are_not_parsed(self):
+        # float("0.035") would accept it; parsing is the CLI's job
+        with pytest.raises(TypeError):
+            ex.ExperimentConfig(alpha="0.035")
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        config = ex.ExperimentConfig(s=np.float64(0.2), p=np.float32(1.1),
+                                     alpha=np.float32(0.035), grad_tol=np.float32(1e-9),
+                                     max_iters=np.int64(200))
+        names = ("s", "p", "alpha", "grad_tol", "max_iters")
+        assert [type(getattr(config, n)) for n in names] == [float] * 4 + [int]
+        assert config.params == AdmissibleParams(config.s, config.p, config.alpha)
+        assert type(config.params.alpha) is float and type(config.solver.max_iters) is int
 
     def test_solver_defaults_are_the_solve_config_defaults(self):
         assert ex.ExperimentConfig().solver == SolveConfig()
@@ -188,9 +208,11 @@ class TestLadderSharing:
         gap = summary["studies"]["gap_demo"]
         conv = summary["studies"]["min_convergence"]
         assert [row[2] for row in gap["rows"]] == [row[1] for row in conv["rows"]]
-        # recovery_gap reports min_convergence's interpolant energies, bitwise
+        # recovery_gap reports min_convergence's interpolant energies, which
+        # equal run_recovery's bitwise
         recovery = summary["studies"]["recovery_gap"]
         assert [row[1] for row in recovery["rows"]] == [row[2] for row in conv["rows"]]
+        assert recovery["rows"] == [list(row) for row in ex.run_recovery(config).rows]
         # nothing is kept between calls
         ex.run_all(config)
         assert len(solves) == 96
@@ -308,6 +330,19 @@ class TestRunAll:
         for name in sorted(f"{n}.csv" for n in expected) + ["summary.json"]:
             assert (out / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
 
+    def test_numpy_scalar_settings_reach_summary_json(self, tmp_path):
+        # numpy scalars in the config once ended run_all in a TypeError from
+        # json.dumps, after every CSV but before summary.json was written
+        config = ex.ExperimentConfig(mesh_sizes=(8, 16), alpha=np.float32(0.035),
+                                     grad_tol=np.float32(1e-9), max_iters=np.int64(200),
+                                     output_dir=str(tmp_path / "reports"))
+        ex.run_all(config)
+        loaded = json.loads((tmp_path / "reports" / "summary.json").read_text())
+        assert ex.ExperimentConfig(**loaded["config"], output_dir=config.output_dir) == config
+        ex.run_all(ex.ExperimentConfig(**loaded["config"], output_dir=str(tmp_path / "again")))
+        for path in sorted((tmp_path / "reports").iterdir()):
+            assert path.read_bytes() == (tmp_path / "again" / path.name).read_bytes(), path.name
+
     def test_short_ladder_summary_is_strict_json(self, tmp_path):
         # two meshes leave no order fit its 3 usable rows: the NaN orders are
         # written as null, while the returned summary keeps them
@@ -365,8 +400,8 @@ class TestRunAll:
         assert "interp_rates: FAIL" in capsys.readouterr().out
 
     def test_inconsistent_gap_study_writes_neither_table(self, tmp_path, monkeypatch):
-        # raw minima that increase along the ladder: both tables come from
-        # the gap study's ladders, so neither is reported
+        # raw minima that increase along the ladder: all three tables come
+        # from the gap study's ladders, so none is reported
         def fake_ladder(mesh_sizes, solver, alpha=None):
             return [SimpleNamespace(energy=float(n)) for n in mesh_sizes]
 
@@ -375,11 +410,11 @@ class TestRunAll:
         assert summary["partial"] and not summary["all_pass"]
         gap = summary["studies"]["gap_demo"]
         assert gap["error"].startswith("ConsistencyError: raw minima increased")
-        assert "min_convergence" not in summary["studies"]
+        assert not summary["studies"].keys() & {"min_convergence", "recovery_gap"}
         out = tmp_path / "reports"
-        assert not (out / "gap_demo.csv").exists()
-        assert not (out / "min_convergence.csv").exists()
-        assert (out / "recovery_gap.csv").exists()
+        for name in ("gap_demo", "min_convergence", "recovery_gap"):
+            assert not (out / f"{name}.csv").exists(), name
+        assert (out / "interp_lp.csv").exists()
 
     def test_csv_round_trip(self, tmp_path):
         config = small_config(tmp_path, sizes=(8, 16, 32))
@@ -463,6 +498,8 @@ def _no_cycle_cases():
         ("solve_ladder", lambda _: ex.solve_ladder((8, 16, 32), SolveConfig())),
         ("run_min_convergence",
          lambda tmp_path: ex.run_min_convergence(small_config(tmp_path, sizes=(8, 16, 32)))),
+        ("run_recovery",
+         lambda tmp_path: ex.run_recovery(small_config(tmp_path, sizes=(8, 16, 32)))),
         ("gagliardo_pc_p1.1", lambda _: gagliardo_pc(g, 0.2, 1.1)),
         ("gagliardo_pc_p1.1_blocks", lambda _: gagliardo_pc(wide, 0.2, 1.1)),
         ("gagliardo_pc_p2", lambda _: gagliardo_pc(g, 0.2, 2.0)),
