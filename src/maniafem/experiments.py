@@ -151,15 +151,17 @@ def solve_ladder(mesh_sizes, solver: SolveConfig, alpha: float | None = None) ->
     return [best[n] for n in mesh_sizes]
 
 
-def run_gap_demo(config: ExperimentConfig) -> tuple[dict, RateStudy]:
+def run_gap_demo(config: ExperimentConfig) -> dict[str, dict]:
     """Raw minima stay bounded away from zero while clamped minima decay.
 
-    Solves the raw and the clamped ladder once each and returns the gap
-    entry and ``run_min_convergence``'s study of the same clamped minima.
-    The entry has rows (h, raw minimum, clamped minimum, raw min_pivot),
-    the raw floor, the clamped trend order (the study's fitted order), the
-    verdict, and per mesh the chosen raw solve's stop reason, iterations and
-    smallest Hessian pivot (> 0 certifies a strict local minimizer).
+    Solves the raw and the clamped ladder once each and returns the summary
+    entries ``gap_demo``, ``min_convergence`` (``run_min_convergence``'s
+    study of the same clamped minima) and ``recovery_gap``, whose one
+    ``run_recovery`` study also gives min_convergence's interpolant energies.
+    The gap entry has rows (h, raw minimum, clamped minimum, raw min_pivot),
+    the raw floor, the clamped trend order (min_convergence's fitted order),
+    the verdict, and per mesh the chosen raw solve's stop reason, iterations
+    and smallest Hessian pivot (> 0 certifies a strict local minimizer).
     """
     raw = solve_ladder(config.mesh_sizes, config.solver)
     clamped = solve_ladder(config.mesh_sizes, config.solver, config.params.alpha)
@@ -172,7 +174,8 @@ def run_gap_demo(config: ExperimentConfig) -> tuple[dict, RateStudy]:
             )
     if any(b > a for a, b in zip(raw_e, raw_e[1:])):
         raise ConsistencyError(f"raw minima increased along the ladder: {raw_e}")
-    study = _min_convergence(config.params, clamped)
+    recovery = run_recovery(config)
+    study = _min_convergence(config.params, clamped, recovery)
     raw_floor = min(raw_e)
     entry = {
         "raw_floor": raw_floor,
@@ -184,7 +187,8 @@ def run_gap_demo(config: ExperimentConfig) -> tuple[dict, RateStudy]:
         "raw_solves": [{"n": n, "reason": r.reason, "iters": r.iters, "min_pivot": r.min_pivot}
                        for n, r in zip(config.mesh_sizes, raw)],
     }
-    return entry, study
+    return {"gap_demo": entry, **_tables(study, min_convergence_passes),
+            **_tables(recovery, recovery_passes)}
 
 
 def run_min_convergence(config: ExperimentConfig) -> RateStudy:
@@ -195,17 +199,20 @@ def run_min_convergence(config: ExperimentConfig) -> RateStudy:
     convergence of the minimum values, not of the minimizers.
     """
     return _min_convergence(
-        config.params, solve_ladder(config.mesh_sizes, config.solver, config.params.alpha))
+        config.params, solve_ladder(config.mesh_sizes, config.solver, config.params.alpha),
+        run_recovery(config))
 
 
-def _min_convergence(params: AdmissibleParams, results: list[SolveResult]) -> RateStudy:
-    """The min_convergence study of the clamped ladder ``results``."""
+def _min_convergence(params: AdmissibleParams, results: list[SolveResult],
+                     recovery: RateStudy) -> RateStudy:
+    """The min_convergence study of the clamped ladder ``results``, with the
+    interpolant energies of the ``recovery`` study on the same meshes."""
     fn, dfn = power_fn(1.0 / 3.0)
     rows = []
-    for res in results:
+    for res, (_, energy) in zip(results, recovery.rows, strict=True):
         mesh = res.minimizer.mesh
         _, dist = fe_error(fn, dfn, res.minimizer, StudyGrid(mesh), params.p)
-        rows.append((mesh.h, res.energy, recovery_gap(fn, mesh, params.alpha), dist))
+        rows.append((mesh.h, res.energy, energy, dist))
     return make_rate_study(
         "min_convergence", ("h", "value", "interp_energy", "w1p_distance"), rows)
 
@@ -251,7 +258,7 @@ def run_inverse_study(config: ExperimentConfig) -> dict[str, RateStudy]:
 
     def row(mesh):
         f_h = interpolate(mesh, fn)
-        return [seminorm_w1sp(f_h, s, p).value / (mesh.h**-s * norm_wkp(f_h, 1, p))
+        return [seminorm_w1sp(f_h, s, p).value / (mesh.h**-s * norm_wkp(f_h, p))
                 for s, p in variants]
 
     return _ladder_studies(config, ("inverse_ratio", "inverse_ratio_h1"), row)
@@ -317,14 +324,6 @@ def _tables(result, passes: Callable, *args) -> dict[str, dict]:
             for name, study in studies.items()}
 
 
-def _gap_tables(entry: dict, study: RateStudy) -> dict[str, dict]:
-    """The gap ``entry``, the min_convergence ``study`` of its clamped ladder
-    and the recovery gap read from that study's (h, interp_energy) columns."""
-    recovery = make_rate_study("recovery_gap", ("h", "value"), [(r[0], r[2]) for r in study.rows])
-    return {"gap_demo": entry, **_tables(study, min_convergence_passes),
-            **_tables(recovery, recovery_passes)}
-
-
 @dataclass(frozen=True)
 class StudySpec:
     """One study: its key in the summary, its CLI subcommand and help text,
@@ -342,7 +341,7 @@ class StudySpec:
 # so wrapping a module attribute such as ``run_gap_demo`` reaches every study.
 STUDIES = (
     StudySpec("gap_demo", "gap", "Lavrentiev gap, convergence of minima, recovery-sequence gap",
-              lambda c: _gap_tables(*run_gap_demo(c))),
+              lambda c: run_gap_demo(c)),
     StudySpec("interp_rates", "interp", "nodal interpolation error rates",
               lambda c: _tables(run_interp_rates(c), interp_passes)),
     StudySpec("inverse_study", "inverse", "fractional inverse-inequality ratio study",

@@ -194,19 +194,16 @@ def _lp_power_linear(values: np.ndarray, h: float, p: float) -> float:
     return float(np.sum(np.where(flat, level, sloped)))
 
 
-def norm_wkp(f: FeFunction, k: int, p: float) -> float:
-    """W^{k,p} norm of a finite element function for k in {0, 1}, from exact
-    per-element antiderivatives.  Other profiles are integrated on a
-    ``StudyGrid`` (see ``studies.fe_error``)."""
-    if k not in (0, 1):
-        raise ValueError(f"k must be 0 or 1, got {k}")
+def norm_wkp(f: FeFunction, p: float) -> float:
+    """W^{1,p} norm of a finite element function, from exact per-element
+    antiderivatives.  Other profiles are integrated on a ``StudyGrid`` (see
+    ``studies.fe_error``)."""
     if not p >= 1.0:
         raise RegimeError(f"p >= 1 violated: p = {p}")
     if not isinstance(f, FeFunction):
         raise TypeError(f"norm_wkp takes a FeFunction, got {type(f).__name__}")
-    total = _lp_power_linear(f.nodal_values, f.mesh.h, p)
-    if k == 1:
-        total += f.mesh.h * float(np.sum(np.abs(f.slopes()) ** p))
+    total = (_lp_power_linear(f.nodal_values, f.mesh.h, p)
+             + f.mesh.h * float(np.sum(np.abs(f.slopes()) ** p)))
     return total ** (1.0 / p)
 
 
@@ -329,10 +326,9 @@ def _pc_inner_integral(g: PiecewiseConstant, sp: float, p: float):
     out-of-range and same-element numerators are 0): n+1 powers per sample.
     x is evaluated in blocks of _PC_BLOCK // (n+1) samples through two reused
     buffers, one for the distances and one for the gathered weights.  The
-    values go to ``out`` if given (it may be x itself: each block is written
-    after it is read) and to a new array otherwise.  The closure never refers
-    to itself, so the buffers and the weight table are freed by reference
-    counting as soon as the caller drops it.
+    values go to ``out``, which may be x itself: each block is written after
+    it is read.  The closure never refers to itself, so the buffers and the
+    weight table are freed by reference counting once the caller drops it.
 
     On a node hit (x == x_k bitwise) d_k := h makes phi_k = phi_{k-1}, so
     element k-1 contributes 0 instead of its divergent integral; at x = 0,
@@ -362,9 +358,7 @@ def _pc_inner_integral(g: PiecewiseConstant, sp: float, p: float):
             # written last, so out may be x itself
             np.einsum("ij,ij->j", w, d, out=out[lo:hi])
 
-    def inner(x, out=None):
-        if out is None:
-            out = np.empty(x.size)
+    def inner(x, out):
         if x.size == 1:
             # einsum sums a lone column in another order; a repeated column
             # keeps every value independent of how the samples are split

@@ -84,7 +84,7 @@ def clamp_level(mesh: Mesh1D, alpha: float) -> float:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if not mesh.h < 1.0:
         raise ValueError(f"the clamp needs h < 1, got a one-element mesh (h = {mesh.h})")
-    return mesh.h ** -alpha
+    return mesh.h ** -float(alpha)
 
 
 def fe_objective(mesh: Mesh1D, clamp: float | None = None):

@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from maniafem.experiments import (
-    STUDIES, ExperimentConfig, run_all, run_min_convergence, run_study, write_csv)
+    STUDIES, ExperimentConfig, run_all, run_min_convergence, run_recovery, run_study,
+    write_csv)
 
 DEEP_LADDER = tuple(2**k for k in range(3, 15))
 SETS = ("default", "deep")
@@ -72,11 +73,9 @@ def main(out: Path):
     for spec in STUDIES:
         if spec.name != "gap_demo":
             run_study(spec, deep)
-    # the gap study's two tables of its clamped ladder, without the deep raw ladder
-    study = run_min_convergence(deep)
-    write_csv(out / "deep" / "min_convergence.csv", study.columns, study.rows)
-    write_csv(out / "deep" / "recovery_gap.csv", ("h", "value"),
-              [(h, energy) for h, _, energy, _ in study.rows])
+    # the gap study's tables of its clamped ladder, without the deep raw ladder
+    for study in (run_min_convergence(deep), run_recovery(deep)):
+        write_csv(out / "deep" / f"{study.target}.csv", study.columns, study.rows)
     (out / "env.json").write_text(json.dumps(environment(), indent=2, sort_keys=True) + "\n")
     for line in moved(before, reports(out)):
         print(line)

@@ -2,8 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
 per criterion.  The full mesh ladder (N = 8..1024) and the 10^7-sample
-Monte-Carlo oracle make this the slow part of the test suite (four runs of
-the whole suite took 21–30 s on x86_64 with 2 vCPUs, 11–16 s of each
+Monte-Carlo oracle make this the slow part of the test suite (three runs of
+the whole suite took 33–41 s on x86_64 with 2 vCPUs, 16–20 s of each
 criterion 7); everything is deterministic.
 """
 
@@ -40,8 +40,7 @@ def config():
 
 @pytest.fixture(scope="module")
 def gap_report(config):
-    entry, _ = ex.run_gap_demo(config)
-    return entry
+    return ex.run_gap_demo(config)["gap_demo"]
 
 
 @pytest.fixture(scope="module")

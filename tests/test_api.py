@@ -1,5 +1,7 @@
 """The package's public surface: the README's quick start runs as written,
-and the package root imports exactly the names the studies and the CLI use."""
+and the package root imports exactly the pinned names: what the studies and
+the CLI use, plus ``gagliardo_oracle_mc``, the Monte-Carlo oracle that
+cross-checks the closed-form seminorm."""
 
 import ast
 import re

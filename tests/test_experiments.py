@@ -100,9 +100,17 @@ class TestExperimentConfig:
 class TestGapDemo:
     def test_small_ladder_report(self, tmp_path):
         config = small_config(tmp_path)
-        report, study = ex.run_gap_demo(config)
-        # the convergence table of the same clamped minima, bitwise
-        assert study == ex.run_min_convergence(config)
+        tables = ex.run_gap_demo(config)
+        assert list(tables) == ["gap_demo", "min_convergence", "recovery_gap"]
+        report = tables["gap_demo"]
+        # the convergence and recovery tables of the same clamped minima, bitwise
+        study, recovery = ex.run_min_convergence(config), ex.run_recovery(config)
+        for entry, want in ((tables["min_convergence"], study),
+                            (tables["recovery_gap"], recovery)):
+            assert entry["columns"] == list(want.columns)
+            assert entry["rows"] == [list(row) for row in want.rows]
+            assert (entry["fitted_order"], entry["r2"]) == (want.fitted_order, want.fit_r2)
+        assert report["clamped_trend_order"] == study.fitted_order
         assert [row[2] for row in report["rows"]] == [row[1] for row in study.rows]
         raw = [row[1] for row in report["rows"]]
         clamped = [row[2] for row in report["rows"]]
@@ -257,6 +265,17 @@ class TestLadderStudies:
             solves = calls.pop("minimize_from", 0)
             assert calls == counts, runner
             assert (solves > 0) == (runner == "run_min_convergence"), runner
+        # the gap study takes its recovery table and min_convergence's
+        # interpolant energies from one run_recovery call
+        recoveries = []
+        run_recovery = ex.run_recovery
+        monkeypatch.setattr(ex, "run_recovery", lambda c: recoveries.append(c) or run_recovery(c))
+        calls.clear()
+        [gap] = [spec for spec in ex.STUDIES if spec.command == "gap"]
+        gap.tables(config)
+        assert recoveries == [config]
+        assert calls.pop("minimize_from") > 0
+        assert calls == {"recovery_gap": 2}
 
     @pytest.mark.parametrize("runner", sorted(LADDER_RUNNERS))
     def test_rows_depend_only_on_their_mesh(self, tmp_path, runner):
@@ -504,7 +523,7 @@ def _no_cycle_cases():
         ("gagliardo_pc_p1.1_blocks", lambda _: gagliardo_pc(wide, 0.2, 1.1)),
         ("gagliardo_pc_p2", lambda _: gagliardo_pc(g, 0.2, 2.0)),
         ("seminorm_w1sp", lambda _: seminorm_w1sp(fe(), 0.2, 1.1)),
-        ("norm_wkp", lambda _: norm_wkp(fe(), 1, 1.1)),
+        ("norm_wkp", lambda _: norm_wkp(fe(), 1.1)),
         ("interp_error", lambda _: interp_error(root, droot, StudyGrid(Mesh1D(64)), 1.1)),
         ("value_mismatch_term",
          lambda _: value_mismatch_term(root, StudyGrid(Mesh1D(64)), alpha)),

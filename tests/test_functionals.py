@@ -61,6 +61,17 @@ class TestClampLevel:
             levels.append(clamp)
         assert levels == sorted(levels)
 
+    def test_numpy_scalar_alpha_is_taken_as_a_double(self):
+        # a float32 alpha must not pull the clamp, and so the energy, down
+        # to single precision
+        mesh = Mesh1D(8)
+        alpha = np.float32(0.035)
+        clamp = clamp_level(mesh, alpha)
+        assert type(clamp) is float
+        assert clamp == mesh.h ** -float(alpha)
+        f = interpolate(mesh, lambda x: x ** (1 / 3))
+        assert energy_clamped(f, alpha) == energy_clamped(f, float(alpha))
+
     @pytest.mark.parametrize("n, alpha", [
         (4, 0.0), (4, -0.1), (4, float("nan")), (1, 0.035),
     ])
