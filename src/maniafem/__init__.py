@@ -24,7 +24,6 @@ from .optimize import SolveConfig, SolveResult, minimize_from
 from .studies import (
     RateStudy,
     interp_error,
-    power_fn,
     recovery_gap,
     slope_mismatch_term,
     value_mismatch_term,

@@ -24,8 +24,8 @@ from pathlib import Path
 
 from .errors import ConsistencyError, RegimeError
 from .fractional import seminorm_w1sp
-from .mesh import Mesh1D, interpolate
-from .studies import power_fn
+from .mesh import Mesh1D
+from .studies import power_interpolant
 from . import experiments as ex
 
 EXIT_OK = 0
@@ -131,11 +131,9 @@ def _cmd_solve(args, config) -> int:
 
 
 def _cmd_seminorm(args, config) -> int:
-    params = config.params
     mesh = Mesh1D(args.mesh)
-    fn, _ = power_fn(1.0 / 3.0)
-    result = seminorm_w1sp(interpolate(mesh, fn), params.s, params.p)
-    print(f"N = {mesh.n_elements}  s = {params.s}  p = {params.p}")
+    result = seminorm_w1sp(power_interpolant(1.0 / 3.0, mesh), config.s, config.p)
+    print(f"N = {mesh.n_elements}  s = {config.s}  p = {config.p}")
     print(f"[I_h x^(1/3)]_(W^(1+s,p)) = {result.value:.17g}")
     return EXIT_OK
 

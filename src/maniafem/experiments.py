@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConsistencyError
 from .fractional import norm_wkp, seminorm_w1sp
 from .functionals import AdmissibleParams
-from .mesh import Mesh1D, interpolate
+from .mesh import Mesh1D
 from .optimize import SolveConfig, SolveResult, initial_values, minimize_from, prolongate
 from .quadrature import StudyGrid
 from .quadrature import graded_grid  # noqa: F401  (kept for perfbench/tracer.py)
@@ -33,7 +33,7 @@ from .studies import (
     interp_error,
     ladder_tail,
     make_rate_study,
-    power_fn,
+    power_interpolant,
     recovery_gap,
     slope_mismatch_term,
     value_mismatch_term,
@@ -207,11 +207,10 @@ def _min_convergence(params: AdmissibleParams, results: list[SolveResult],
                      recovery: RateStudy) -> RateStudy:
     """The min_convergence study of the clamped ladder ``results``, with the
     interpolant energies of the ``recovery`` study on the same meshes."""
-    fn, dfn = power_fn(1.0 / 3.0)
     rows = []
     for res, (_, energy) in zip(results, recovery.rows, strict=True):
         mesh = res.minimizer.mesh
-        _, dist = fe_error(fn, dfn, res.minimizer, StudyGrid(mesh), params.p)
+        _, dist = fe_error(1.0 / 3.0, res.minimizer, StudyGrid(mesh), params.p)
         rows.append((mesh.h, res.energy, energy, dist))
     return make_rate_study(
         "min_convergence", ("h", "value", "interp_energy", "w1p_distance"), rows)
@@ -237,9 +236,8 @@ def _ladder_studies(config: ExperimentConfig, targets, row: Callable) -> dict[st
 
 def run_interp_rates(config: ExperimentConfig) -> dict[str, RateStudy]:
     """Nodal-interpolation error rates for x^(1/3) in L^p and W^{1,p}."""
-    fn, dfn = power_fn(1.0 / 3.0)
     return _ladder_studies(config, ("interp_lp", "interp_w1p"),
-                           lambda mesh: interp_error(fn, dfn, StudyGrid(mesh), config.params.p))
+                           lambda mesh: interp_error(1.0 / 3.0, StudyGrid(mesh), config.params.p))
 
 
 def interp_passes(studies: dict[str, RateStudy]) -> bool:
@@ -253,11 +251,10 @@ def interp_passes(studies: dict[str, RateStudy]) -> bool:
 def run_inverse_study(config: ExperimentConfig) -> dict[str, RateStudy]:
     """Boundedness of [v_h]_{W^{1+s,p}} / (h^-s ||v_h||_{W^{1,p}}) for the
     interpolant of x^(1/3), plus the p = 2, beta = 0.4 Hilbert-space variant."""
-    fn, _ = power_fn(1.0 / 3.0)
     variants = ((config.params.s, config.params.p), (HILBERT_VARIANT_BETA, 2.0))
 
     def row(mesh):
-        f_h = interpolate(mesh, fn)
+        f_h = power_interpolant(1.0 / 3.0, mesh)
         return [seminorm_w1sp(f_h, s, p).value / (mesh.h**-s * norm_wkp(f_h, p))
                 for s, p in variants]
 
@@ -277,13 +274,11 @@ def run_split_rates(config: ExperimentConfig) -> dict[str, RateStudy]:
     non-degenerate profile in the same regime.  At x^(1/3) the value term
     would degenerate into the clamped interpolant energy, since v^3 - x
     vanishes there."""
-    alpha = config.params.alpha
-    fn_q, dfn_q = power_fn(SPLIT_PROBE_EXPONENT)
+    q, alpha = SPLIT_PROBE_EXPONENT, config.params.alpha
 
     def row(mesh):
         grid = StudyGrid(mesh)
-        return (value_mismatch_term(fn_q, grid, alpha),
-                slope_mismatch_term(fn_q, dfn_q, grid, alpha))
+        return value_mismatch_term(q, grid, alpha), slope_mismatch_term(q, grid, alpha)
 
     return _ladder_studies(config, ("value_term", "slope_term"), row)
 
@@ -303,9 +298,8 @@ def split_rates_passes(studies: dict[str, RateStudy], params: AdmissibleParams) 
 
 def run_recovery(config: ExperimentConfig) -> RateStudy:
     """Clamped energy of the interpolated minimizer against its limit 0."""
-    fn, _ = power_fn(1.0 / 3.0)
     studies = _ladder_studies(config, ("recovery_gap",),
-                              lambda mesh: [recovery_gap(fn, mesh, config.params.alpha)])
+                              lambda mesh: [recovery_gap(1.0 / 3.0, mesh, config.params.alpha)])
     return studies["recovery_gap"]
 
 
@@ -372,11 +366,14 @@ def run_study(spec: StudySpec, config: ExperimentConfig) -> dict[str, dict]:
 def run_all(config: ExperimentConfig) -> dict:
     """Run every study, write one CSV per table plus a JSON summary, and
     return the bundle.  A study that raises is recorded under its name and
-    marks the bundle partial instead of aborting the rest."""
+    marks the bundle partial instead of aborting the rest; an OSError is an
+    I/O failure, not a failed study, and propagates."""
     summary: dict = {"partial": False, "studies": {}}
     for spec in STUDIES:
         try:
             summary["studies"].update(run_study(spec, config))
+        except OSError:
+            raise
         except Exception as exc:  # noqa: BLE001 - studies are independent
             summary["partial"] = True
             summary["studies"][spec.name] = {"error": f"{type(exc).__name__}: {exc}",

@@ -94,13 +94,13 @@ class SeminormResult:
             )
 
 
-def _check_regime(s: float, p: float):
+def _check_regime(s: float, p: float, sp_bound: float = 1.0):
     if not 0.0 < s < 1.0:
         raise RegimeError(f"0 < s < 1 violated: s = {s}")
     if not p >= 1.0:
         raise RegimeError(f"p >= 1 violated: p = {p}")
-    if not s * p < 1.0:
-        raise RegimeError(f"sp < 1 violated: {s}*{p} = {s * p}")
+    if not s * p < sp_bound:
+        raise RegimeError(f"sp < {sp_bound:g} violated: {s}*{p} = {s * p}")
 
 
 def gagliardo_pc(g: PiecewiseConstant, s: float, p: float) -> SeminormResult:
@@ -198,8 +198,8 @@ def norm_wkp(f: FeFunction, p: float) -> float:
     """W^{1,p} norm of a finite element function, from exact per-element
     antiderivatives.  Other profiles are integrated on a ``StudyGrid`` (see
     ``studies.fe_error``)."""
-    if not p >= 1.0:
-        raise RegimeError(f"p >= 1 violated: p = {p}")
+    if not 1.0 <= p < np.inf:
+        raise RegimeError(f"1 <= p < inf violated: p = {p}")
     if not isinstance(f, FeFunction):
         raise TypeError(f"norm_wkp takes a FeFunction, got {type(f).__name__}")
     total = (_lp_power_linear(f.nodal_values, f.mesh.h, p)
@@ -382,12 +382,11 @@ def gagliardo_oracle_mc(g: PiecewiseConstant, s: float, p: float, n_samples: int
     over the nodes so a sample costs n+1 powers (see ``_pc_inner_integral``).
     Same-element pairs drop out analytically (their numerator is zero), and
     a sample exactly on a node takes the element ending there as
-    contributing nothing.  The exact inner integral is what keeps the
-    estimator's variance finite (for 2sp < 1) despite the integrable kernel
-    singularity at shared element boundaries -- naive sampling of both
-    coordinates is heavy-tailed there and its standard error estimate is
-    unreliable.  This path shares no algebra with the twice-integrated
-    closed form it is used to check.
+    contributing nothing.  The exact inner integral avoids the heavy tail
+    of sampling both coordinates, yet grows like d^(-sp) near a node: the
+    samples have finite variance only if 2sp < 1, else RegimeError (the
+    closed form takes sp < 1).  This path shares no algebra with the
+    twice-integrated closed form it is used to check.
 
     Samples are summed in chunks of 65 536, evaluated in cache-sized blocks
     and spread over every core (see ``_mc_accumulate``); neither changes any
@@ -396,7 +395,7 @@ def gagliardo_oracle_mc(g: PiecewiseConstant, s: float, p: float, n_samples: int
     ``est_error`` is the standard error of the mean, transported to the
     seminorm scale by the delta method.
     """
-    _check_regime(s, p)
+    _check_regime(s, p, 0.5)  # 2sp < 1
     if not isinstance(g, PiecewiseConstant):
         raise TypeError(f"gagliardo_oracle_mc takes a PiecewiseConstant, got {type(g).__name__}")
     if not isinstance(n_samples, (int, np.integer)):

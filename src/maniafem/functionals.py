@@ -16,10 +16,10 @@ while leaving moderate slopes untouched.
 Both energies are assembled element-wise by Gauss quadrature that is exact
 for the degree-6 densities piecewise-linear functions produce, so no
 quadrature error enters any convergence study.  One element kernel,
-``fe_objective``, serves the solver: an energy closure, and a derivatives
-closure that computes the per-element terms once and assembles from them
-both the gradient and the tridiagonal Hessian over the interior nodal
-values.
+``fe_objective``, serves the solver: one pass computes the per-element
+terms, from which an energy closure sums the energy and a derivatives
+closure assembles both the gradient and the tridiagonal Hessian over the
+interior nodal values.
 """
 
 from __future__ import annotations
@@ -122,38 +122,32 @@ def fe_objective(mesh: Mesh1D, clamp: float | None = None):
     x = mesh.nodes[:-1, None] + np.outer(h_vec, t)
     inv_h = 1.0 / mesh.h
 
-    def assemble(interior):
+    def terms(interior):
+        """v at the rule's points, v^3 - x, S_k, the slopes d and the clamped slopes c."""
         full = np.empty(n + 1)
         full[0], full[-1] = 0.0, 1.0
         full[1:-1] = interior
-        return full
+        v = full[:-1, None] * omt + full[1:, None] * t
+        diff = v * v * v - x
+        s_k = ((diff * diff) @ w) * h_vec
+        d = np.diff(full) * inv_h
+        c = d if clamp is None else np.clip(d, -clamp, clamp)
+        return v, diff, s_k, d, c
 
     def energy(interior) -> float:
         # overflow to inf is fine: the line search rejects non-finite trials
         with np.errstate(over="ignore", invalid="ignore"):
-            full = assemble(interior)
-            v = full[:-1, None] * omt + full[1:, None] * t
-            dens = v * v * v - x
-            dens *= dens
-            s_k = (dens @ w) * h_vec
-            d = np.diff(full) * inv_h
-            if clamp is not None:
-                d = np.clip(d, -clamp, clamp)
-            d2 = d * d
-            return float(np.einsum("i,i->", d2 * d2 * d2, s_k))
+            *_, s_k, _, c = terms(interior)
+            c2 = c * c
+            return float(np.einsum("i,i->", c2 * c2 * c2, s_k))
 
     def derivatives(interior) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        full = assemble(interior)
-        v = full[:-1, None] * omt + full[1:, None] * t
-        diff = v * v * v - x
-        s_k = ((diff * diff) @ w) * h_vec
+        v, diff, s_k, d, c = terms(interior)
         dd = (6.0 * v * v) * diff
         s_a = ((dd * omt) @ w) * h_vec
         s_b = ((dd * t) @ w) * h_vec
         q = (6.0 * v) * (3.0 * v * v * v + 2.0 * diff)
         s_pairs = (q @ w_pairs) * h_vec[:, None]
-        d = np.diff(full) * inv_h
-        c = d if clamp is None else np.clip(d, -clamp, clamp)
         c2 = c * c
         c4 = c2 * c2
         # p0 = P, p1 = P'/h, p2 = P''/h^2

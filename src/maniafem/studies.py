@@ -33,7 +33,6 @@ from .fractional import norm_wkp  # noqa: F401
 __all__ = [
     "RateStudy",
     "make_rate_study",
-    "power_fn",
     "fe_error",
     "interp_error",
     "value_mismatch_term",
@@ -108,18 +107,6 @@ def make_rate_study(target, columns, rows) -> RateStudy:
     )
 
 
-def power_fn(q: float):
-    """(x^q, q x^(q-1)) as a vectorized profile/derivative pair."""
-
-    def fn(x):
-        return np.power(x, q)
-
-    def dfn(x):
-        return q * np.power(x, q - 1.0)
-
-    return fn, dfn
-
-
 def _fe_at(f: FeFunction, x: np.ndarray, k: slice) -> np.ndarray:
     """``f`` at the points ``x`` of its elements ``k``, one row per element, as
     s_k (x - x_k) + v_k: ``np.interp``'s formula, so equal to ``f.evaluate``
@@ -133,10 +120,13 @@ def _fe_at(f: FeFunction, x: np.ndarray, k: slice) -> np.ndarray:
     return out
 
 
-def fe_error(fn, dfn, f: FeFunction, grid: StudyGrid, p: float) -> tuple[float, float]:
-    """(||v - f||_{L^p}, ||v - f||_{W^{1,p}}) for v = ``fn`` with derivative
-    ``dfn`` and a finite element function ``f`` on the grid's mesh,
-    integrating |v - f|^p once."""
+def power_interpolant(q: float, mesh: Mesh1D) -> FeFunction:
+    return interpolate(mesh, lambda x: np.power(x, q))
+
+
+def fe_error(q: float, f: FeFunction, grid: StudyGrid, p: float) -> tuple[float, float]:
+    """(||v - f||_{L^p}, ||v - f||_{W^{1,p}}) for v = x^q and a finite element
+    function ``f`` on the grid's mesh, integrating |v - f|^p once."""
     if f.mesh.n_elements != grid.mesh.n_elements:
         raise ValueError("the function lives on another mesh")
     slopes = f.slopes()
@@ -146,14 +136,14 @@ def fe_error(fn, dfn, f: FeFunction, grid: StudyGrid, p: float) -> tuple[float, 
         err **= p
         return err
 
-    value = grid.integrate(lambda x, k: abs_power(fn(x) - _fe_at(f, x, k)))
-    slope = grid.integrate(lambda x, k: abs_power(dfn(x) - slopes[k, None]))
+    value = grid.integrate(lambda x, k: abs_power(np.power(x, q) - _fe_at(f, x, k)))
+    slope = grid.integrate(lambda x, k: abs_power(q * np.power(x, q - 1.0) - slopes[k, None]))
     return value ** (1.0 / p), (value + slope) ** (1.0 / p)
 
 
-def interp_error(fn, dfn, grid: StudyGrid, p: float) -> tuple[float, float]:
-    """(||v - I_h v||_{L^p}, ||v - I_h v||_{W^{1,p}}) on the grid's mesh."""
-    return fe_error(fn, dfn, interpolate(grid.mesh, fn), grid, p)
+def interp_error(q: float, grid: StudyGrid, p: float) -> tuple[float, float]:
+    """(||v - I_h v||_{L^p}, ||v - I_h v||_{W^{1,p}}) for v = x^q on the grid's mesh."""
+    return fe_error(q, power_interpolant(q, grid.mesh), grid, p)
 
 
 def _density(v: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -164,41 +154,41 @@ def _density(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def value_mismatch_term(fn, grid: StudyGrid, alpha: float) -> float:
-    """Energy cost of swapping v for I_h v inside the density weight.
+def value_mismatch_term(q: float, grid: StudyGrid, alpha: float) -> float:
+    """Energy cost of swapping v = x^q for I_h v inside the density weight.
 
     Signed: the integrand is a difference of squares under the clamped
     slope factor of the interpolant, which is constant on each element.
     """
     clamp = clamp_level(grid.mesh, alpha)
-    f_h = interpolate(grid.mesh, fn)
+    f_h = power_interpolant(q, grid.mesh)
     weight = np.clip(f_h.slopes(), -clamp, clamp) ** 6
 
     def integrand(x, k):
         vals = _density(_fe_at(f_h, x, k), x)
-        vals -= _density(fn(x), x)
+        vals -= _density(np.power(x, q), x)
         vals *= weight[k, None]
         return vals
 
     return grid.integrate(integrand)
 
 
-def slope_mismatch_term(fn, dfn, grid: StudyGrid, alpha: float) -> float:
-    """Energy cost of clamping the interpolant's slope instead of v'."""
+def slope_mismatch_term(q: float, grid: StudyGrid, alpha: float) -> float:
+    """Energy cost of clamping the slope of I_h v instead of v' for v = x^q."""
     clamp = clamp_level(grid.mesh, alpha)
-    weight = np.clip(interpolate(grid.mesh, fn).slopes(), -clamp, clamp) ** 6
+    weight = np.clip(power_interpolant(q, grid.mesh).slopes(), -clamp, clamp) ** 6
 
     def integrand(x, k):
-        vals = np.clip(dfn(x), -clamp, clamp) ** 6
+        vals = np.clip(q * np.power(x, q - 1.0), -clamp, clamp) ** 6
         # |c_v - c_h| equals |c_h - c_v| bitwise: rounding is symmetric under negation
         vals -= weight[k, None]
         np.abs(vals, out=vals)
-        vals *= _density(fn(x), x)
+        vals *= _density(np.power(x, q), x)
         return vals
 
     return grid.integrate(integrand)
 
 
-def recovery_gap(fn, mesh: Mesh1D, alpha: float) -> float:
-    """Clamped energy of the interpolant: the recovery gap of a v with J(v) = 0."""
-    return energy_clamped(interpolate(mesh, fn), alpha)
+def recovery_gap(q: float, mesh: Mesh1D, alpha: float) -> float:
+    """Clamped energy of I_h x^q: the recovery gap when q = 1/3, where J(x^q) = 0."""
+    return energy_clamped(power_interpolant(q, mesh), alpha)

@@ -145,14 +145,13 @@ def test_criterion_6_recovery_limsup(config):
     gaps = [row[1] for row in study.rows]
     decay_ok = all(b < a for a, b in zip(gaps, gaps[1:])) and gaps[-1] <= 1e-3
 
-    identity = lambda x: np.asarray(x, dtype=float)
     zero_ok = True
     for n in config.mesh_sizes:
         mesh = Mesh1D(n)
         assert clamp_level(mesh, config.params.alpha) >= 1.0
         # two exact quadratures of the same degree-6 density differ only in
         # float summation order, so "exactly zero" means machine zero here
-        zero_ok &= abs(recovery_gap(identity, mesh, config.params.alpha) - EIGHT_105) <= 1e-15
+        zero_ok &= abs(recovery_gap(1.0, mesh, config.params.alpha) - EIGHT_105) <= 1e-15
     ok = decay_ok and zero_ok
     report(6, ok, (
         f"J_h(interp of x^(1/3)) decays {gaps[0]:.3e} -> {gaps[-1]:.3e} <= 1e-3; "

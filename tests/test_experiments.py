@@ -24,7 +24,6 @@ from maniafem.optimize import SolveConfig, initial_values, minimize_from
 from maniafem.quadrature import StudyGrid
 from maniafem.studies import (
     interp_error,
-    power_fn,
     slope_mismatch_term,
     value_mismatch_term,
 )
@@ -313,12 +312,11 @@ class TestSplitRates:
         config = small_config(tmp_path, sizes=(8, 16, 32))
         value_t = ex.run_split_rates(config)["value_term"]
         assert ex.SPLIT_PROBE_EXPONENT == 0.45
-        fn, _ = power_fn(ex.SPLIT_PROBE_EXPONENT)
-        root, _ = power_fn(1.0 / 3.0)
         for n, (h, value) in zip(config.mesh_sizes, value_t.rows):
             mesh = Mesh1D(n)
-            assert value == value_mismatch_term(fn, StudyGrid(mesh), 0.035) > 0.0
-            interp_energy = energy_clamped(interpolate(mesh, root), 0.035)
+            term = value_mismatch_term(ex.SPLIT_PROBE_EXPONENT, StudyGrid(mesh), 0.035)
+            assert value == term > 0.0
+            interp_energy = energy_clamped(interpolate(mesh, lambda x: np.power(x, 1 / 3)), 0.035)
             assert abs(value - interp_energy) > 0.1 * interp_energy
 
 
@@ -418,6 +416,18 @@ class TestRunAll:
         assert main(["all", "--set", "mesh_sizes=8,16,32", "--out", str(cli_out)]) == 1
         assert "interp_rates: FAIL" in capsys.readouterr().out
 
+    def test_io_failure_is_raised_not_recorded_as_a_failed_study(self, tmp_path, capsys):
+        # a CSV that cannot be written is the CLI's I/O failure (exit 3), not
+        # a study failure with a partial summary
+        config = small_config(tmp_path, sizes=(8, 16, 32))
+        out = tmp_path / "reports"
+        (out / "interp_lp.csv").mkdir(parents=True)
+        with pytest.raises(IsADirectoryError):
+            ex.run_all(config)
+        assert not (out / "summary.json").exists()
+        assert main(["all", "--set", "mesh_sizes=8,16,32", "--out", str(out)]) == 3
+        assert "I/O error" in capsys.readouterr().err
+
     def test_inconsistent_gap_study_writes_neither_table(self, tmp_path, monkeypatch):
         # raw minima that increase along the ladder: all three tables come
         # from the gap study's ladders, so none is reported
@@ -499,13 +509,12 @@ class TestStudyPassPredicates:
 def _no_cycle_cases():
     """One ``call(tmp_path)`` param per numeric entry point the sweep checks."""
     alpha = ex.ExperimentConfig().params.alpha
-    root, droot = power_fn(1.0 / 3.0)
     g = PiecewiseConstant(Mesh1D(16), np.random.default_rng(5).uniform(-1, 1, 16))
     # N = 1024 takes several blocks of gaps, so a worker thread starts
     wide = PiecewiseConstant(Mesh1D(1024), np.random.default_rng(6).uniform(-1, 1, 1024))
 
     def fe():
-        return interpolate(Mesh1D(64), root)
+        return interpolate(Mesh1D(64), lambda x: np.power(x, 1 / 3))
 
     def minimize(a):
         mesh = Mesh1D(16)
@@ -524,11 +533,9 @@ def _no_cycle_cases():
         ("gagliardo_pc_p2", lambda _: gagliardo_pc(g, 0.2, 2.0)),
         ("seminorm_w1sp", lambda _: seminorm_w1sp(fe(), 0.2, 1.1)),
         ("norm_wkp", lambda _: norm_wkp(fe(), 1.1)),
-        ("interp_error", lambda _: interp_error(root, droot, StudyGrid(Mesh1D(64)), 1.1)),
-        ("value_mismatch_term",
-         lambda _: value_mismatch_term(root, StudyGrid(Mesh1D(64)), alpha)),
-        ("slope_mismatch_term",
-         lambda _: slope_mismatch_term(root, droot, StudyGrid(Mesh1D(64)), alpha)),
+        ("interp_error", lambda _: interp_error(1 / 3, StudyGrid(Mesh1D(64)), 1.1)),
+        ("value_mismatch_term", lambda _: value_mismatch_term(1 / 3, StudyGrid(Mesh1D(64)), alpha)),
+        ("slope_mismatch_term", lambda _: slope_mismatch_term(1 / 3, StudyGrid(Mesh1D(64)), alpha)),
         ("gagliardo_oracle_mc", lambda _: gagliardo_oracle_mc(g, 0.2, 1.1, 10**4)),
     ]
     # run_all is left out: the stdlib JSON encoder behind json.dumps(...,

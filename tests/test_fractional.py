@@ -435,6 +435,15 @@ class TestNormWkp:
         with pytest.raises(TypeError, match="FeFunction"):
             norm_wkp(f.evaluate, 1.1)
 
+    def test_infinite_p_is_rejected(self):
+        # p = inf used to return total ** (1 / inf) = 1.0 for every function
+        root = interpolate(Mesh1D(8), lambda x: np.power(x, 1 / 3))
+        for f in (root, FeFunction(Mesh1D(2), [0.0, 3.0, 1.0])):
+            for p in (np.inf, float("inf"), np.nan):
+                with pytest.raises(RegimeError, match="1 <= p < inf violated"):
+                    norm_wkp(f, p)
+            assert np.isfinite(norm_wkp(f, 40.0)) and norm_wkp(f, 40.0) > 1.0
+
 
 class TestMonteCarloOracle:
     def test_constant_data(self):
@@ -455,6 +464,17 @@ class TestMonteCarloOracle:
                 gagliardo_oracle_mc(g, 0.2, 1.1, bad, seed=1)
         assert (gagliardo_oracle_mc(g, 0.2, 1.1, np.int64(10_000), seed=1)
                 == gagliardo_oracle_mc(g, 0.2, 1.1, 10_000, seed=1))
+
+    def test_infinite_variance_regime_is_rejected(self):
+        # the inner integral grows like d^(-sp) at a node, so the samples
+        # have finite variance only for 2sp < 1; at (0.4, 2.0) the reported
+        # standard error came with |z| up to 8.4 over 200 seeds
+        g = PiecewiseConstant(Mesh1D(2), [1.0, 0.0])
+        for s, p in ((0.4, 2.0), (0.25, 2.0), (0.5, 1.0), (0.45, 1.2)):
+            with pytest.raises(RegimeError, match="sp < 0.5 violated"):
+                gagliardo_oracle_mc(g, s, p, 10**4)
+            assert gagliardo_pc(g, s, p).value > 0.0  # the closed form takes sp < 1
+        assert gagliardo_oracle_mc(g, 0.24, 2.0, 10**4).value > 0.0
 
     def test_error_scales_like_root_n(self):
         g = PiecewiseConstant(Mesh1D(2), [1.0, 0.0])

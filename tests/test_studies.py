@@ -13,7 +13,6 @@ from maniafem.studies import (
     fe_error,
     fit_order,
     interp_error,
-    power_fn,
     recovery_gap,
     slope_mismatch_term,
     value_mismatch_term,
@@ -22,6 +21,11 @@ from maniafem.studies import (
 from helpers import on_blocks, study_blocks, study_cells, whole_grid_integrand
 
 EIGHT_105 = 8.0 / 105.0
+
+
+def power(q):
+    """x^q and its derivative, written out apart from the study terms."""
+    return (lambda x: np.power(x, q)), (lambda x: q * np.power(x, q - 1.0))
 
 
 class TestFitOrder:
@@ -59,76 +63,67 @@ class TestFitOrder:
 
 class TestInterpError:
     def test_linear_profiles_are_reproduced(self):
-        fn = lambda x: 0.25 + 0.5 * np.asarray(x, dtype=float)
-        dfn = lambda x: np.full_like(np.asarray(x, dtype=float), 0.5)
         for n in (2, 8):
-            lp, w1p = interp_error(fn, dfn, StudyGrid(Mesh1D(n)), 1.3)
+            lp, w1p = interp_error(1.0, StudyGrid(Mesh1D(n)), 1.3)
             assert lp <= 1e-14
             assert w1p <= 1e-14
 
     def test_quadratic_on_single_element(self):
         # I_h x^2 on N = 1 is x, so the L^1 error is int (x - x^2) = 1/6 and
         # the W^{1,1} error adds int |2x - 1| = 1/2
-        lp, w1p = interp_error(lambda x: np.asarray(x) ** 2, lambda x: 2.0 * np.asarray(x),
-                               StudyGrid(Mesh1D(1)), 1.0)
+        lp, w1p = interp_error(2.0, StudyGrid(Mesh1D(1)), 1.0)
         assert lp == pytest.approx(1 / 6, rel=1e-12)
         assert w1p == pytest.approx(1 / 6 + 1 / 2, rel=1e-12)
 
     def test_root_profile_errors_decrease(self):
-        fn, dfn = power_fn(1.0 / 3.0)
-        l0, l1 = zip(*(interp_error(fn, dfn, StudyGrid(Mesh1D(n)), 1.1)
+        l0, l1 = zip(*(interp_error(1.0 / 3.0, StudyGrid(Mesh1D(n)), 1.1)
                        for n in (8, 16, 32, 64)))
         assert all(b < a for a, b in zip(l0, l0[1:]))
         assert all(b < a for a, b in zip(l1, l1[1:]))
 
     def test_rejects_a_function_on_another_mesh(self):
-        fn, dfn = power_fn(1.0 / 3.0)
+        fn, _ = power(1.0 / 3.0)
         with pytest.raises(ValueError, match="another mesh"):
-            fe_error(fn, dfn, interpolate(Mesh1D(8), fn), StudyGrid(Mesh1D(4)), 1.1)
+            fe_error(1.0 / 3.0, interpolate(Mesh1D(8), fn), StudyGrid(Mesh1D(4)), 1.1)
 
     def test_both_norms_match_separate_integrations_bitwise(self):
         # the shared integral of |v - I_h v|^p on the study grid gives the
         # values two separate integrate_cells passes over graded_grid give
-        fn, dfn = power_fn(1.0 / 3.0)
+        fn, dfn = power(1.0 / 3.0)
         mesh = Mesh1D(64)
         f_h = interpolate(mesh, fn)
         rule, breaks = gauss_rule(8), graded_grid(mesh)
         value = integrate_cells(rule, lambda x: np.abs(fn(x) - f_h.evaluate(x)) ** 1.1, breaks)
         slope = integrate_cells(rule, lambda x: np.abs(dfn(x) - f_h.slope_at(x)) ** 1.1, breaks)
-        assert interp_error(fn, dfn, StudyGrid(mesh), 1.1) == (
+        assert interp_error(1.0 / 3.0, StudyGrid(mesh), 1.1) == (
             value ** (1.0 / 1.1), (value + slope) ** (1.0 / 1.1))
 
 
 class TestRecoveryTerms:
     def test_value_term_vanishes_for_linear_profile(self):
         mesh = Mesh1D(8)
-        assert abs(value_mismatch_term(lambda x: np.asarray(x, float), StudyGrid(mesh),
-                                       0.035)) <= 1e-16
+        assert abs(value_mismatch_term(1.0, StudyGrid(mesh), 0.035)) <= 1e-16
 
     def test_value_term_for_root_equals_interpolant_energy(self):
         # v = x^(1/3) kills the subtracted density, leaving the clamped
         # energy of the interpolant itself
-        fn, _ = power_fn(1.0 / 3.0)
+        fn, _ = power(1.0 / 3.0)
         for n in (8, 32):
             mesh = Mesh1D(n)
-            term = value_mismatch_term(fn, StudyGrid(mesh), 0.035)
+            term = value_mismatch_term(1.0 / 3.0, StudyGrid(mesh), 0.035)
             direct = energy_clamped(interpolate(mesh, fn), 0.035)
             assert term == pytest.approx(direct, rel=1e-10)
             assert term >= 0.0
 
     def test_slope_term_zero_cases(self):
-        fn_root, dfn_root = power_fn(1.0 / 3.0)
         grid = StudyGrid(Mesh1D(8))
-        assert slope_mismatch_term(fn_root, dfn_root, grid, 0.035) <= 1e-25
-        identity = lambda x: np.asarray(x, dtype=float)
-        d_identity = lambda x: np.ones_like(np.asarray(x, dtype=float))
-        assert slope_mismatch_term(identity, d_identity, grid, 0.035) == 0.0
+        assert slope_mismatch_term(1.0 / 3.0, grid, 0.035) <= 1e-25
+        assert slope_mismatch_term(1.0, grid, 0.035) == 0.0
 
     def test_slope_term_decreases_for_nondegenerate_profile(self):
-        fn, dfn = power_fn(0.45)
         values = []
         for n in (8, 16, 32, 64):
-            values.append(slope_mismatch_term(fn, dfn, StudyGrid(Mesh1D(n)), 0.035))
+            values.append(slope_mismatch_term(0.45, StudyGrid(Mesh1D(n)), 0.035))
         assert all(v > 0 for v in values)
         assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -150,7 +145,7 @@ class TestRecoveryTerms:
     def test_slope_term_clips_at_the_mesh_level(self, n):
         # pointwise reference: v' and I_h v' located per point, both clamped
         # at h^(-alpha) of the interpolant's own mesh
-        fn, dfn = power_fn(0.45)
+        fn, dfn = power(0.45)
         mesh = Mesh1D(n)
         grid = StudyGrid(mesh)
         clamp = clamp_level(mesh, 0.035)
@@ -161,13 +156,13 @@ class TestRecoveryTerms:
         reference = self.whole_integral(grid, np.abs(
             self.sign_min_sixth(dfn(x), clamp)
             - self.sign_min_sixth(f_h.slope_at(x), clamp)) * density)
-        term = slope_mismatch_term(fn, dfn, grid, 0.035)
+        term = slope_mismatch_term(0.45, grid, 0.035)
         assert term > 0.0
         assert term == pytest.approx(reference, rel=1e-12)
 
     @pytest.mark.parametrize("n", [8, 64])
     def test_value_term_clips_at_the_mesh_level(self, n):
-        fn, _ = power_fn(0.45)
+        fn, _ = power(0.45)
         mesh = Mesh1D(n)
         grid = StudyGrid(mesh)
         clamp = clamp_level(mesh, 0.035)
@@ -177,21 +172,20 @@ class TestRecoveryTerms:
         weight = self.sign_min_sixth(f_h.slope_at(x), clamp)
         reference = self.whole_integral(
             grid, ((f_h.evaluate(x) ** 3 - x) ** 2 - (fn(x) ** 3 - x) ** 2) * weight)
-        term = value_mismatch_term(fn, grid, 0.035)
+        term = value_mismatch_term(0.45, grid, 0.035)
         assert term == pytest.approx(reference, rel=1e-10, abs=1e-15)
 
     def test_recovery_gap_zero_for_identity(self):
         for n in (4, 16, 64):
             mesh = Mesh1D(n)
             assert clamp_level(mesh, 0.035) >= 1.0
-            gap = recovery_gap(lambda x: np.asarray(x, float), mesh, 0.035) - EIGHT_105
+            gap = recovery_gap(1.0, mesh, 0.035) - EIGHT_105
             assert abs(gap) <= 1e-15
 
     def test_recovery_gap_decays_for_root(self):
-        fn, _ = power_fn(1.0 / 3.0)
         gaps = []
         for n in (8, 16, 32, 64, 128):
-            gaps.append(recovery_gap(fn, Mesh1D(n), 0.035))
+            gaps.append(recovery_gap(1.0 / 3.0, Mesh1D(n), 0.035))
         assert all(g >= 0 for g in gaps)
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
@@ -318,28 +312,25 @@ class TestStreamedBlockEdges:
         grid, whole = StudyGrid(mesh), WholeGrid(mesh)
         assert n < _POW2_N or len(study_blocks(grid)) >= 4
         f = FeFunction(mesh, np.random.default_rng(n).uniform(-1, 1, n + 1))
-        root, d_root = power_fn(1.0 / 3.0)
-        assert fe_error(root, d_root, f, grid, 1.3) == whole.fe_error(root, d_root, f, 1.3)
+        root, d_root = power(1.0 / 3.0)
+        assert fe_error(1.0 / 3.0, f, grid, 1.3) == whole.fe_error(root, d_root, f, 1.3)
         for q in (1.0 / 3.0, 0.45):
-            fn, dfn = power_fn(q)
+            fn, dfn = power(q)
             f_h = interpolate(mesh, fn)
-            assert interp_error(fn, dfn, grid, 1.1) == whole.fe_error(fn, dfn, f_h, 1.1)
-            assert value_mismatch_term(fn, grid, 0.035) == whole.value_term(fn, 0.035)
-            assert (slope_mismatch_term(fn, dfn, grid, 0.035)
-                    == whole.slope_term(fn, dfn, 0.035))
+            assert interp_error(q, grid, 1.1) == whole.fe_error(fn, dfn, f_h, 1.1)
+            assert value_mismatch_term(q, grid, 0.035) == whole.value_term(fn, 0.035)
+            assert slope_mismatch_term(q, grid, 0.035) == whole.slope_term(fn, dfn, 0.035)
 
 
 def test_streamed_terms_memory():
     # the whole-array grid peaked at about 34 MiB here: an 8 MiB point array
     # plus full-size temporaries; blocks of 4096 cells keep this near 5 MiB
-    root, d_root = power_fn(1.0 / 3.0)
-    fn, dfn = power_fn(0.45)
     tracemalloc.start()
     try:
         grid = StudyGrid(Mesh1D(16384))
-        interp_error(root, d_root, grid, 1.1)
-        value_mismatch_term(fn, grid, 0.035)
-        slope_mismatch_term(fn, dfn, grid, 0.035)
+        interp_error(1.0 / 3.0, grid, 1.1)
+        value_mismatch_term(0.45, grid, 0.035)
+        slope_mismatch_term(0.45, grid, 0.035)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
