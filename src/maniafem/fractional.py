@@ -22,13 +22,15 @@ The closed form is cross-checked by two independent oracles: tensor Gauss
 quadrature of the kernel on separated pairs, and a Monte-Carlo estimate of
 the double integral that samples one coordinate and integrates the other
 exactly (with the once-integrated kernel phi(t) = t^{-sp}/sp, not the closed
-form).  For x in element k that inner integral is, element by element,
-|c_k - c_j|^p (phi(d_near) - phi(d_far)) with d_i = |x - x_i|; adjacent
-elements share a node, so the sum telescopes to sum_i W[k, i] d_i^{-sp} and
-a sample costs n+1 powers.  A sample that lands exactly on node k takes
-d_k := h, so the element ending there contributes nothing.  Each chunk of
-65 536 samples is evaluated in blocks of about 65 536/(n+1) samples, so the
-(n+1) x block arrays stay in cache.
+form).  The samples are stratified by element: element k owns an equal
+share of them, each drawn as x = (k + u) h with u uniform in [0, 1).  That
+inner integral is, element by element, |c_k - c_j|^p (phi(d_near) -
+phi(d_far)) with d_i = |x - x_i| = h |i - k - u|; adjacent elements share a
+node, so the sum telescopes to sum_i W[k, i] d_i^{-sp}, and a sample costs
+n+1 powers with element k's one row of weights.  A sample with u = 0 takes
+d_k := h, so the element ending at node k contributes nothing.  Each chunk
+of 65 536 samples is evaluated in blocks of about 65 536/(n+1) samples, so
+the (n+1) x block distances stay in cache.
 
 The closed form's blocks of gaps and the oracle's chunks run on every core,
 and their partial sums are added in a fixed order, so no value depends on
@@ -37,6 +39,7 @@ the number of cores.
 
 from __future__ import annotations
 
+import bisect
 import os
 import threading
 from dataclasses import dataclass
@@ -45,7 +48,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConsistencyError, EvaluationError, RegimeError
-from .mesh import FeFunction, Mesh1D, _element_index
+from .mesh import FeFunction, Mesh1D
 from .quadrature import integrate_cells  # noqa: F401  (kept for perfbench/tracer.py)
 
 __all__ = [
@@ -202,18 +205,27 @@ def norm_wkp(f: FeFunction, p: float) -> float:
         raise RegimeError(f"1 <= p < inf violated: p = {p}")
     if not isinstance(f, FeFunction):
         raise TypeError(f"norm_wkp takes a FeFunction, got {type(f).__name__}")
-    total = (_lp_power_linear(f.nodal_values, f.mesh.h, p)
-             + f.mesh.h * float(np.sum(np.abs(f.slopes()) ** p)))
-    return total ** (1.0 / p)
+    h, values, slopes = f.mesh.h, f.nodal_values, f.slopes()
+
+    def total(v, d):
+        return _lp_power_linear(v, h, p) + h * float(np.sum(np.abs(d) ** p))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = total(values, slopes)
+    if np.finfo(float).tiny <= plain < np.inf:
+        return plain ** (1.0 / p)
+    # |v|^p over- or underflowed (large p): factor out the largest magnitude
+    scale = max(np.max(np.abs(values)), np.max(np.abs(slopes)))
+    return float(scale * total(values / scale, slopes / scale) ** (1.0 / p)) if scale else 0.0
 
 
 # Samples per chunk, the unit _mc_accumulate sums and hands to its workers;
 # the draws do not depend on it.
 _PC_CHUNK = 65_536
 # Elements per (n+1) x block buffer of the piecewise-constant sampler, so the
-# block is _PC_BLOCK // (n+1) samples and the two buffers take 1 MiB, inside a
+# block is _PC_BLOCK // (n+1) samples and the buffer takes 512 KiB, inside a
 # 2 MiB L2.  The L2 is per core, so this is a per-worker budget: each worker
-# owns its two block buffers and its 0.5 MiB chunk of draws.  A whole (n+1) x
+# owns its block buffer and its 0.5 MiB chunk of draws.  A whole (n+1) x
 # chunk array takes 4.7 MB at n = 8; blocks cut the 10^7-sample trials at
 # n = 2...16 by 16-37 % (x86_64).  A block of closed-form gaps holds at most
 # max(_PC_BLOCK, n - 1) elements, and each worker owns a buffer for one.
@@ -251,21 +263,26 @@ def _on_workers(n_items: int, work) -> None:
         raise errors[0]
 
 
-def _mc_accumulate(rng, n_samples: int, make_sampler) -> tuple[float, float]:
-    """Mean and standard error of ``sampler(x)`` over ``n_samples`` uniform x
-    from ``rng``, in chunks of _PC_CHUNK run on up to _WORKERS threads.
+def _mc_accumulate(rng, n_samples: int, n_strata: int, make_sampler):
+    """Per-stratum sample counts, sums and sums of squares of ``sampler(k, u)``.
 
-    Each worker takes a contiguous run of chunks, builds its own sampler with
-    ``make_sampler()`` and draws from a PCG64 copy of ``rng`` advanced past
-    the earlier chunks (one 64-bit output per double), so every chunk gets
-    the samples one thread would draw.  A chunk is drawn into one reused
-    buffer and evaluated over it in place: about 1.5 MiB per worker with the
-    sampler's buffers.  The per-chunk sums are added in chunk order after
-    the join, so the result is bitwise the same for any number of workers.
+    Stratum k owns the samples floor(k N/n) ... floor((k+1) N/n) - 1 of the
+    N = ``n_samples``, and sample i takes the i-th uniform double u of
+    ``rng``.  The samples run in chunks of _PC_CHUNK on up to _WORKERS
+    threads; each chunk is cut at the stratum starts into runs that share
+    one k.  Each worker takes a contiguous run of chunks, builds its own
+    sampler with ``make_sampler()`` and draws from a PCG64 copy of ``rng``
+    advanced past the earlier chunks (one 64-bit output per double), so every
+    chunk gets the samples one thread would draw.  A chunk is drawn into one
+    reused buffer and evaluated over it in place: about 1 MiB per worker with
+    the sampler's buffer.  The per-chunk, per-stratum sums are added in chunk
+    order after the join, so the result is bitwise the same for any number
+    of workers.
     """
     n_samples = int(n_samples)  # PCG64.advance rejects numpy integers
     n_chunks = -(-n_samples // _PC_CHUNK)
-    sums = [None] * n_chunks
+    starts = [k * n_samples // n_strata for k in range(n_strata + 1)]
+    parts = [None] * n_chunks
     state = rng.bit_generator.state
 
     def work(first, chunks):
@@ -275,29 +292,34 @@ def _mc_accumulate(rng, n_samples: int, make_sampler) -> tuple[float, float]:
         sampler = make_sampler()
         buf = np.empty(min(n_samples, _PC_CHUNK))
         for chunk in chunks:
-            x = buf[:min(_PC_CHUNK, n_samples - chunk * _PC_CHUNK)]
-            f = sampler(draw(out=x), out=x)
-            total = float(np.sum(f))
-            np.multiply(f, f, out=f)
-            sums[chunk] = total, float(np.sum(f))
+            lo = chunk * _PC_CHUNK
+            u = draw(out=buf[:min(_PC_CHUNK, n_samples - lo)])
+            k, part = bisect.bisect_right(starts, lo) - 1, []
+            while starts[k] < lo + u.size:  # starts[n_strata] = n_samples
+                run = u[max(starts[k] - lo, 0):starts[k + 1] - lo]
+                f = sampler(k, run, out=run)
+                total = float(np.sum(f))
+                np.multiply(f, f, out=f)
+                part.append((k, total, float(np.sum(f))))
+                k += 1
+            parts[chunk] = part
 
     _on_workers(n_chunks, work)
-    # a plain loop, in chunk order: sum() compensates floats on Python >= 3.12
-    total = total_sq = 0.0
-    for chunk_sum, chunk_sq in sums:
-        total += chunk_sum
-        total_sq += chunk_sq
-    mean = total / n_samples
-    var = max(total_sq / n_samples - mean * mean, 0.0) * n_samples / (n_samples - 1)
-    return mean, float(np.sqrt(var / n_samples))
+    # plain loops, in chunk order: sum() compensates floats on Python >= 3.12
+    sums, squares = [0.0] * n_strata, [0.0] * n_strata
+    for part in parts:
+        for k, total, square in part:
+            sums[k] += total
+            squares[k] += square
+    return np.diff(starts).astype(float), np.array(sums), np.array(squares)
 
 
 def _pc_weights(c: np.ndarray, sp: float, p: float) -> np.ndarray:
     """W^T for ``_pc_inner_integral``: the (n+1) x n table with entry [i, k]
     +-(|c_i - c_k|^p - |c_{i-1} - c_k|^p)/sp (+ for i > k), built in place.
 
-    Each node's row runs contiguously over samples.  Row i starts as
-    |c_i - c_k|^p (that equals |c_k - c_i|^p bitwise), and the rows are
+    The sampler reads its transpose, one row of W per element.  Row i starts
+    as |c_i - c_k|^p (that equals |c_k - c_i|^p bitwise), and the rows are
     differenced from the bottom up, one at a time, so no second n x n table
     is ever allocated.
     """
@@ -316,57 +338,56 @@ def _pc_weights(c: np.ndarray, sp: float, p: float) -> np.ndarray:
 
 
 def _pc_inner_integral(g: PiecewiseConstant, sp: float, p: float):
-    """x -> int_0^1 |g(x) - g(y)|^p |x - y|^(-(1+sp)) dy, exact, for x in [0, 1).
+    """(k, u) -> int_0^1 |g(x) - g(y)|^p |x - y|^(-(1+sp)) dy, exact, at
+    x = (k + u) h in element k, for a 1-D array of u in [0, 1).
 
-    For x in element k and d_i = |x - x_i|, element j > k contributes
+    With d_i = |x - x_i| = h |i - k - u|, element j > k contributes
     |c_k - c_j|^p (phi_j - phi_{j+1}) and element j < k contributes
     |c_k - c_j|^p (phi_{j+1} - phi_j), with phi_i = d_i^(-sp)/sp.  Collecting
-    the terms of each node gives sum_i W[k, i] d_i^(-sp) with W[k, i] =
-    +-(|c_k - c_i|^p - |c_k - c_{i-1}|^p)/sp (+ for i > k, - for i <= k;
-    out-of-range and same-element numerators are 0): n+1 powers per sample.
-    x is evaluated in blocks of _PC_BLOCK // (n+1) samples through two reused
-    buffers, one for the distances and one for the gathered weights.  The
-    values go to ``out``, which may be x itself: each block is written after
-    it is read.  The closure never refers to itself, so the buffers and the
+    the terms of each node gives sum_i W[k, i] h^(-sp) |i - k - u|^(-sp) with
+    W[k, i] = +-(|c_k - c_i|^p - |c_k - c_{i-1}|^p)/sp (+ for i > k, - for
+    i <= k; out-of-range and same-element numerators are 0): n+1 powers per
+    sample, all with element k's row of weights.  u is evaluated in blocks of
+    _PC_BLOCK // (n+1) samples through one reused distance buffer.  The
+    values go to ``out``, which may be u itself: each block is written after
+    it is read.  The closure never refers to itself, so the buffer and the
     weight table are freed by reference counting once the caller drops it.
 
-    On a node hit (x == x_k bitwise) d_k := h makes phi_k = phi_{k-1}, so
-    element k-1 contributes 0 instead of its divergent integral; at x = 0,
+    On a node hit (u == 0) d_k := h makes phi_k = phi_{k-1}, so element k-1
+    contributes 0 instead of its divergent integral; at x = 0,
     W[0, 0] = 0 keeps the sum finite.
     """
-    n, h, nodes = g.mesh.n_elements, g.mesh.h, g.mesh.nodes
-    weights = _pc_weights(g.values, sp, p)
-    column = nodes[:, None]
+    n = g.mesh.n_elements
+    w = _pc_weights(g.values, sp, p)
+    w *= g.mesh.h ** -sp
+    rows = w.T  # a view: the weights stay the one (n + 1) x n table
+    nodes = np.arange(n + 1.0)
     block = max(_PC_BLOCK // (n + 1), 3)
-    gathered, dist = np.empty((n + 1) * block), np.empty((n + 1) * block)
+    dist = np.empty((n + 1) * block)
 
-    def fill(x, out):
-        n_blocks = -(-x.size // block)
+    def fill(k, u, out):
+        column = (nodes - k)[:, None]
+        n_blocks = -(-u.size // block)
         for b in range(n_blocks):
             # equal blocks, none narrower than 2 since block >= 3
-            lo, hi = x.size * b // n_blocks, x.size * (b + 1) // n_blocks
-            xb, used = x[lo:hi], (n + 1) * (hi - lo)
-            k = _element_index(nodes, xb)
-            d = np.subtract(column, xb, out=dist[:used].reshape(n + 1, -1))
+            lo, hi = u.size * b // n_blocks, u.size * (b + 1) // n_blocks
+            ub = u[lo:hi]
+            d = np.subtract(column, ub, out=dist[:(n + 1) * (hi - lo)].reshape(n + 1, -1))
             np.abs(d, out=d)
-            hit = np.flatnonzero(nodes[k] == xb)
-            d[k[hit], hit] = h
+            d[k, np.flatnonzero(ub == 0.0)] = 1.0
             np.power(d, -sp, out=d)
-            # mode="clip" skips the index check: _element_index keeps k in [0, n-1]
-            w = np.take(weights, k, axis=1, mode="clip",
-                        out=gathered[:used].reshape(n + 1, -1))
-            # written last, so out may be x itself
-            np.einsum("ij,ij->j", w, d, out=out[lo:hi])
+            # written last, so out may be u itself
+            np.einsum("i,ij->j", rows[k], d, out=out[lo:hi])
 
-    def inner(x, out):
-        if x.size == 1:
+    def inner(k, u, out):
+        if u.size == 1:
             # einsum sums a lone column in another order; a repeated column
             # keeps every value independent of how the samples are split
-            pair = np.repeat(x, 2)
-            fill(pair, pair)
+            pair = np.repeat(u, 2)
+            fill(k, pair, pair)
             out[0] = pair[0]
         else:
-            fill(x, out)
+            fill(k, u, out)
         return out
 
     return inner
@@ -377,23 +398,32 @@ def gagliardo_oracle_mc(g: PiecewiseConstant, s: float, p: float, n_samples: int
     """Monte-Carlo estimate of the Gagliardo double integral of
     piecewise-constant data.
 
-    x is sampled uniformly and the inner y-integral is carried out exactly
-    with the once-integrated kernel antiderivative t^(-sp)/sp, telescoped
-    over the nodes so a sample costs n+1 powers (see ``_pc_inner_integral``).
+    The samples are stratified by element: element k takes the samples
+    floor(k N/n) ... floor((k+1) N/n) - 1 of the N = ``n_samples``, and
+    sample i sits at x = (k + u) h, with u the i-th double of
+    ``default_rng(seed)``.  The inner y-integral is carried out exactly with
+    the once-integrated kernel antiderivative t^(-sp)/sp, telescoped over
+    the nodes so a sample costs n+1 powers (see ``_pc_inner_integral``).
     Same-element pairs drop out analytically (their numerator is zero), and
-    a sample exactly on a node takes the element ending there as
-    contributing nothing.  The exact inner integral avoids the heavy tail
-    of sampling both coordinates, yet grows like d^(-sp) near a node: the
-    samples have finite variance only if 2sp < 1, else RegimeError (the
-    closed form takes sp < 1).  This path shares no algebra with the
-    twice-integrated closed form it is used to check.
+    a sample with u = 0 takes the element ending at its node as contributing
+    nothing.  The exact inner integral avoids the heavy tail of sampling
+    both coordinates, yet grows like d^(-sp) near a node: the samples have
+    finite variance only if 2sp < 1, else RegimeError (the closed form takes
+    sp < 1).  This path shares no algebra with the twice-integrated closed
+    form it is used to check.
 
     Samples are summed in chunks of 65 536, evaluated in cache-sized blocks
     and spread over every core (see ``_mc_accumulate``); neither changes any
-    sample or sum.  ``n_samples`` must be an integer (1e6 raises).
+    sample or sum.  ``n_samples`` must be an integer (1e6 raises), at least
+    1e4 and at least two per element.
 
-    ``est_error`` is the standard error of the mean, transported to the
-    seminorm scale by the delta method.
+    The estimate is the stratified mean sum_k S_k / (n m_k) over the
+    elements' sample sums S_k and counts m_k.  Its standard error is
+    sqrt(sum_k v_k / m_k) / n, with v_k the unbiased variance of element
+    k's samples.  The elements' equal shares of the samples (to within one)
+    make its variance at most the plain mean's (Owen, *Monte Carlo theory,
+    methods and examples*, 2013, ch. 8).  ``est_error`` is that
+    standard error, transported to the seminorm scale by the delta method.
     """
     _check_regime(s, p, 0.5)  # 2sp < 1
     if not isinstance(g, PiecewiseConstant):
@@ -402,8 +432,17 @@ def gagliardo_oracle_mc(g: PiecewiseConstant, s: float, p: float, n_samples: int
         raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 10_000:
         raise ValueError(f"need at least 1e4 samples, got {n_samples}")
+    n = g.mesh.n_elements
+    if n_samples < 2 * n:
+        raise ValueError(
+            f"need at least two samples per element, got {n_samples} for {n} elements")
     rng = np.random.default_rng(seed)
-    mean, se_mean = _mc_accumulate(rng, n_samples, lambda: _pc_inner_integral(g, s * p, p))
+    counts, sums, squares = _mc_accumulate(
+        rng, n_samples, n, lambda: _pc_inner_integral(g, s * p, p))
+    means = sums / counts
+    var = np.maximum(squares / counts - means * means, 0.0) * counts / (counts - 1.0)
+    mean = float(np.sum(means)) / n
+    se_mean = float(np.sqrt(np.sum(var / counts))) / n
     if mean <= 0.0:
         return SeminormResult(0.0, s, p, "monte_carlo", 0.0)
     value = mean ** (1.0 / p)

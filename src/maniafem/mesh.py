@@ -24,28 +24,6 @@ from .errors import EvaluationError
 __all__ = ["Mesh1D", "FeFunction", "interpolate"]
 
 
-def _element_index(nodes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The k with nodes[k] <= x < nodes[k + 1] for each x of the 1-D array
-    ``x`` in [0, 1], and n - 1 for x = 1, without range checks.
-
-    For power-of-two n it returns min(floor(x n), n - 1) at once: linspace
-    stores those nodes as exactly i/n, and x n is exact (a power-of-two
-    scaling), so the floor already is the answer.  Otherwise the stored
-    nodes can sit one ulp off k/n, and the guess is one element off at most,
-    so one step each way against them corrects it.
-    """
-    n = nodes.size - 1
-    k = np.minimum((x * n).astype(np.intp), n - 1)
-    if n & (n - 1) == 0:
-        return k
-    k -= nodes[k] > x
-    k += nodes[k + 1] <= x
-    # in place, on the corrected path: a fresh index array per Monte-Carlo
-    # chunk slowed the oracle by about a third (x86_64, numpy 2.4)
-    np.minimum(k, n - 1, out=k)
-    return k
-
-
 def _check_unit_interval(arr: np.ndarray):
     # written so that NaN fails: every comparison with NaN is False
     if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
@@ -75,11 +53,17 @@ class Mesh1D:
 
         Elements are located against the stored nodes: interior node ties
         resolve to the element whose lower bound is the node, and y = 1 maps
-        to the last element.
+        to the last element.  The stored nodes can sit one ulp off k/n, so
+        the guess floor(y n) is one element off at most, and one step each
+        way against them corrects it.
         """
         arr = np.asarray(y, dtype=float)
         _check_unit_interval(arr)
-        return _element_index(self.nodes, arr.ravel()).reshape(arr.shape)
+        nodes, n, x = self.nodes, self.n_elements, arr.ravel()
+        k = np.minimum((x * n).astype(np.intp), n - 1)
+        k -= nodes[k] > x
+        k += nodes[k + 1] <= x
+        return np.minimum(k, n - 1).reshape(arr.shape)
 
 
 @dataclass(frozen=True)

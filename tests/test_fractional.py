@@ -8,10 +8,12 @@ singular but integrable.
 
 import functools
 import gc
+import math
 import sys
 import threading
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,6 +91,40 @@ def per_element_inner_integral(g, sp, p):
         return np.einsum("ij,ij->i", numer, kappa)
 
     return inner
+
+
+def local_inner_integral(g, sp, p):
+    """The reference above at x = (k + u) h, read from (k, u) alone.
+
+    Element j's near edge is (j - k) - u element widths above x for j > k
+    and (k - j - 1) + u below it for j < k, and the kernel integral is
+    h^(-sp) times its value in those units.  So no x is ever rounded, and no
+    distance underflows: u = 1 - 2^-53 stays in element k, however large k
+    is, and the smallest u > 0 keeps its huge but finite value.
+    """
+    n, width = g.mesh.n_elements, float(g.mesh.h)
+    numer_table = np.abs(g.values[:, None] - g.values[None, :]) ** p
+    j = np.arange(n)[None, :]
+
+    def inner(k, u):
+        k, u = np.broadcast_arrays(np.asarray(k), np.asarray(u, dtype=float))
+        kc, uc = k[:, None], u[:, None]
+        near = np.where(j > kc, (j - kc) - uc, (kc - j - 1) + uc)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kappa = np.where(near > 0.0, (near**-sp - (near + 1.0) ** -sp) / sp, 0.0)
+        return width**-sp * np.einsum("ij,ij->i", numer_table[k], kappa)
+
+    return inner
+
+
+def strata_starts(n_samples, n):
+    """First sample of each element's run, and the end: floor(k N / n)."""
+    return np.array([k * n_samples // n for k in range(n + 1)])
+
+
+# u = 0 is a node hit; the largest u below 1 and the smallest above 0 sit one
+# ulp from a node at either end of the element
+EDGE_U = np.array([0.0, 1.0 - 2.0**-53, 2.0**-53, np.nextafter(0.0, 1.0), 0.5])
 
 
 class TestIntervalKernel:
@@ -445,6 +481,25 @@ class TestNormWkp:
             assert np.isfinite(norm_wkp(f, 40.0)) and norm_wkp(f, 40.0) > 1.0
 
 
+    @pytest.mark.parametrize("nodal, p", [
+        ([0, 3, 1], 400), ([0, 3, 1], 1000), ([0, 2**-10, 2**-10], 200)])
+    def test_large_finite_p_neither_overflows_nor_underflows(self, nodal, p):
+        # |v|^p and |v'|^p used to be formed before the 1/p root: at p = 400
+        # the slopes 6 and -4 overflowed to inf, and at p = 200 the slope
+        # 2^-9 underflowed to a zero norm.  The reference integrates the two
+        # linear pieces exactly in rationals (integer p, dyadic data)
+        f = FeFunction(Mesh1D(2), nodal)
+        h = Fraction(1, 2)
+        v = [Fraction(x) for x in nodal]
+        total = Fraction(0)
+        for v0, v1 in zip(v, v[1:]):
+            total += h * ((v1 ** (p + 1) - v0 ** (p + 1)) / ((p + 1) * (v1 - v0))
+                          if v1 != v0 else v0 ** p)
+            total += h * abs((v1 - v0) / h) ** p
+        expected = math.exp((math.log(total.numerator) - math.log(total.denominator)) / p)
+        assert norm_wkp(f, float(p)) == pytest.approx(expected, rel=1e-13)
+
+
 class TestMonteCarloOracle:
     def test_constant_data(self):
         g = PiecewiseConstant(Mesh1D(4), np.full(4, 2.0))
@@ -484,20 +539,60 @@ class TestMonteCarloOracle:
 
     @pytest.mark.parametrize("values, n_samples, seed, pinned", [
         ([0.3, -1.0, 0.8, 0.1, -0.4], 3 * fractional._PC_CHUNK + 7, 8,
-         (4.3519843120754755, 0.006946506827280667)),
-        (np.linspace(-1, 1, 16) ** 3, 10**6, 9, (2.021247391979403, 0.0009982015197497983)),
+         (4.337571387853204, 0.005511026735538907)),
+        (np.linspace(-1, 1, 16) ** 3, 10**6, 9, (2.020017217054483, 0.0005009255735049122)),
         ([0.3, -1.0, 0.8, 0.1], 3 * fractional._PC_CHUNK + 7, 8,
-         (4.2490557955139945, 0.007036763608158311)),
+         (4.230451372926395, 0.005853105805638991)),
     ])
     def test_pc_path_is_pinned_bitwise(self, values, n_samples, seed, pinned):
-        # recorded from the sampler that evaluated each chunk whole; blocking
-        # the chunk must leave every sample, and so every sum, unchanged.
-        # The n = 4 case was recorded with the corrected element lookup, before
-        # power-of-two meshes skipped its correction steps: the floor alone
-        # must find the same elements.  n = 5 still takes the corrected path.
+        # recorded from the first sampler that drew each sample inside its
+        # element, before any later change to it: every sample, and so every
+        # sum, must stay as it was.  n = 5 cuts its chunks at strata starts
+        # that are not multiples of the chunk; 10^6 samples at n = 16 end in
+        # a short chunk
         g = PiecewiseConstant(Mesh1D(len(values)), values)
         mc = gagliardo_oracle_mc(g, 0.2, 1.1, n_samples, seed=seed)
         assert (mc.value, mc.est_error) == pinned
+
+    # one chunk holding every element; chunks cut inside elements and
+    # elements cut inside chunks, the last chunk short
+    @pytest.mark.parametrize("n, n_samples", [(3, 10_000), (7, 3 * fractional._PC_CHUNK + 7)])
+    def test_each_element_gets_its_samples(self, n, n_samples):
+        rng = np.random.default_rng(80 + n)
+        g = PiecewiseConstant(Mesh1D(n), rng.uniform(-1, 1, n))
+        sp, p = 0.22, 1.1
+        counts, sums, squares = fractional._mc_accumulate(
+            np.random.default_rng(5), n_samples, n,
+            lambda: fractional._pc_inner_integral(g, sp, p))
+        starts = strata_starts(n_samples, n)
+        assert counts.tolist() == np.diff(starts).tolist()
+        assert counts.sum() == n_samples and counts.min() >= n_samples // n
+        u = np.random.default_rng(5).random(n_samples)
+        reference = local_inner_integral(g, sp, p)
+        for k in range(n):
+            f = reference(k, u[starts[k]:starts[k + 1]])
+            assert sums[k] / counts[k] == pytest.approx(np.mean(f), rel=1e-12), k
+            assert squares[k] / counts[k] == pytest.approx(np.mean(f * f), rel=1e-12), k
+
+    def test_fewer_than_two_samples_per_element_are_rejected(self):
+        # each element's variance needs two samples; this raises before the
+        # (n + 1) x n weight table is built
+        for n, n_samples in ((5001, 10_001), (6000, 11_999), (10**6, 10**6)):
+            g = PiecewiseConstant(Mesh1D(n), np.zeros(n))
+            with pytest.raises(ValueError, match="two samples per element"):
+                gagliardo_oracle_mc(g, 0.2, 1.1, n_samples, seed=1)
+
+    def test_perturbed_closed_form_fails_the_gate(self):
+        # the gate has power: a closed form off by 1e-2 relative lies many
+        # standard errors away at n = 8 and 10^6 samples, either way
+        rng = np.random.default_rng(81)
+        for trial in range(3):
+            g = PiecewiseConstant(Mesh1D(8), rng.uniform(-1, 1, 8))
+            closed = gagliardo_pc(g, 0.2, 1.1).value
+            mc = gagliardo_oracle_mc(g, 0.2, 1.1, 10**6, seed=200 + trial)
+            assert abs(closed - mc.value) <= 3.0 * mc.est_error, trial
+            for factor in (1.01, 0.99):
+                assert abs(factor * closed - mc.value) > 3.0 * mc.est_error, (trial, factor)
 
     def test_agreement_on_random_data(self):
         rng = np.random.default_rng(14)
@@ -610,51 +705,83 @@ class TestTelescopedInnerIntegral:
                 tracemalloc.stop()
         assert 2 * peaks[1] <= peaks[0]
 
-    # n = 5 and n = 7 each need one of the two index corrections at a node
+    def test_sampler_setup_holds_one_weight_table(self):
+        # the sampler scales the weights in place and reads them through a
+        # transposed view: its setup peaks at the one (n + 1) x n table plus
+        # the build's boolean sign mask, never at two tables
+        n = 1024
+        g = PiecewiseConstant(Mesh1D(n), np.random.default_rng(72).uniform(-1, 1, n))
+        tracemalloc.start()
+        try:
+            inner = fractional._pc_inner_integral(g, 0.22, 1.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = (n + 1) * n * 8
+        assert peak <= 1.5 * table
+        assert inner(3, np.array([0.0, 0.5]), out=np.empty(2))[1] > 0.0
+
     @pytest.mark.parametrize("n", [2, 3, 5, 7, 8, 16])
     def test_matches_per_element_form(self, n):
         rng = np.random.default_rng(40 + n)
         g = PiecewiseConstant(Mesh1D(n), rng.uniform(-1, 1, n))
         s, p = 0.2, 1.1
-        nodes = g.mesh.nodes
-        # random points, x = 0, every interior node bitwise, and their neighbours
-        x = np.concatenate([rng.random(20_000), [0.0], nodes[1:-1],
-                            np.nextafter(nodes[1:-1], 0.0), np.nextafter(nodes[1:-1], 1.0)])
-        got = fractional._pc_inner_integral(g, s * p, p)(x, out=np.empty(x.size))
-        want = per_element_inner_integral(g, s * p, p)(x)
-        assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        inner = fractional._pc_inner_integral(g, s * p, p)
+        reference = local_inner_integral(g, s * p, p)
+        # random u and both ends of every element, x = 0 included
+        u = np.concatenate([rng.random(5_000), EDGE_U])
+        for k in range(n):
+            got = inner(k, u, out=np.empty(u.size))
+            assert np.all(np.isfinite(got)) and np.all(got >= 0.0), k
+            np.testing.assert_allclose(got, reference(k, u), rtol=1e-12, atol=0.0)
 
-    # blocks of 65 536 // (n + 1) = 1040 and 109 samples, both shorter than a
-    # chunk; at n = 62 the first element guess is off at 9 nodes
+    @pytest.mark.parametrize("n", [2, 8, 16])
+    def test_matches_the_mesh_form_where_x_is_exact(self, n):
+        # for n a power of two the stored nodes are i/n and x = (k + u) h is
+        # exact for u on a 2^-20 grid, at u = 0 (the node hits) and, in
+        # element 0, at u = 1 - 2^-53: there the sampler and the reference
+        # that locates x among the stored nodes see the same point
+        rng = np.random.default_rng(50 + n)
+        g = PiecewiseConstant(Mesh1D(n), rng.uniform(-1, 1, n))
+        s, p = 0.2, 1.1
+        inner = fractional._pc_inner_integral(g, s * p, p)
+        reference = per_element_inner_integral(g, s * p, p)
+        for k in range(n):
+            u = np.concatenate([rng.integers(0, 2**20, 2_000) / 2.0**20, [0.0],
+                                [1.0 - 2.0**-53] if k == 0 else []])
+            x = (k + u) * g.mesh.h
+            assert np.array_equal((x / g.mesh.h - k), u)  # no x was rounded
+            got = inner(k, u, out=np.empty(u.size))
+            np.testing.assert_allclose(got, reference(x), rtol=1e-12, atol=0.0)
+
+    # blocks of 65 536 // (n + 1) = 1040 and 109 samples
     @pytest.mark.parametrize("n", [62, 600])
     def test_block_edges(self, n):
         rng = np.random.default_rng(60 + n)
         g = PiecewiseConstant(Mesh1D(n), rng.uniform(-1, 1, n))
         s, p = 0.2, 1.1
         inner = fractional._pc_inner_integral(g, s * p, p)
-        nodes = g.mesh.nodes[1:-1]
-        special = rng.permutation(np.concatenate(
-            [nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, 1.0)]))
-        # longer than two blocks and not a multiple of one; every slot holds a
-        # node or a neighbour, so each block, however x is cut, starts and ends
-        # on one
+        reference = local_inner_integral(g, s * p, p)
+        # longer than two blocks and not a multiple of one; every slot holds
+        # an edge value of u, so each block, however u is cut, starts and
+        # ends on one
         block = fractional._PC_BLOCK // (n + 1)
-        size = (max(special.size, 2 * block) // block + 1) * block + block // 2 + 1
-        x = np.resize(special, size)
-        got = inner(x, out=np.empty(x.size))
-        want = per_element_inner_integral(g, s * p, p)(x)
-        assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-        alone = np.concatenate([inner(x[i:i + 1], out=np.empty(1)) for i in range(size)])
-        assert np.array_equal(got, alone)
+        size = 2 * block + block // 2 + 1
+        u = np.resize(rng.permutation(np.resize(EDGE_U, 3 * EDGE_U.size)), size)
+        for k in (0, n // 2, n - 1):
+            got = inner(k, u, out=np.empty(size))
+            assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+            np.testing.assert_allclose(got, reference(k, u), rtol=1e-12, atol=0.0)
+            alone = np.concatenate([inner(k, u[i:i + 1], out=np.empty(1))
+                                    for i in range(size)])
+            assert np.array_equal(got, alone), k
 
     def test_sampler_is_freed_without_gc(self):
         g = PiecewiseConstant(Mesh1D(5), [0.3, -1.0, 0.8, 0.1, -0.4])
         gc.disable()
         try:
             inner = fractional._pc_inner_integral(g, 0.22, 1.1)
-            inner(np.array([0.3]), out=np.empty(1))  # the lone-sample path
+            inner(2, np.array([0.3]), out=np.empty(1))  # the lone-sample path
             ref = weakref.ref(inner)
             del inner
             assert ref() is None
@@ -662,13 +789,20 @@ class TestTelescopedInnerIntegral:
             gc.enable()
 
     def test_chunking_keeps_the_draws(self):
+        # the stream, cut into elements: sample i is the i-th double of the
+        # seeded generator, in element k for starts[k] <= i < starts[k + 1]
         g = PiecewiseConstant(Mesh1D(5), [0.3, -1.0, 0.8, 0.1, -0.4])
         s, p = 0.2, 1.1
         n_samples = 3 * fractional._PC_CHUNK + 7
         mc = gagliardo_oracle_mc(g, s, p, n_samples, seed=8)
-        x = np.random.default_rng(8).random(n_samples)
-        mean = float(np.mean(per_element_inner_integral(g, s * p, p)(x)))
+        u = np.random.default_rng(8).random(n_samples)
+        starts = strata_starts(n_samples, 5)
+        f = local_inner_integral(g, s * p, p)(np.repeat(np.arange(5), np.diff(starts)), u)
+        runs = [f[a:b] for a, b in zip(starts, starts[1:])]
+        mean = sum(float(np.mean(run)) for run in runs) / 5
+        se = np.sqrt(sum(np.var(run, ddof=1) / run.size for run in runs)) / 5
         assert mc.value == pytest.approx(mean ** (1 / p), rel=1e-12)
+        assert mc.est_error == pytest.approx(se * mean ** (1 / p - 1) / p, rel=1e-9)
 
 
 def test_piecewise_constant_validation():

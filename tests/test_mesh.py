@@ -202,12 +202,14 @@ def test_element_indices_follow_the_stored_nodes():
     f = FeFunction(mesh, [0.0, 1.0, 2.0, 4.0, 8.0, 16.0])
     assert f.slope_at(0.6) == f.slopes()[2]
     rng = np.random.default_rng(17)
-    # power-of-two n take floor(x n) without correction steps; the rest are
-    # corrected against the stored nodes
+    # the guess floor(x n) is corrected against the stored nodes for every n,
+    # power-of-two or not
     for n in (3, 5, 10, 100, 1, 2, 4, 8, 16, 1024, 16384):
         nodes = Mesh1D(n).nodes
         if n & (n - 1) == 0:
-            # the premise of the uncorrected lookup: nodes are exactly i/n
+            # nodes are exactly i/n: the premise of the oracle test that
+            # compares the sampler where x = (k + u) h is exact
+            # (test_matches_the_mesh_form_where_x_is_exact)
             assert np.array_equal(nodes, np.arange(n + 1) / n), n
         xs = np.concatenate([rng.random(10_000), nodes, [0.0, 1.0],
                              np.nextafter(nodes, -1.0)[1:], np.nextafter(nodes, 2.0)[:-1]])
