@@ -1,15 +1,16 @@
 """Command-line front end for solves and convergence studies.
 
 Configuration is a flat ``key = value`` file with ``#`` comments.  Its keys
-are ``ExperimentConfig``'s fields s, p, alpha, mesh_sizes, grad_tol,
-max_iters and output_dir, and ``ExperimentConfig(**summary["config"])``
-rebuilds an ``all`` run but its output_dir.  Each ``--set key=value`` is
-applied after the file, in order, so the last one wins, and ``--out`` sets
-output_dir last.  Every subcommand builds one ``ExperimentConfig`` from the
-keys set, so an unset key keeps its default and the whole file is validated
-even where a key goes unread.  A file is shared across subcommands, but
-``--set`` of a key the subcommand does not read is a usage error (``solve``
-reads no mesh_sizes; ``seminorm`` only s, p and alpha).
+are ``ExperimentConfig``'s fields s, p, alpha, mesh_sizes and output_dir,
+and ``ExperimentConfig(**summary["config"])`` rebuilds an ``all`` run but
+its output_dir; every solve stops by the ``SolveConfig`` defaults.  Each
+``--set key=value`` is applied after the file, in order, so the last one
+wins, and ``--out`` sets output_dir last.  Every subcommand builds one
+``ExperimentConfig`` from the keys set, so an unset key keeps its default
+and the whole file is validated even where a key goes unread.  A file is
+shared across subcommands, but ``--set`` of a key the subcommand does not
+read is a usage error (``solve`` reads no mesh_sizes; ``seminorm`` only s,
+p and alpha).
 
 Exit status: 0 pass, 1 study fail, 2 usage or parameter validation error,
 3 I/O failure.
@@ -37,7 +38,7 @@ _STUDIES = {spec.command: spec for spec in ex.STUDIES}
 # Keys a subcommand never reads: overriding one would have no effect.
 _UNREAD = {
     "solve": ("mesh_sizes",),
-    "seminorm": ("mesh_sizes", "grad_tol", "max_iters", "output_dir"),
+    "seminorm": ("mesh_sizes", "output_dir"),
 }
 
 
@@ -118,7 +119,7 @@ def _print_rows(columns, rows):
 
 def _cmd_solve(args, config) -> int:
     mesh = Mesh1D(args.mesh)
-    [result] = ex.solve_ladder((mesh.n_elements,), config.solver, config.params.alpha)
+    [result] = ex.solve_ladder((mesh.n_elements,), config.params.alpha)
     print(f"N = {mesh.n_elements}  h = {mesh.h:.6e}")
     print(f"energy    = {result.energy:.17g}")
     print(f"grad_norm = {result.grad_norm:.3e}")

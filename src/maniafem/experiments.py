@@ -14,6 +14,7 @@ ceiling so the clamp is as active as the theory allows.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
@@ -24,7 +25,7 @@ from .errors import ConsistencyError
 from .fractional import norm_wkp, seminorm_w1sp
 from .functionals import AdmissibleParams
 from .mesh import Mesh1D
-from .optimize import SolveConfig, SolveResult, initial_values, minimize_from, prolongate
+from .optimize import SolveResult, initial_values, minimize_from, prolongate
 from .quadrature import StudyGrid
 from .quadrature import graded_grid  # noqa: F401  (kept for perfbench/tracer.py)
 from .studies import (
@@ -79,28 +80,24 @@ SPLIT_PROBE_EXPONENT = 0.45
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One run's seven settings, named as the CLI's config keys.  ``params``
-    and ``solver`` are built from them, so an invalid value raises here."""
+    """One run's five settings, named as the CLI's config keys.  ``params``
+    is built from them, so an invalid value raises here."""
 
     s: float = 0.2
     p: float = 1.1
     alpha: float = 0.035
     mesh_sizes: tuple[int, ...] = DEFAULT_MESH_SIZES
-    grad_tol: float = SolveConfig.grad_tol
-    max_iters: int = SolveConfig.max_iters
-    output_dir: str = "reports"
+    output_dir: str | os.PathLike = "reports"
     params: AdmissibleParams = field(init=False, repr=False, compare=False)
-    solver: SolveConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # validate the values as given, then keep Python numbers for summary.json
         AdmissibleParams(self.s, self.p, self.alpha)
-        SolveConfig(self.grad_tol, self.max_iters)
-        for name in ("s", "p", "alpha", "grad_tol"):
+        for name in ("s", "p", "alpha"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "max_iters", int(self.max_iters))
         object.__setattr__(self, "params", AdmissibleParams(self.s, self.p, self.alpha))
-        object.__setattr__(self, "solver", SolveConfig(self.grad_tol, self.max_iters))
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise TypeError(f"output_dir must be a str or os.PathLike, got {self.output_dir!r}")
         sizes = tuple(self.mesh_sizes)
         if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in sizes):
             raise ValueError(f"mesh sizes must be integers, got {sizes}")
@@ -114,17 +111,18 @@ class ExperimentConfig:
         object.__setattr__(self, "mesh_sizes", sizes)
 
 
-def solve_ladder(mesh_sizes, solver: SolveConfig, alpha: float | None = None) -> list[SolveResult]:
+def solve_ladder(mesh_sizes, alpha: float | None = None) -> list[SolveResult]:
     """Minimizers at ``mesh_sizes`` by nested-mesh continuation; clamped at
     level h^(-alpha) on each mesh when ``alpha`` is given, raw otherwise.
 
     The ladder walks the halving chain of the finest size, coarsest first
     (n, n/2, n/4, ... while the size is even and > 2).  On each mesh it
     solves from the fixed seeds, then from the prolongated previous best,
-    and keeps the earliest result unless a later one is lower by more than
-    4 spacings (ulps) of the best energy so far.  Every requested size
-    must lie on the chain.  Nothing is kept between calls, so a caller that
-    reports one ladder twice passes the results on instead of solving again.
+    each stopped by the ``SolveConfig`` defaults, and keeps the earliest
+    result unless a later one is lower by more than 4 spacings (ulps) of the
+    best energy so far.  Every requested size must lie on the chain.
+    Nothing is kept between calls, so a caller that reports one ladder twice
+    passes the results on instead of solving again.
     """
     chain = [max(mesh_sizes)]
     while chain[-1] > 2 and chain[-1] % 2 == 0:
@@ -142,7 +140,7 @@ def solve_ladder(mesh_sizes, solver: SolveConfig, alpha: float | None = None) ->
             starts.append(prolongate(prev.minimizer, mesh).nodal_values)
         kept = None
         for start in starts:
-            r = minimize_from(mesh, start, solver, alpha)
+            r = minimize_from(mesh, start, alpha=alpha)
             # starts that reach one minimum end a few ulps apart: rounding
             # must not pick which solve is reported
             if kept is None or r.energy < kept.energy - 4 * np.spacing(kept.energy):
@@ -163,8 +161,8 @@ def run_gap_demo(config: ExperimentConfig) -> dict[str, dict]:
     the verdict, and per mesh the chosen raw solve's stop reason, iterations
     and smallest Hessian pivot (> 0 certifies a strict local minimizer).
     """
-    raw = solve_ladder(config.mesh_sizes, config.solver)
-    clamped = solve_ladder(config.mesh_sizes, config.solver, config.params.alpha)
+    raw = solve_ladder(config.mesh_sizes)
+    clamped = solve_ladder(config.mesh_sizes, config.params.alpha)
     raw_e = [r.energy for r in raw]
     clamped_e = [r.energy for r in clamped]
     for n, er, ee in zip(config.mesh_sizes, raw_e, clamped_e):
@@ -199,8 +197,7 @@ def run_min_convergence(config: ExperimentConfig) -> RateStudy:
     convergence of the minimum values, not of the minimizers.
     """
     return _min_convergence(
-        config.params, solve_ladder(config.mesh_sizes, config.solver, config.params.alpha),
-        run_recovery(config))
+        config.params, solve_ladder(config.mesh_sizes, config.params.alpha), run_recovery(config))
 
 
 def _min_convergence(params: AdmissibleParams, results: list[SolveResult],

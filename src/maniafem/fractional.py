@@ -263,21 +263,21 @@ def _on_workers(n_items: int, work) -> None:
         raise errors[0]
 
 
-def _mc_accumulate(rng, n_samples: int, n_strata: int, make_sampler):
+def _mc_accumulate(rng, n_samples: int, n_strata: int, sampler):
     """Per-stratum sample counts, sums and sums of squares of ``sampler(k, u)``.
 
     Stratum k owns the samples floor(k N/n) ... floor((k+1) N/n) - 1 of the
     N = ``n_samples``, and sample i takes the i-th uniform double u of
     ``rng``.  The samples run in chunks of _PC_CHUNK on up to _WORKERS
     threads; each chunk is cut at the stratum starts into runs that share
-    one k.  Each worker takes a contiguous run of chunks, builds its own
-    sampler with ``make_sampler()`` and draws from a PCG64 copy of ``rng``
-    advanced past the earlier chunks (one 64-bit output per double), so every
-    chunk gets the samples one thread would draw.  A chunk is drawn into one
-    reused buffer and evaluated over it in place: about 1 MiB per worker with
-    the sampler's buffer.  The per-chunk, per-stratum sums are added in chunk
-    order after the join, so the result is bitwise the same for any number
-    of workers.
+    one k.  Each worker takes a contiguous run of chunks and draws from a
+    PCG64 copy of ``rng`` advanced past the earlier chunks (one 64-bit output
+    per double), so every chunk gets the samples one thread would draw.  The
+    workers share ``sampler``, which must be safe to call from any thread.
+    A chunk is drawn into one reused buffer and evaluated over it in place:
+    about 1 MiB per worker with the sampler's block buffer.  The per-chunk,
+    per-stratum sums are added in chunk order after the join, so the result
+    is bitwise the same for any number of workers.
     """
     n_samples = int(n_samples)  # PCG64.advance rejects numpy integers
     n_chunks = -(-n_samples // _PC_CHUNK)
@@ -289,7 +289,6 @@ def _mc_accumulate(rng, n_samples: int, n_strata: int, make_sampler):
         bits = np.random.PCG64()
         bits.state = state
         draw = np.random.Generator(bits.advance(first * _PC_CHUNK)).random
-        sampler = make_sampler()
         buf = np.empty(min(n_samples, _PC_CHUNK))
         for chunk in chunks:
             lo = chunk * _PC_CHUNK
@@ -348,10 +347,11 @@ def _pc_inner_integral(g: PiecewiseConstant, sp: float, p: float):
     W[k, i] = +-(|c_k - c_i|^p - |c_k - c_{i-1}|^p)/sp (+ for i > k, - for
     i <= k; out-of-range and same-element numerators are 0): n+1 powers per
     sample, all with element k's row of weights.  u is evaluated in blocks of
-    _PC_BLOCK // (n+1) samples through one reused distance buffer.  The
-    values go to ``out``, which may be u itself: each block is written after
-    it is read.  The closure never refers to itself, so the buffer and the
-    weight table are freed by reference counting once the caller drops it.
+    _PC_BLOCK // (n+1) samples through one distance buffer per call, so
+    threads may share the sampler and its one weight table.  The values go
+    to ``out``, which may be u itself: each block is written after it is
+    read.  The closure never refers to itself, so the weight table is freed
+    by reference counting once the caller drops it.
 
     On a node hit (u == 0) d_k := h makes phi_k = phi_{k-1}, so element k-1
     contributes 0 instead of its divergent integral; at x = 0,
@@ -363,10 +363,10 @@ def _pc_inner_integral(g: PiecewiseConstant, sp: float, p: float):
     rows = w.T  # a view: the weights stay the one (n + 1) x n table
     nodes = np.arange(n + 1.0)
     block = max(_PC_BLOCK // (n + 1), 3)
-    dist = np.empty((n + 1) * block)
 
     def fill(k, u, out):
         column = (nodes - k)[:, None]
+        dist = np.empty((n + 1) * min(block, u.size))
         n_blocks = -(-u.size // block)
         for b in range(n_blocks):
             # equal blocks, none narrower than 2 since block >= 3
@@ -437,8 +437,7 @@ def gagliardo_oracle_mc(g: PiecewiseConstant, s: float, p: float, n_samples: int
         raise ValueError(
             f"need at least two samples per element, got {n_samples} for {n} elements")
     rng = np.random.default_rng(seed)
-    counts, sums, squares = _mc_accumulate(
-        rng, n_samples, n, lambda: _pc_inner_integral(g, s * p, p))
+    counts, sums, squares = _mc_accumulate(rng, n_samples, n, _pc_inner_integral(g, s * p, p))
     means = sums / counts
     var = np.maximum(squares / counts - means * means, 0.0) * counts / (counts - 1.0)
     mean = float(np.sum(means)) / n

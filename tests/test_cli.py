@@ -11,7 +11,7 @@ from maniafem import experiments as ex
 from maniafem.cli import build_parser, main
 from maniafem.experiments import ExperimentConfig
 
-FAST = ["--set", "mesh_sizes=8,16,32", "--set", "max_iters=5000"]
+FAST = ["--set", "mesh_sizes=8,16,32"]
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -51,13 +51,13 @@ def test_non_integer_mesh_size_is_usage_error(capsys, sizes):
 
 def test_config_keys_are_the_experiment_config_fields():
     names = {f.name for f in dataclasses.fields(ExperimentConfig) if f.init}
-    assert set(cli._CONVERTERS) == names
+    assert set(cli._CONVERTERS) == names == {"s", "p", "alpha", "mesh_sizes", "output_dir"}
     assert all(set(keys) <= names for keys in cli._UNREAD.values())
 
 
 def test_inconsistent_study_is_study_failure(tmp_path, capsys, monkeypatch):
     # raw minima that increase along the ladder trip run_gap_demo's check
-    def fake_ladder(mesh_sizes, solver, alpha=None):
+    def fake_ladder(mesh_sizes, alpha=None):
         return [SimpleNamespace(energy=float(n)) for n in mesh_sizes]
 
     monkeypatch.setattr(ex, "solve_ladder", fake_ladder)
@@ -68,8 +68,6 @@ def test_inconsistent_study_is_study_failure(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("command, pair", [
     ("solve", "mesh_sizes=8,32"),
     ("seminorm", "mesh_sizes=8,32"),
-    ("seminorm", "grad_tol=1e-6"),
-    ("seminorm", "max_iters=3"),
     ("seminorm", "output_dir=reports"),
 ])
 def test_set_of_a_key_the_subcommand_does_not_read_is_rejected(tmp_path, capsys, command, pair):
@@ -83,7 +81,7 @@ def test_set_of_a_key_the_subcommand_does_not_read_is_rejected(tmp_path, capsys,
 
 def test_config_file_stays_shared_across_subcommands(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"mesh_sizes = 8,16\nmax_iters = 4000\noutput_dir = {tmp_path / 'out'}\n")
+    cfg.write_text(f"mesh_sizes = 8,16\noutput_dir = {tmp_path / 'out'}\n")
     assert main(["seminorm", "--mesh", "8", "--config", str(cfg)]) == 0
     assert main(["solve", "--mesh", "8", "--config", str(cfg)]) == 0
     capsys.readouterr()
@@ -92,12 +90,27 @@ def test_config_file_stays_shared_across_subcommands(tmp_path, capsys):
 
 @pytest.mark.parametrize("pair", ["grad_tol=inf", "grad_tol=nan", "max_iters=0"])
 def test_solver_config_that_disables_the_solver_is_rejected(tmp_path, capsys, pair):
-    # grad_tol=inf would pass the gates with the interpolants reported as minima
+    # grad_tol=inf would pass the gates with the interpolants reported as
+    # minima; the stopping rule is no config key, so no value can reach it
     args = ["gap", "--set", pair, "--set", "mesh_sizes=8,16,32",
             "--out", str(tmp_path / "gap")]
     assert main(args) == 2
-    assert pair.split("=")[0] in capsys.readouterr().err
+    assert f"unknown config key {pair.split('=')[0]!r}" in capsys.readouterr().err
     assert not (tmp_path / "gap").exists()
+
+
+@pytest.mark.parametrize("key", ["grad_tol", "max_iters"])
+def test_solver_settings_are_not_config_keys(tmp_path, capsys, key):
+    # not even at their library defaults, from --set or from a config file
+    value = {"grad_tol": "1e-9", "max_iters": "20000"}[key]
+    out = tmp_path / "reports"
+    assert main(["all", "--set", f"{key}={value}", "--out", str(out)]) == 2
+    assert f"--set: unknown config key {key!r}" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"mesh_sizes = 8,16,32\n{key} = {value}\n")
+    assert main(["all", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{cfg}:2: unknown config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_malformed_set_pair_rejected(capsys):
@@ -159,7 +172,6 @@ def test_gap_with_config_file(tmp_path, capsys):
     cfg.write_text(
         "# reduced ladder\n"
         "mesh_sizes = 8,16,32\n"
-        "max_iters = 4000   # keep the run quick\n"
         f"output_dir = {tmp_path / 'reports'}\n"
     )
     code = main(["gap", "--config", str(cfg)])
@@ -198,7 +210,7 @@ def test_gap_fails_on_the_recovery_verdict_alone(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in out.iterdir()) == GAP_CSVS
     assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
     gap = next(spec for spec in ex.STUDIES if spec.command == "gap")
-    config = ExperimentConfig(mesh_sizes=(8, 16, 32), max_iters=5000)
+    config = ExperimentConfig(mesh_sizes=(8, 16, 32))
     verdicts = {name: entry["pass"] for name, entry in gap.tables(config).items()}
     assert verdicts == {"gap_demo": True, "min_convergence": True, "recovery_gap": False}
 
@@ -248,10 +260,9 @@ def test_subcommands_come_from_the_study_table():
 
 
 def test_repro_runs_are_byte_identical(tmp_path, capsys):
-    fast = ["--set", "mesh_sizes=8,16,32", "--set", "max_iters=2000"]
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["gap", *fast, "--out", str(a)]) == 0
-    assert main(["gap", *fast, "--out", str(b)]) == 0
+    assert main(["gap", *FAST, "--out", str(a)]) == 0
+    assert main(["gap", *FAST, "--out", str(b)]) == 0
     capsys.readouterr()
     for name in GAP_CSVS:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
@@ -260,7 +271,7 @@ def test_repro_runs_are_byte_identical(tmp_path, capsys):
 def test_overrides_last_wins(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     # the gap study passes on 8,16,32, not on 8,16
-    cfg.write_text("alpha = 0.01\nmesh_sizes = 8,16,32\nmax_iters = 2000\n")
+    cfg.write_text("alpha = 0.01\nmesh_sizes = 8,16,32\n")
 
     def recovery_csv(name, *sets):
         out = tmp_path / name
@@ -299,13 +310,22 @@ def test_every_subcommand_validates_the_whole_config_file(tmp_path, capsys):
     assert not (tmp_path / "sol").exists()
 
 
-def test_all_uses_the_library_solver_budget(tmp_path, capsys):
+def test_all_uses_the_library_solver_budget(tmp_path, capsys, monkeypatch):
+    # every solve of an all run is left to the SolveConfig defaults, and the
+    # summary records no solver setting
+    configs = []
+    solve = ex.minimize_from
+
+    def recording(mesh, start, config=None, alpha=None):
+        configs.append(config)
+        return solve(mesh, start, config, alpha)
+
+    monkeypatch.setattr(ex, "minimize_from", recording)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("mesh_sizes = 8,16,32\n")
     code = main(["all", "--config", str(cfg), "--out", str(tmp_path / "reports")])
     assert code == 0
     capsys.readouterr()
+    assert configs and set(configs) == {None}
     summary = json.loads((tmp_path / "reports" / "summary.json").read_text())
-    library = ExperimentConfig().solver
-    assert summary["config"]["max_iters"] == library.max_iters
-    assert summary["config"]["grad_tol"] == library.grad_tol
+    assert sorted(summary["config"]) == ["alpha", "mesh_sizes", "p", "s"]

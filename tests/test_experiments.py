@@ -20,7 +20,7 @@ from maniafem.fractional import (
 )
 from maniafem.functionals import AdmissibleParams, energy_clamped
 from maniafem.mesh import Mesh1D, interpolate
-from maniafem.optimize import SolveConfig, initial_values, minimize_from
+from maniafem.optimize import initial_values, minimize_from
 from maniafem.quadrature import StudyGrid
 from maniafem.studies import (
     interp_error,
@@ -30,11 +30,7 @@ from maniafem.studies import (
 
 
 def small_config(tmp_path, sizes=(8, 16, 32, 64)) -> ex.ExperimentConfig:
-    return ex.ExperimentConfig(
-        mesh_sizes=sizes,
-        max_iters=5000,
-        output_dir=str(tmp_path / "reports"),
-    )
+    return ex.ExperimentConfig(mesh_sizes=sizes, output_dir=str(tmp_path / "reports"))
 
 
 class TestExperimentConfig:
@@ -60,18 +56,28 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("field, value, error", [
         ("s", 0.5, RegimeError),
-        ("grad_tol", float("inf"), ValueError),
-        ("max_iters", 0, ValueError),
-        # validated before they are stored as Python numbers, so int() and
-        # float() cannot turn them into valid settings
-        ("max_iters", 2.5, ValueError),
-        ("max_iters", np.float64(200.0), ValueError),
-        ("max_iters", True, ValueError),
+        # the solver's stopping rule is no setting: every value is rejected
+        # by name, the ones SolveConfig rejects and its defaults alike
+        ("grad_tol", float("inf"), TypeError),
+        ("grad_tol", 1e-9, TypeError),
+        ("max_iters", 0, TypeError),
+        ("max_iters", 2.5, TypeError),
+        ("max_iters", True, TypeError),
+        ("max_iters", 20_000, TypeError),
+        # validated before it is stored as a Python number, so float() cannot
+        # turn it into a valid setting
         ("s", True, RegimeError),
+        ("output_dir", None, TypeError),
+        ("output_dir", 3, TypeError),
     ])
     def test_invalid_settings_raise_at_construction(self, field, value, error):
         with pytest.raises(error, match=field):
             ex.ExperimentConfig(**{field: value})
+
+    def test_builds_no_solver_and_takes_a_path_as_output_dir(self, tmp_path):
+        # the five fields are pinned with the CLI's keys in tests/test_cli.py
+        assert not hasattr(ex.ExperimentConfig(), "solver")
+        assert ex.ExperimentConfig(output_dir=tmp_path).output_dir == tmp_path
 
     def test_numeric_strings_are_not_parsed(self):
         # float("0.035") would accept it; parsing is the CLI's job
@@ -80,15 +86,25 @@ class TestExperimentConfig:
 
     def test_numpy_scalars_are_stored_as_python_numbers(self):
         config = ex.ExperimentConfig(s=np.float64(0.2), p=np.float32(1.1),
-                                     alpha=np.float32(0.035), grad_tol=np.float32(1e-9),
-                                     max_iters=np.int64(200))
-        names = ("s", "p", "alpha", "grad_tol", "max_iters")
-        assert [type(getattr(config, n)) for n in names] == [float] * 4 + [int]
+                                     alpha=np.float32(0.035))
+        assert [type(getattr(config, n)) for n in ("s", "p", "alpha")] == [float] * 3
         assert config.params == AdmissibleParams(config.s, config.p, config.alpha)
-        assert type(config.params.alpha) is float and type(config.solver.max_iters) is int
+        assert type(config.params.alpha) is float
 
-    def test_solver_defaults_are_the_solve_config_defaults(self):
-        assert ex.ExperimentConfig().solver == SolveConfig()
+    def test_solver_defaults_are_the_solve_config_defaults(self, tmp_path, monkeypatch):
+        # every solve of both ladders reaches minimize_from without a
+        # config, so SolveConfig()'s tolerance and budget decide it
+        calls = []
+        solve = ex.minimize_from
+
+        def recording(*args, **kwargs):
+            calls.append((len(args), tuple(kwargs)))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "minimize_from", recording)
+        ex.run_gap_demo(small_config(tmp_path, sizes=(8, 16)))
+        assert len(calls) == 2 + 3 * 3 + 1 + 2 * 3  # raw, then clamped, from N = 2
+        assert set(calls) == {(2, ("alpha",))}
 
     def test_accepts_numpy_integer_sizes(self):
         config = ex.ExperimentConfig(mesh_sizes=np.array([8, 16, 32], dtype=np.int32))
@@ -125,7 +141,7 @@ class TestGapDemo:
         ((0.02, 0.03), (0.01, 0.01), "raw minima increased"),
     ])
     def test_inconsistent_minima_raise(self, tmp_path, monkeypatch, raw, clamped, needle):
-        def fake_ladder(mesh_sizes, solver, alpha=None):
+        def fake_ladder(mesh_sizes, alpha=None):
             return [SimpleNamespace(energy=e) for e in (raw if alpha is None else clamped)]
 
         monkeypatch.setattr(ex, "solve_ladder", fake_ladder)
@@ -151,13 +167,13 @@ class TestLadderSolves:
     def test_clamped_ladder_reaches_the_reference_basin(self):
         # from the prolongated N = 8 minimizer, a step past the first kink
         # is what keeps Newton out of a worse basin (2.926e-5) at N = 16
-        results = ex.solve_ladder((8, 16), SolveConfig(), alpha=0.035)
+        results = ex.solve_ladder((8, 16), alpha=0.035)
         assert results[-1].energy <= 2.62278544796067e-05 * (1 + 1e-8)
         assert all(r.reason == "grad_tol" for r in results)
 
     def test_every_raw_solve_is_a_certified_minimum(self, monkeypatch):
         solves = recorded_solves(monkeypatch)
-        ex.solve_ladder(ex.DEFAULT_MESH_SIZES, SolveConfig())
+        ex.solve_ladder(ex.DEFAULT_MESH_SIZES)
         # the halving chain is N = 2 ... 1024: two fixed seeds on each of its
         # 10 meshes plus the prolongated previous best above N = 2
         assert [n for n, _ in solves] == [2, 2] + [2 ** k for k in range(2, 11)
@@ -169,16 +185,16 @@ class TestLadderSolves:
     @pytest.mark.parametrize("alpha", [None, 0.035])
     def test_sparse_ladder_matches_the_consecutive_one(self, alpha):
         # both walk the halving chain of N = 128, so the minima agree bitwise
-        sparse = ex.solve_ladder((8, 32, 128), SolveConfig(), alpha)
+        sparse = ex.solve_ladder((8, 32, 128), alpha)
         full = dict(zip((2, 4, 8, 16, 32, 64, 128),
-                        ex.solve_ladder((2, 4, 8, 16, 32, 64, 128), SolveConfig(), alpha)))
+                        ex.solve_ladder((2, 4, 8, 16, 32, 64, 128), alpha)))
         for n, result in zip((8, 32, 128), sparse):
             assert result.energy == full[n].energy
             assert np.array_equal(result.minimizer.nodal_values, full[n].minimizer.nodal_values)
 
     def test_keeps_the_lowest_candidate_per_mesh_up_to_4_ulps(self, monkeypatch):
         solves = recorded_solves(monkeypatch)
-        results = ex.solve_ladder((4, 8), SolveConfig())
+        results = ex.solve_ladder((4, 8))
         for n, result in zip((4, 8), results):
             candidates = [r for m, r in solves if m == n]
             kept = [r is result for r in candidates].index(True)
@@ -193,13 +209,13 @@ class TestLadderSolves:
         energy = 0.06639759382528483
         energies = [energy, energy - ulps * np.spacing(energy)]
         results = iter([SimpleNamespace(energy=e) for e in energies])
-        monkeypatch.setattr(ex, "minimize_from", lambda *args: next(results))
-        [result] = ex.solve_ladder((2,), SolveConfig())
+        monkeypatch.setattr(ex, "minimize_from", lambda *args, **kwargs: next(results))
+        [result] = ex.solve_ladder((2,))
         assert result.energy == energies[kept]
 
     def test_rejects_sizes_off_the_halving_chain(self):
         with pytest.raises(ValueError, match="halving chain"):
-            ex.solve_ladder((6, 8), SolveConfig())
+            ex.solve_ladder((6, 8))
 
 
 class TestLadderSharing:
@@ -351,7 +367,6 @@ class TestRunAll:
         # numpy scalars in the config once ended run_all in a TypeError from
         # json.dumps, after every CSV but before summary.json was written
         config = ex.ExperimentConfig(mesh_sizes=(8, 16), alpha=np.float32(0.035),
-                                     grad_tol=np.float32(1e-9), max_iters=np.int64(200),
                                      output_dir=str(tmp_path / "reports"))
         ex.run_all(config)
         loaded = json.loads((tmp_path / "reports" / "summary.json").read_text())
@@ -431,7 +446,7 @@ class TestRunAll:
     def test_inconsistent_gap_study_writes_neither_table(self, tmp_path, monkeypatch):
         # raw minima that increase along the ladder: all three tables come
         # from the gap study's ladders, so none is reported
-        def fake_ladder(mesh_sizes, solver, alpha=None):
+        def fake_ladder(mesh_sizes, alpha=None):
             return [SimpleNamespace(energy=float(n)) for n in mesh_sizes]
 
         monkeypatch.setattr(ex, "solve_ladder", fake_ladder)
@@ -523,7 +538,7 @@ def _no_cycle_cases():
     cases = [
         ("minimize_from_raw", lambda _: minimize(None)),
         ("minimize_from_clamped", lambda _: minimize(alpha)),
-        ("solve_ladder", lambda _: ex.solve_ladder((8, 16, 32), SolveConfig())),
+        ("solve_ladder", lambda _: ex.solve_ladder((8, 16, 32))),
         ("run_min_convergence",
          lambda tmp_path: ex.run_min_convergence(small_config(tmp_path, sizes=(8, 16, 32)))),
         ("run_recovery",

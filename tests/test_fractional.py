@@ -562,8 +562,7 @@ class TestMonteCarloOracle:
         g = PiecewiseConstant(Mesh1D(n), rng.uniform(-1, 1, n))
         sp, p = 0.22, 1.1
         counts, sums, squares = fractional._mc_accumulate(
-            np.random.default_rng(5), n_samples, n,
-            lambda: fractional._pc_inner_integral(g, sp, p))
+            np.random.default_rng(5), n_samples, n, fractional._pc_inner_integral(g, sp, p))
         starts = strata_starts(n_samples, n)
         assert counts.tolist() == np.diff(starts).tolist()
         assert counts.sum() == n_samples and counts.min() >= n_samples // n
@@ -604,9 +603,9 @@ class TestMonteCarloOracle:
             assert abs(closed.value - mc.value) <= 3.0 * mc.est_error
 
     def test_calls_retain_no_memory(self, monkeypatch):
-        # a sampler caught in a reference cycle keeps its 1 MiB of block
-        # buffers and its weight table until a full collection; 10^5 samples
-        # are two chunks, so with two workers each builds its own sampler
+        # a sampler or worker caught in a reference cycle keeps the weight
+        # table or its 1 MiB of buffers until a full collection; 10^5 samples
+        # are two chunks, so with two workers both share the sampler
         g = PiecewiseConstant(Mesh1D(8), np.random.default_rng(15).uniform(-1, 1, 8))
         for workers in (1, 2):
             monkeypatch.setattr(fractional, "_WORKERS", workers)
@@ -621,6 +620,22 @@ class TestMonteCarloOracle:
                 tracemalloc.stop()
                 gc.enable()
             assert held <= 64 * 1024, workers
+
+    def test_workers_share_one_weight_table(self, monkeypatch):
+        # four chunks on four workers: one (n + 1) x n table for all of them,
+        # plus each worker's draw and block buffers (a table per worker
+        # peaked at 4.6 tables with full chunks); short chunks keep it quick
+        monkeypatch.setattr(fractional, "_WORKERS", 4)
+        monkeypatch.setattr(fractional, "_PC_CHUNK", 4096)
+        n = 1024
+        g = PiecewiseConstant(Mesh1D(n), np.random.default_rng(73).uniform(-1, 1, n))
+        tracemalloc.start()
+        try:
+            gagliardo_oracle_mc(g, 0.2, 1.1, 4 * fractional._PC_CHUNK, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (n + 1) * n * 8
 
     # the last count ends in a one-sample chunk, which takes the lone path
     @pytest.mark.parametrize("n_samples", [

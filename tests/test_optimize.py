@@ -220,14 +220,14 @@ class TestDescentContracts:
             minimize_from(mesh, np.full(5, 1e80))
 
     def test_continuation_beats_its_seed(self):
-        coarse, fine = solve_ladder((2, 4), SolveConfig(), alpha=0.035)
+        coarse, fine = solve_ladder((2, 4), alpha=0.035)
         fine_mesh = Mesh1D(4)
         seed = prolongate(coarse.minimizer, fine_mesh)
         assert fine.energy <= energy_clamped(seed, 0.035) + 1e-15
 
     def test_clamped_beats_raw_on_fine_mesh(self):
         mesh = Mesh1D(64)
-        [clamped] = solve_ladder((64,), SolveConfig(), alpha=0.035)
+        [clamped] = solve_ladder((64,), alpha=0.035)
         raw = min(solve_from(mesh, kind).energy for kind in ("linear_ramp", "interp_root"))
         assert clamped.energy < raw
 
@@ -237,7 +237,7 @@ class TestNewtonSteps:
         # the converged coarse solution prolongated is close enough for
         # Newton's local quadratic convergence
         mesh = Mesh1D(64)
-        [coarse] = solve_ladder((32,), SolveConfig())
+        [coarse] = solve_ladder((32,))
         res = minimize_from(mesh, prolongate(coarse.minimizer, mesh).nodal_values)
         assert res.reason == "grad_tol"
         assert res.iters <= 20
@@ -259,7 +259,7 @@ class TestNewtonSteps:
 
     def test_min_pivot_matches_dense_eigenvalues(self):
         mesh = Mesh1D(16)
-        [res] = solve_ladder((16,), SolveConfig())
+        [res] = solve_ladder((16,))
         assert_min_pivot_bounds_eigenvalues(fe_objective(mesh)[1], res)
 
     @pytest.mark.parametrize("clamped", [False, True])
