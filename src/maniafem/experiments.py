@@ -58,13 +58,6 @@ __all__ = [
 
 DEFAULT_MESH_SIZES = (8, 16, 32, 64, 128, 256, 512, 1024)
 
-# Fixed starting points tried on every mesh of a ladder, before the
-# prolongated previous minimizer.  The raw energy is seeded in both basins,
-# the identity's and x^(1/3)'s, so a reported raw minimum does not hinge on
-# one starting point.
-RAW_SEEDS = ("linear_ramp", "interp_root")
-CLAMPED_SEEDS = ("interp_root",)
-
 # pass thresholds used both by run_all and by the acceptance suite
 RAW_FLOOR_MIN = 1e-3
 MIN_CONV_FINAL_FACTOR = 0.1
@@ -112,30 +105,31 @@ class ExperimentConfig:
 
 
 def solve_ladder(mesh_sizes, alpha: float | None = None) -> list[SolveResult]:
-    """Minimizers at ``mesh_sizes`` by nested-mesh continuation; clamped at
-    level h^(-alpha) on each mesh when ``alpha`` is given, raw otherwise.
+    """Minimizers at ``mesh_sizes``, raw when ``alpha`` is None and clamped
+    at level h^(-alpha) on each mesh otherwise, each solve stopped by the
+    ``SolveConfig`` defaults.
 
-    The ladder walks the halving chain of the finest size, coarsest first
-    (n, n/2, n/4, ... while the size is even and > 2).  On each mesh it
-    solves from the fixed seeds, then from the prolongated previous best,
-    each stopped by the ``SolveConfig`` defaults, and keeps the earliest
-    result unless a later one is lower by more than 4 spacings (ulps) of the
-    best energy so far.  Every requested size must lie on the chain.
-    Nothing is kept between calls, so a caller that reports one ladder twice
-    passes the results on instead of solving again.
+    A raw mesh is solved once, from the linear ramp.  The clamped ladder
+    walks the halving chain of the finest size, coarsest first (n, n/2, ...
+    while even and > 2), on which every requested size must lie.  It solves
+    each mesh from the interpolant of x^(1/3), then from the prolongated
+    previous best, which is kept only if lower by more than 4 spacings
+    (ulps) of the first energy.  Nothing is kept between calls.
     """
+    if alpha is None:
+        return [minimize_from(mesh, initial_values(mesh, "linear_ramp"), alpha=None)
+                for mesh in map(Mesh1D, mesh_sizes)]
     chain = [max(mesh_sizes)]
     while chain[-1] > 2 and chain[-1] % 2 == 0:
         chain.append(chain[-1] // 2)
     missing = set(mesh_sizes) - set(chain)
     if missing:
         raise ValueError(f"mesh sizes {sorted(missing)} are not on the halving chain of {chain[0]}")
-    seeds = RAW_SEEDS if alpha is None else CLAMPED_SEEDS
     best: dict[int, SolveResult] = {}
     prev: SolveResult | None = None
     for n in reversed(chain):
         mesh = Mesh1D(n)
-        starts = [initial_values(mesh, kind) for kind in seeds]
+        starts = [initial_values(mesh, "interp_root")]
         if prev is not None:
             starts.append(prolongate(prev.minimizer, mesh).nodal_values)
         kept = None
@@ -158,27 +152,18 @@ def run_gap_demo(config: ExperimentConfig) -> dict[str, dict]:
     ``run_recovery`` study also gives min_convergence's interpolant energies.
     The gap entry has rows (h, raw minimum, clamped minimum, raw min_pivot),
     the raw floor, the clamped trend order (min_convergence's fitted order),
-    the verdict, and per mesh the chosen raw solve's stop reason, iterations
-    and smallest Hessian pivot (> 0 certifies a strict local minimizer).
+    the verdict ``gap_passes``, and per mesh the raw solve's stop reason,
+    iterations and smallest Hessian pivot (> 0 certifies a strict local minimizer).
     """
     raw = solve_ladder(config.mesh_sizes)
     clamped = solve_ladder(config.mesh_sizes, config.params.alpha)
-    raw_e = [r.energy for r in raw]
-    clamped_e = [r.energy for r in clamped]
-    for n, er, ee in zip(config.mesh_sizes, raw_e, clamped_e):
-        if ee > er:
-            raise ConsistencyError(
-                f"clamped minimum {ee} exceeds raw minimum {er} at N={n}"
-            )
-    if any(b > a for a, b in zip(raw_e, raw_e[1:])):
-        raise ConsistencyError(f"raw minima increased along the ladder: {raw_e}")
+    passed = gap_passes(raw, clamped)
     recovery = run_recovery(config)
     study = _min_convergence(config.params, clamped, recovery)
-    raw_floor = min(raw_e)
     entry = {
-        "raw_floor": raw_floor,
+        "raw_floor": min(r.energy for r in raw),
         "clamped_trend_order": study.fitted_order,
-        "pass": raw_floor >= RAW_FLOOR_MIN and clamped_e[-1] < raw_floor,
+        "pass": passed,
         "columns": ["h", "value", "clamped_value", "raw_min_pivot"],
         "rows": [[1.0 / n, r.energy, c.energy, r.min_pivot]
                  for n, r, c in zip(config.mesh_sizes, raw, clamped)],
@@ -187,6 +172,20 @@ def run_gap_demo(config: ExperimentConfig) -> dict[str, dict]:
     }
     return {"gap_demo": entry, **_tables(study, min_convergence_passes),
             **_tables(recovery, recovery_passes)}
+
+
+def gap_passes(raw: list[SolveResult], clamped: list[SolveResult]) -> bool:
+    """Raw floor >= ``RAW_FLOOR_MIN`` and the finest clamped minimum below it.
+    Raises ``ConsistencyError`` where a clamped minimum exceeds the raw one
+    on its mesh or the raw minima increase along the ladder."""
+    raw_e = [r.energy for r in raw]
+    for r, c in zip(raw, clamped, strict=True):
+        if c.energy > r.energy:
+            raise ConsistencyError(f"clamped minimum {c.energy} exceeds raw minimum "
+                                   f"{r.energy} at N={r.minimizer.mesh.n_elements}")
+    if any(b > a for a, b in zip(raw_e, raw_e[1:])):
+        raise ConsistencyError(f"raw minima increased along the ladder: {raw_e}")
+    return min(raw_e) >= RAW_FLOOR_MIN and clamped[-1].energy < min(raw_e)
 
 
 def run_min_convergence(config: ExperimentConfig) -> RateStudy:

@@ -20,8 +20,8 @@ Optim. 16, 2005).  The clamped energy has kinks where an element slope
 reaches the clamp, so there the first trial step is capped at the first
 kink along the Newton direction.
 Boundary values are pinned structurally: the iterate is the interior
-vector.  Mesh continuation, which seeds finer meshes with prolongated
-coarse minimizers, lives in ``experiments``.
+vector.  The clamped ladder's mesh continuation, which seeds finer meshes
+with prolongated coarse minimizers, lives in ``experiments``.
 
 Every solve names why it stopped (``grad_tol``, ``max_iters`` or
 ``line_search``) and reports the smallest LDL^T pivot of the unshifted

@@ -103,7 +103,7 @@ class TestExperimentConfig:
 
         monkeypatch.setattr(ex, "minimize_from", recording)
         ex.run_gap_demo(small_config(tmp_path, sizes=(8, 16)))
-        assert len(calls) == 2 + 3 * 3 + 1 + 2 * 3  # raw, then clamped, from N = 2
+        assert len(calls) == 2 + 1 + 2 * 3  # raw once per size, then clamped from N = 2
         assert set(calls) == {(2, ("alpha",))}
 
     def test_accepts_numpy_integer_sizes(self):
@@ -142,7 +142,8 @@ class TestGapDemo:
     ])
     def test_inconsistent_minima_raise(self, tmp_path, monkeypatch, raw, clamped, needle):
         def fake_ladder(mesh_sizes, alpha=None):
-            return [SimpleNamespace(energy=e) for e in (raw if alpha is None else clamped)]
+            return [SimpleNamespace(energy=e, minimizer=SimpleNamespace(mesh=Mesh1D(n)))
+                    for n, e in zip(mesh_sizes, raw if alpha is None else clamped)]
 
         monkeypatch.setattr(ex, "solve_ladder", fake_ladder)
         with pytest.raises(ConsistencyError, match=needle):
@@ -174,17 +175,17 @@ class TestLadderSolves:
     def test_every_raw_solve_is_a_certified_minimum(self, monkeypatch):
         solves = recorded_solves(monkeypatch)
         ex.solve_ladder(ex.DEFAULT_MESH_SIZES)
-        # the halving chain is N = 2 ... 1024: two fixed seeds on each of its
-        # 10 meshes plus the prolongated previous best above N = 2
-        assert [n for n, _ in solves] == [2, 2] + [2 ** k for k in range(2, 11)
-                                                   for _ in range(3)]
+        # one solve per requested size and none off the ladder; the other
+        # starts are checked in tests/test_ladder_starts.py
+        assert [n for n, _ in solves] == list(ex.DEFAULT_MESH_SIZES)
         for n, result in solves:
             assert result.reason == "grad_tol", (n, result.reason)
             assert result.min_pivot > 0.0, (n, result.min_pivot)
 
     @pytest.mark.parametrize("alpha", [None, 0.035])
     def test_sparse_ladder_matches_the_consecutive_one(self, alpha):
-        # both walk the halving chain of N = 128, so the minima agree bitwise
+        # the raw ladder solves each size alone and the clamped one walks the
+        # halving chain of N = 128 in both calls, so the minima agree bitwise
         sparse = ex.solve_ladder((8, 32, 128), alpha)
         full = dict(zip((2, 4, 8, 16, 32, 64, 128),
                         ex.solve_ladder((2, 4, 8, 16, 32, 64, 128), alpha)))
@@ -194,7 +195,7 @@ class TestLadderSolves:
 
     def test_keeps_the_lowest_candidate_per_mesh_up_to_4_ulps(self, monkeypatch):
         solves = recorded_solves(monkeypatch)
-        results = ex.solve_ladder((4, 8))
+        results = ex.solve_ladder((4, 8), alpha=0.035)
         for n, result in zip((4, 8), results):
             candidates = [r for m, r in solves if m == n]
             kept = [r is result for r in candidates].index(True)
@@ -205,28 +206,35 @@ class TestLadderSolves:
 
     @pytest.mark.parametrize("ulps, kept", [(0, 0), (1, 0), (4, 0), (5, 1), (400, 1)])
     def test_later_start_must_win_by_more_than_4_ulps(self, monkeypatch, ulps, kept):
-        # N = 2 has no previous mesh, so its two raw seeds are the only starts
-        energy = 0.06639759382528483
+        # the clamped ladder solves N = 4 from the interpolant of x^(1/3), then
+        # from the prolongated N = 2 minimum; only the N = 4 results are faked
+        energy = 0.0011162421698732857
         energies = [energy, energy - ulps * np.spacing(energy)]
-        results = iter([SimpleNamespace(energy=e) for e in energies])
-        monkeypatch.setattr(ex, "minimize_from", lambda *args, **kwargs: next(results))
-        [result] = ex.solve_ladder((2,))
+        fakes = iter([SimpleNamespace(energy=e) for e in energies])
+        solve = ex.minimize_from
+
+        def faking(mesh, start, **kwargs):
+            return solve(mesh, start, **kwargs) if mesh.n_elements == 2 else next(fakes)
+
+        monkeypatch.setattr(ex, "minimize_from", faking)
+        [result] = ex.solve_ladder((4,), alpha=0.035)
         assert result.energy == energies[kept]
+        assert next(fakes, None) is None
 
     def test_rejects_sizes_off_the_halving_chain(self):
         with pytest.raises(ValueError, match="halving chain"):
-            ex.solve_ladder((6, 8))
+            ex.solve_ladder((6, 8), alpha=0.035)
 
 
 class TestLadderSharing:
     def test_run_all_solves_each_ladder_once_per_call(self, tmp_path, monkeypatch):
         solves = recorded_solves(monkeypatch)
         config = ex.ExperimentConfig(output_dir=str(tmp_path / "reports"))
-        # the raw ladder makes 29 solves and the clamped one 19; the gap study
-        # builds min_convergence from its clamped results (67 solves if the
+        # the raw ladder makes 8 solves and the clamped one 19; the gap study
+        # builds min_convergence from its clamped results (46 solves if the
         # clamped ladder were solved again)
         summary = ex.run_all(config)
-        assert len(solves) == 48
+        assert len(solves) == 27
         assert summary["all_pass"]
         gap = summary["studies"]["gap_demo"]
         conv = summary["studies"]["min_convergence"]
@@ -238,9 +246,9 @@ class TestLadderSharing:
         assert recovery["rows"] == [list(row) for row in ex.run_recovery(config).rows]
         # nothing is kept between calls
         ex.run_all(config)
-        assert len(solves) == 96
+        assert len(solves) == 54
         ex.run_min_convergence(config)
-        assert len(solves) == 115
+        assert len(solves) == 73
 
 
 # (h, value) runners with their tables in target order
