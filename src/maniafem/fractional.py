@@ -27,10 +27,13 @@ share of them, each drawn as x = (k + u) h with u uniform in [0, 1).  That
 inner integral is, element by element, |c_k - c_j|^p (phi(d_near) -
 phi(d_far)) with d_i = |x - x_i| = h |i - k - u|; adjacent elements share a
 node, so the sum telescopes to sum_i W[k, i] d_i^{-sp}, and a sample costs
-n+1 powers with element k's one row of weights.  A sample with u = 0 takes
-d_k := h, so the element ending at node k contributes nothing.  Each chunk
-of 65 536 samples is evaluated in blocks of about 65 536/(n+1) samples, so
-the (n+1) x block distances stay in cache.
+n+1 powers |i - k - u|^{-sp} with element k's one row of weights (h^{-sp}
+sits in the weights).  Each power is taken as exp(-sp ln d), within about
+(2 + sp |ln d|) eps of the exact power: exp turns the roundings of ln and
+of the product into relative errors.  A sample with u = 0 takes d_k := h,
+so the element ending at node k contributes nothing.  Each chunk of 65 536
+samples is evaluated in blocks of about 65 536/(n+1) samples, so the
+(n+1) x block distances stay in cache.
 
 The closed form's blocks of gaps and the oracle's chunks run on every core,
 and their partial sums are added in a fixed order, so no value depends on
@@ -345,13 +348,17 @@ def _pc_inner_integral(g: PiecewiseConstant, sp: float, p: float):
     |c_k - c_j|^p (phi_{j+1} - phi_j), with phi_i = d_i^(-sp)/sp.  Collecting
     the terms of each node gives sum_i W[k, i] h^(-sp) |i - k - u|^(-sp) with
     W[k, i] = +-(|c_k - c_i|^p - |c_k - c_{i-1}|^p)/sp (+ for i > k, - for
-    i <= k; out-of-range and same-element numerators are 0): n+1 powers per
-    sample, all with element k's row of weights.  u is evaluated in blocks of
-    _PC_BLOCK // (n+1) samples through one distance buffer per call, so
-    threads may share the sampler and its one weight table.  The values go
-    to ``out``, which may be u itself: each block is written after it is
-    read.  The closure never refers to itself, so the weight table is freed
-    by reference counting once the caller drops it.
+    i <= k; out-of-range and same-element numerators are 0): n+1 terms per
+    sample, all with element k's row of weights.  The distances are
+    (k - i) + u for i <= k and (i - k) - u for i > k, bitwise |i - k - u|
+    with no abs pass, and each power is exp(-sp ln d) in three in-place
+    calls, about a third cheaper than ``np.power`` (x86_64, numpy 2.4), each
+    term within (2 + sp |ln d|) eps of ``np.power``'s.  u is evaluated in
+    blocks of _PC_BLOCK // (n+1) samples through one distance buffer per
+    call, so threads may share the sampler and its one weight table.  The
+    values go to ``out``, which may be u itself: each block is written after
+    it is read.  The closure never refers to itself, so the weight table is
+    freed by reference counting once the caller drops it.
 
     On a node hit (u == 0) d_k := h makes phi_k = phi_{k-1}, so element k-1
     contributes 0 instead of its divergent integral; at x = 0,
@@ -365,17 +372,21 @@ def _pc_inner_integral(g: PiecewiseConstant, sp: float, p: float):
     block = max(_PC_BLOCK // (n + 1), 3)
 
     def fill(k, u, out):
-        column = (nodes - k)[:, None]
+        below, above = (k - nodes[:k + 1])[:, None], (nodes[k + 1:] - k)[:, None]
         dist = np.empty((n + 1) * min(block, u.size))
         n_blocks = -(-u.size // block)
         for b in range(n_blocks):
             # equal blocks, none narrower than 2 since block >= 3
             lo, hi = u.size * b // n_blocks, u.size * (b + 1) // n_blocks
             ub = u[lo:hi]
-            d = np.subtract(column, ub, out=dist[:(n + 1) * (hi - lo)].reshape(n + 1, -1))
-            np.abs(d, out=d)
+            d = dist[:(n + 1) * (hi - lo)].reshape(n + 1, -1)
+            # |i - k - u| with no abs pass: fl(a - u) = -fl(|a| + u) for integer a <= 0
+            np.add(below, ub, out=d[:k + 1])
+            np.subtract(above, ub, out=d[k + 1:])
             d[k, np.flatnonzero(ub == 0.0)] = 1.0
-            np.power(d, -sp, out=d)
+            np.log(d, out=d)
+            np.multiply(d, -sp, out=d)
+            np.exp(d, out=d)
             # written last, so out may be u itself
             np.einsum("i,ij->j", rows[k], d, out=out[lo:hi])
 
@@ -403,7 +414,9 @@ def gagliardo_oracle_mc(g: PiecewiseConstant, s: float, p: float, n_samples: int
     sample i sits at x = (k + u) h, with u the i-th double of
     ``default_rng(seed)``.  The inner y-integral is carried out exactly with
     the once-integrated kernel antiderivative t^(-sp)/sp, telescoped over
-    the nodes so a sample costs n+1 powers (see ``_pc_inner_integral``).
+    the nodes so a sample costs n+1 powers, each taken as exp(-sp ln d)
+    with a relative rounding error of about (2 + sp |ln d|) eps (see
+    ``_pc_inner_integral``).
     Same-element pairs drop out analytically (their numerator is zero), and
     a sample with u = 0 takes the element ending at its node as contributing
     nothing.  The exact inner integral avoids the heavy tail of sampling

@@ -3,7 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
 per criterion.  The full mesh ladder (N = 8..1024) and the 10^7-sample
 Monte-Carlo oracle make this the slow part of the test suite (the whole
-suite took 27.6 s on x86_64 with 2 vCPUs, 11.7 s of it criterion 7);
+suite took 24.8 s on x86_64 with 2 vCPUs, 8.9 s of it criterion 7);
 everything is deterministic.
 """
 

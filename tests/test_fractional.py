@@ -539,17 +539,17 @@ class TestMonteCarloOracle:
 
     @pytest.mark.parametrize("values, n_samples, seed, pinned", [
         ([0.3, -1.0, 0.8, 0.1, -0.4], 3 * fractional._PC_CHUNK + 7, 8,
-         (4.337571387853204, 0.005511026735538907)),
+         (4.337571387853205, 0.0055110267355389046)),
         (np.linspace(-1, 1, 16) ** 3, 10**6, 9, (2.020017217054483, 0.0005009255735049122)),
         ([0.3, -1.0, 0.8, 0.1], 3 * fractional._PC_CHUNK + 7, 8,
-         (4.230451372926395, 0.005853105805638991)),
+         (4.230451372926395, 0.005853105805638992)),
     ])
     def test_pc_path_is_pinned_bitwise(self, values, n_samples, seed, pinned):
-        # recorded from the first sampler that drew each sample inside its
-        # element, before any later change to it: every sample, and so every
-        # sum, must stay as it was.  n = 5 cuts its chunks at strata starts
-        # that are not multiples of the chunk; 10^6 samples at n = 16 end in
-        # a short chunk
+        # recorded from the element-stratified sampler with the log-domain
+        # kernel exp(-sp ln d), before any later change to it: every sample,
+        # and so every sum, must stay as it was.  n = 5 cuts its chunks at
+        # strata starts that are not multiples of the chunk; 10^6 samples at
+        # n = 16 end in a short chunk
         g = PiecewiseConstant(Mesh1D(len(values)), values)
         mc = gagliardo_oracle_mc(g, 0.2, 1.1, n_samples, seed=seed)
         assert (mc.value, mc.est_error) == pinned
@@ -749,6 +749,28 @@ class TestTelescopedInnerIntegral:
             got = inner(k, u, out=np.empty(u.size))
             assert np.all(np.isfinite(got)) and np.all(got >= 0.0), k
             np.testing.assert_allclose(got, reference(k, u), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+    @pytest.mark.parametrize("sp", [0.22, 0.4, 0.48])
+    def test_log_domain_powers_match_np_power(self, n, sp):
+        rng = np.random.default_rng(45 + n)
+        g = PiecewiseConstant(Mesh1D(n), rng.uniform(-1, 1, n))
+        p = 1.1
+        inner = fractional._pc_inner_integral(g, sp, p)
+        rows = (fractional._pc_weights(g.values, sp, p) * g.mesh.h**-sp).T
+        # pyproject turns a RuntimeWarning, from log or exp too, into an error
+        u = np.concatenate([rng.random(5_000), EDGE_U])
+        for k in range(n):
+            got = inner(k, u, out=np.empty(u.size))
+            d = np.abs(np.arange(n + 1.0)[:, None] - k - u)
+            d[k, u == 0.0] = 1.0
+            terms = np.power(d, -sp)
+            want = np.einsum("i,ij->j", rows[k], terms)
+            # each term is off by at most (2 + sp |ln d|) eps, under 20 eps for d >= 2^-53,
+            # where 32 eps leaves room for the sums; the subnormal u takes the bound itself
+            bound = np.maximum(32.0, 2.0 + sp * np.abs(np.log(d)))
+            tol = np.finfo(float).eps * np.einsum("i,ij->j", np.abs(rows[k]), bound * terms)
+            assert np.all(np.abs(got - want) <= tol), k
 
     @pytest.mark.parametrize("n", [2, 8, 16])
     def test_matches_the_mesh_form_where_x_is_exact(self, n):

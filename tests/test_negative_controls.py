@@ -10,23 +10,26 @@ import numpy as np
 import pytest
 
 from maniafem import experiments as ex
-from maniafem.errors import ConsistencyError
 
 # measured: the clamped and raw minima differ by at most 5 ulps of the raw one
 SAME_MINIMUM_ULPS = 5
 
 
-def test_gap_returns_at_alpha_one_half():
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_gap_returns_from_alpha_one_half(alpha):
     raw = ex.solve_ladder(ex.DEFAULT_MESH_SIZES)
-    clamped = ex.solve_ladder(ex.DEFAULT_MESH_SIZES, alpha=0.5)
+    clamped = ex.solve_ladder(ex.DEFAULT_MESH_SIZES, alpha=alpha)
     for r, c in zip(raw, clamped, strict=True):
         assert c.reason == "grad_tol"
         assert abs(c.energy - r.energy) <= SAME_MINIMUM_ULPS * np.spacing(r.energy)
-    # rounding alone puts some clamped minima a few ulps above the raw ones,
-    # and the verdict's consistency check names the first of them
-    with pytest.raises(ConsistencyError, match="exceeds raw minimum"):
-        ex.gap_passes(raw, clamped)
-    # without those ulps the check holds, and the predicate itself fails:
-    # the finest clamped minimum is not below the raw floor
-    lowest = [min(r, c, key=lambda result: result.energy) for r, c in zip(raw, clamped)]
-    assert not ex.gap_passes(raw, lowest)
+    # rounding puts some clamped minima a few ulps above the raw ones (N = 32
+    # at alpha = 1/2) and others below: inside the verdict's margin, both
+    # count as one minimum, so the verdict neither raises nor finds a gap
+    assert not ex.gap_passes(raw, clamped)
+
+
+def test_one_mesh_below_by_rounding_is_no_gap():
+    # at N = 8 the clamped minimum is 2 ulps below the raw one
+    raw, clamped = ex.solve_ladder((8,)), ex.solve_ladder((8,), alpha=0.5)
+    assert clamped[0].energy < raw[0].energy
+    assert not ex.gap_passes(raw, clamped)
