@@ -15,8 +15,9 @@ yields
 Phi(0) = 0, so adjacent elements (b = c), where the kernel is singular but
 integrable for sp < 1, need no special casing.  On a uniform mesh K depends
 only on the index gap m, so the pair sum is a sum over gaps: O(N^2) for
-general p, taken in cache-sized blocks of gaps, and for p = 2 an
-autocorrelation that one FFT evaluates in O(N log N).
+general p, taken in cache-sized blocks of gaps with each power
+|c_i - c_j|^p as exp(p ln |c_i - c_j|), and for p = 2 an autocorrelation
+that one FFT evaluates in O(N log N).
 
 The closed form is cross-checked by two independent oracles: tensor Gauss
 quadrature of the kernel on separated pairs, and a Monte-Carlo estimate of
@@ -36,13 +37,15 @@ samples is evaluated in blocks of about 65 536/(n+1) samples, so the
 (n+1) x block distances stay in cache.
 
 The closed form's blocks of gaps and the oracle's chunks run on every core,
-and their partial sums are added in a fixed order, so no value depends on
-the number of cores.
+each handed to whichever worker asks next, and their partial sums are added
+in a fixed order, so no value depends on the number of cores or on which
+worker took which item.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import os
 import threading
 from dataclasses import dataclass
@@ -114,11 +117,14 @@ def gagliardo_pc(g: PiecewiseConstant, s: float, p: float) -> SeminormResult:
 
     [g]^p = sum_m 2 K_m S_m with S_m = sum_i |c_{i+m} - c_i|^p over index
     gaps m.  For general p, gaps m0...m0+r-1 with r = min(_PC_BLOCK // w, w)
-    (at least 1) and w = N - m0 form one (r, w) block, three numpy calls per
-    block; row j's first w - j entries sum to S_{m0+j}, bitwise as one pass
-    per gap would.  The blocks run on every core (``_on_workers``), each S_m
-    into its own slot: 0.45-0.7 s at N = 16384 for p = 1.1 on 2 cores,
-    0.9-1.0 s on one (x86_64, numpy 2.4).  For p = 2, with c shifted
+    (at least 1) and w = N - m0 form one (r, w) block, five in-place numpy
+    calls per block: the differences, abs, and the power as exp(p ln |d|),
+    each term within about (2 + p |ln |d||) eps of the exact power (a zero
+    difference gives exp(-inf) = 0).  Row j's first w - j entries sum to
+    S_{m0+j}, bitwise as one pass per gap would.  The blocks are handed out
+    on demand to every core (``_on_workers``), each S_m into its own slot:
+    0.25-0.42 s at N = 16384 for p = 1.1 on 2 cores, 0.42-0.59 s on one
+    (x86_64, numpy 2.4).  For p = 2, with c shifted
     by its median (constant data becomes exactly 0),
     S_m = (2T - P_m - Q_m) - 2 R_m, where T = sum c_i^2, P_m and Q_m are the
     sums of c_i^2 over the first and last m elements, and R_m =
@@ -159,18 +165,21 @@ def gagliardo_pc(g: PiecewiseConstant, s: float, p: float) -> SeminormResult:
         windows = sliding_window_view(np.concatenate([vals, np.full(n, vals[-1])]), n)
         sums = np.zeros(n - 1)
 
-        def work(_, items):  # one run of blocks, through its own buffer
+        def work(items):  # the blocks this worker takes, through its own buffer
             buf = np.empty(size)
-            for m0, r in (blocks[b] for b in items):
-                w = n - m0
-                d = np.subtract(windows[m0:m0 + r, :w], vals[:w], out=buf[:r * w].reshape(r, w))
-                np.abs(d, out=d)
-                np.power(d, p, out=d)
-                for j in range(r):
-                    sums[m0 + j - 1] = d[j, :w - j].sum()
+            with np.errstate(divide="ignore"):  # threads do not inherit errstate
+                for m0, r in (blocks[b] for b in items):
+                    w = n - m0
+                    d = np.subtract(windows[m0:m0 + r, :w], vals[:w],
+                                    out=buf[:r * w].reshape(r, w))
+                    np.abs(d, out=d)
+                    np.log(d, out=d)  # ln 0 = -inf, and exp(-inf) = 0
+                    np.multiply(d, p, out=d)
+                    np.exp(d, out=d)
+                    for j in range(r):
+                        sums[m0 + j - 1] = d[j, :w - j].sum()
 
-        if blocks:  # n = 1 has no gaps
-            _on_workers(len(blocks), work)
+        _on_workers(len(blocks), work)  # n = 1 has no blocks
     m = np.arange(1.0, n)
     k = (h**e / (sp * e)) * (2.0 * m**e - (m - 1.0) ** e - (m + 1.0) ** e)
     acc = 2.0 * float(np.einsum("i,i->", k, sums))
@@ -240,26 +249,32 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 
 
 def _on_workers(n_items: int, work) -> None:
-    """Call ``work(first, items)`` once per contiguous run of the items
-    0...n_items-1, in min(_WORKERS, n_items) runs of about equal length: the
-    first run in the calling thread, each other on a thread of its own.
-    ``items`` yields the run's indices in order, and none after any run has
-    failed; the first error is re-raised after the join."""
+    """Call ``work(items)`` on min(_WORKERS, n_items) workers, the calling
+    thread and a thread each for the others, which share the items
+    0...n_items-1 on demand: ``items`` yields the next index not yet taken
+    from one shared counter, so a worker that stalls holds back no other.
+    It stops when none is left or once any worker has failed; the first
+    error is re-raised after the join.  Zero items call nothing."""
     errors = []
+    taken = itertools.count()
 
-    def run(first, stop):
+    def items():
+        for i in taken:  # next() on a count is atomic under the GIL
+            if i >= n_items or errors:
+                return
+            yield i
+
+    def run():
         try:
-            work(first, (i for i in range(first, stop) if not errors))
+            work(items())
         except BaseException as exc:  # re-raised by the caller after the join
             errors.append(exc)
 
-    workers = min(_WORKERS, n_items)
-    bounds = [n_items * w // workers for w in range(workers + 1)]
-    threads = [threading.Thread(target=run, args=bounds[w:w + 2])
-               for w in range(1, workers)]
+    threads = [threading.Thread(target=run) for _ in range(1, min(_WORKERS, n_items))]
     for thread in threads:
         thread.start()
-    run(*bounds[:2])
+    if n_items:
+        run()
     for thread in threads:
         thread.join()
     if errors:
@@ -273,10 +288,12 @@ def _mc_accumulate(rng, n_samples: int, n_strata: int, sampler):
     N = ``n_samples``, and sample i takes the i-th uniform double u of
     ``rng``.  The samples run in chunks of _PC_CHUNK on up to _WORKERS
     threads; each chunk is cut at the stratum starts into runs that share
-    one k.  Each worker takes a contiguous run of chunks and draws from a
-    PCG64 copy of ``rng`` advanced past the earlier chunks (one 64-bit output
-    per double), so every chunk gets the samples one thread would draw.  The
-    workers share ``sampler``, which must be safe to call from any thread.
+    one k.  Each worker takes the next chunk not yet taken (``_on_workers``)
+    and positions its one PCG64 for it: ``rng``'s state, advanced past the
+    earlier chunks (one 64-bit output per double; about 4 us, against
+    270 us to draw a chunk on x86_64), so every chunk gets the samples one thread
+    would draw, in whatever order the chunks are taken.  The workers share
+    ``sampler``, which must be safe to call from any thread.
     A chunk is drawn into one reused buffer and evaluated over it in place:
     about 1 MiB per worker with the sampler's block buffer.  The per-chunk,
     per-stratum sums are added in chunk order after the join, so the result
@@ -288,12 +305,13 @@ def _mc_accumulate(rng, n_samples: int, n_strata: int, sampler):
     parts = [None] * n_chunks
     state = rng.bit_generator.state
 
-    def work(first, chunks):
+    def work(chunks):
         bits = np.random.PCG64()
-        bits.state = state
-        draw = np.random.Generator(bits.advance(first * _PC_CHUNK)).random
+        draw = np.random.Generator(bits).random
         buf = np.empty(min(n_samples, _PC_CHUNK))
         for chunk in chunks:
+            bits.state = state
+            bits.advance(chunk * _PC_CHUNK)
             lo = chunk * _PC_CHUNK
             u = draw(out=buf[:min(_PC_CHUNK, n_samples - lo)])
             k, part = bisect.bisect_right(starts, lo) - 1, []

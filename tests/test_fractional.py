@@ -190,9 +190,10 @@ def per_gap_reference(vals, h, s):
     return acc**0.5
 
 
-def per_gap_loop(g, s, p):
+def per_gap_loop(g, s, p, power=False):
     """[g]_{W^{s,p}} by the loop the gap blocks replaced: one O(N) pass per
-    gap into a reused buffer, then gagliardo_pc's kernel array and einsum."""
+    gap into a reused buffer, each power as exp(p ln |diff|) (or by
+    ``np.power``), then gagliardo_pc's kernel array and einsum."""
     sp, n, h, vals = s * p, g.mesh.n_elements, g.mesh.h, g.values
     e = 1.0 - sp
     sums = np.zeros(n - 1)
@@ -200,7 +201,13 @@ def per_gap_loop(g, s, p):
     for m in range(1, n):
         diff = np.subtract(vals[m:], vals[:-m], out=buf[: n - m])
         np.abs(diff, out=diff)
-        np.power(diff, p, out=diff)
+        if power:
+            np.power(diff, p, out=diff)
+        else:
+            with np.errstate(divide="ignore"):
+                np.log(diff, out=diff)
+            np.multiply(diff, p, out=diff)
+            np.exp(diff, out=diff)
         sums[m - 1] = np.sum(diff)
     m = np.arange(1.0, n)
     k = (h**e / (sp * e)) * (2.0 * m**e - (m - 1.0) ** e - (m + 1.0) ** e)
@@ -337,6 +344,60 @@ class TestGagliardoClosedForm:
                     assert results == {per_gap_loop(g, 0.2, 1.1)}, n
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 1024])
+    def test_log_domain_powers_match_np_power(self, monkeypatch, n):
+        # zero differences (repeated values) take ln 0 = -inf inside the
+        # workers, which must neither warn nor give anything but exp(-inf) = 0
+        monkeypatch.setattr(fractional, "_WORKERS", 2)
+        rng = np.random.default_rng(39 + n)
+        mesh = Mesh1D(n)
+        p, eps = 1.1, np.finfo(float).eps
+        data = {
+            "random": rng.uniform(-1, 1, n),
+            "root_slopes": interpolate(mesh, lambda x: x ** (1 / 3)).slopes(),
+            "repeated": np.repeat(rng.uniform(-1, 1, n), 2)[:n],
+        }
+        for name, vals in data.items():
+            g = PiecewiseConstant(mesh, vals)
+            gaps = np.abs(vals[:, None] - vals)
+            log_max = float(np.max(np.abs(np.log(gaps[gaps > 0])), initial=0.0))
+            # an ulp each in ln, times p, exp and np.power: (2 + 2p |ln D|) eps per term and sum
+            bound = (2.0 + 2.0 * p * log_max) * eps
+            assert gagliardo_pc(g, 0.2, p).value == pytest.approx(
+                per_gap_loop(g, 0.2, p, power=True), rel=bound, abs=0.0), name
+
+    def test_a_stalled_worker_holds_back_no_other(self, monkeypatch):
+        # the thread takes the first block and waits until the calling thread
+        # is done: that thread must then have run every other block
+        monkeypatch.setattr(fractional, "_WORKERS", 2)
+        monkeypatch.setattr(fractional, "_PC_BLOCK", 4096)
+        g = PiecewiseConstant(Mesh1D(1024), np.random.default_rng(11).uniform(-1, 1, 1024))
+        expected = gagliardo_pc(g, 0.2, 1.1).value
+        on_workers = fractional._on_workers
+        taken, caller_done = threading.Event(), threading.Event()
+        sizes, stalled, ran = [], [], []
+
+        def stalling(n_items, work):
+            def run(items):
+                if threading.current_thread() is threading.main_thread():
+                    assert taken.wait(30)
+                    work(i for i in items if not ran.append(i))
+                    caller_done.set()
+                else:
+                    stalled.append(next(items))
+                    taken.set()
+                    assert caller_done.wait(30)
+                    work(iter(stalled))
+            sizes.append(n_items)
+            on_workers(n_items, run)
+
+        monkeypatch.setattr(fractional, "_on_workers", stalling)
+        assert gagliardo_pc(g, 0.2, 1.1).value == expected
+        assert sizes[0] > 2
+        assert stalled == [0]
+        assert ran == list(range(1, sizes[0]))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("workers", [1, 2])
@@ -665,25 +726,52 @@ class TestMonteCarloOracle:
             Mesh1D(1024), np.random.default_rng(3).uniform(-1, 1, 1024)), 0.2, 1.1),
     ], ids=["oracle_chunks", "gap_blocks"])
     def test_worker_error_is_raised_after_the_join(self, monkeypatch, call):
+        # the thread fails before it takes an item; the calling thread waits
+        # until that thread has ended, so every item is still there to take
         monkeypatch.setattr(fractional, "_WORKERS", 2)
         on_workers = fractional._on_workers
-        done = []
+        failing_thread, handed, done = [], [], []
+        started = threading.Event()
 
         def failing(n_items, work):
-            def run(first, items):
+            def run(items):
                 if threading.current_thread() is not threading.main_thread():
+                    failing_thread.append(threading.current_thread())
+                    started.set()
                     raise EvaluationError("worker 1 failed")
-                work(first, items)
-                done.append(first)
+                assert started.wait(30)
+                failing_thread[0].join(30)
+                assert not failing_thread[0].is_alive()
+                work(i for i in items if not handed.append(i))
+                done.append(n_items)
             on_workers(n_items, run)
 
         monkeypatch.setattr(fractional, "_on_workers", failing)
         threads = threading.active_count()
         with pytest.raises(EvaluationError, match="worker 1 failed"):
             call()
-        # the calling thread's run has finished and no worker thread is left
-        assert done == [0]
+        # the calling thread's run returned after taking no item, and no
+        # worker thread is left
+        assert len(done) == 1 and done[0] > 1
+        assert handed == []
         assert threading.active_count() == threads
+
+    def test_chunks_in_any_order_draw_the_pinned_samples(self, monkeypatch):
+        # one worker takes the chunks last to first: each chunk must still
+        # draw from its own place in the stream (the first pinned case)
+        def backwards(n_items, work):
+            work(iter(range(n_items - 1, -1, -1)))
+
+        monkeypatch.setattr(fractional, "_on_workers", backwards)
+        g = PiecewiseConstant(Mesh1D(5), [0.3, -1.0, 0.8, 0.1, -0.4])
+        mc = gagliardo_oracle_mc(g, 0.2, 1.1, 3 * fractional._PC_CHUNK + 7, seed=8)
+        assert (mc.value, mc.est_error) == (4.337571387853205, 0.0055110267355389046)
+
+    def test_zero_items_start_no_worker(self, monkeypatch):
+        monkeypatch.setattr(fractional, "_WORKERS", 2)
+        calls = []
+        fractional._on_workers(0, calls.append)
+        assert calls == []
 
 
 class TestTelescopedInnerIntegral:
